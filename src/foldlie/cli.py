@@ -157,7 +157,16 @@ def cmd_slice(args) -> int:
     lines = [f"slice in {args.algebra}: dimension {sl.dimension}, "
              f"C*-weights {sl.cstar_weights}"]
     if args.eval:
-        params = tuple(Fraction(x) for x in args.eval.split(","))
+        try:
+            params = tuple(Fraction(x) for x in args.eval.split(","))
+        except (ValueError, ZeroDivisionError):
+            print(f"error: --eval takes comma-separated rationals, got {args.eval!r}",
+                  file=sys.stderr)
+            return USAGE_ERROR
+        if len(params) != sl.dimension:
+            print(f"error: --eval takes {sl.dimension} slice parameters, "
+                  f"got {len(params)}", file=sys.stderr)
+            return USAGE_ERROR
         values = sd.slice_quotient(sl, params)
         payload["quotient"] = [str(v) for v in values]
         lines.append(f"xi o chi{tuple(str(p) for p in params)} = "
@@ -250,7 +259,12 @@ def cmd_cameral(args) -> int:
         return USAGE_ERROR
     rng = random.Random(args.seed)
     spec = folded_branch_spec(args.genus)
-    cm = cam.random_transversal_monodromy(fwd, args.genus, spec, rng)
+    try:
+        cm = cam.random_transversal_monodromy(fwd, args.genus, spec, rng)
+    except ValueError as exc:
+        print(f"error: no transversal W({fwd.folded.dtype})-cover to sample: {exc}",
+              file=sys.stderr)
+        return USAGE_ERROR
     ind = cam.induce_cover(cm, fwd)
     geo = cam.cover_geometry(cm)
     geo_h = cam.cover_geometry(ind)
@@ -313,7 +327,11 @@ def cmd_dims(args) -> int:
         lines.append(f"folded base match from {args.fold_from}: "
                      f"{'pass' if match.passed else 'FAIL'}")
         if args.isogeny:
-            iso = ht.isogeny_dimensions(fd, args.genus)
+            try:
+                iso = ht.isogeny_dimensions(fd, args.genus)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return USAGE_ERROR
             payload["isogeny"] = {
                 "dim_B": iso.dim_B,
                 "genus_fixed_locus": iso.genus_fixed_locus,
@@ -351,6 +369,16 @@ def cmd_verify(args) -> int:
     return 0 if total_failures == 0 else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="foldlie",
@@ -383,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algebra", default="sp4")
     s.add_argument("--eval", help="comma-separated slice parameters")
     s.add_argument("--verify-appendix", action="store_true")
-    s.add_argument("--samples", type=int, default=100)
+    s.add_argument("--samples", type=_nonnegative_int, default=100)
     s.add_argument("--seed", type=int, default=42)
     s.set_defaults(fn=cmd_slice)
 
@@ -416,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite")
-    v.add_argument("--samples", type=int, default=10)
+    v.add_argument("--samples", type=_nonnegative_int, default=10)
     v.add_argument("--seed", type=int, default=42)
     v.set_defaults(fn=cmd_verify)
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import isqrt
 
+from . import kernel
 from .exactalg import MultiPoly, RatMatrix
 from .rootsys import FoldingDatum
 
@@ -419,25 +421,36 @@ def d4_fixed_cartan_basis() -> list[tuple]:
 
 
 def molien_dimensions(matrices, kmax: int) -> list[Fraction]:
-    """dim of the degree-k invariants, k = 0..kmax, via
-    (1/|G|) sum_w tr Sym^k(w), with tr Sym^k computed from power traces by
-    the Newton-style recursion k h_k = sum_j p_j h_{k-j}. Exact."""
-    order = len(matrices)
-    total = [Fraction(0)] * (kmax + 1)
+    """dim of the degree-k invariants, k = 0..kmax, as the coefficients of
+    the Molien series (1/|G|) sum_w 1/det(1 - q w).  Each matrix is a
+    :class:`RatMatrix` or a square flat tuple of ints.
+
+    det(1 - q w) = 1 + c_1 q + ... + c_n q^n for the characteristic
+    polynomial x^n + c_1 x^(n-1) + ... + c_n of w, so 1/det(1 - q w) has
+    coefficients h_0 = 1, h_k = -sum_j c_j h_(k-j).  The characteristic
+    polynomial is a class function: elements are grouped by it and each
+    series is expanded once.  For integer matrices everything is integer up
+    to the final division by |G|."""
+    order = 0
+    classes: dict = {}
     for m in matrices:
-        powers = [RatMatrix.identity(m.rows)]
-        for _ in range(kmax):
-            powers.append(powers[-1] * m)
-        p = [powers[j].trace() for j in range(kmax + 1)]
-        h = [Fraction(1)] + [Fraction(0)] * kmax
+        ent = m.entries if isinstance(m, RatMatrix) else m
+        n = isqrt(len(ent))
+        if all(x == int(x) for x in ent):
+            c = kernel.charpoly_int([int(x) for x in ent], n)
+        else:
+            c = kernel.charpoly_generic(list(ent), n, Fraction(1))
+        key = tuple(c)
+        classes[key] = classes.get(key, 0) + 1
+        order += 1
+    total = [0] * (kmax + 1)
+    for c, count in classes.items():
+        h = [1] + [0] * kmax
         for k in range(1, kmax + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += p[j] * h[k - j]
-            h[k] = acc / k
+            h[k] = -sum(c[j] * h[k - j] for j in range(1, min(k, len(c) - 1) + 1))
         for k in range(kmax + 1):
-            total[k] += h[k]
-    return [x / order for x in total]
+            total[k] += count * h[k]
+    return [Fraction(x) / order for x in total]
 
 
 def hilbert_series_coefficients(degrees, kmax: int) -> list[int]:
@@ -455,7 +468,6 @@ def verify_degrees_by_molien(weyl_group, degrees, kmax: int | None = None) -> bo
     enumerated Weyl group (desk scale, rank <= 3)."""
     if kmax is None:
         kmax = max(degrees)
-    mats = [el.matrix for el in weyl_group.elements]
-    molien = molien_dimensions(mats, kmax)
+    molien = molien_dimensions([el.flat for el in weyl_group.elements], kmax)
     hilbert = hilbert_series_coefficients(degrees, kmax)
     return all(molien[k] == hilbert[k] for k in range(kmax + 1))

@@ -66,7 +66,7 @@ def suite_rootsys(samples: int = 10, seed: int = 42) -> VerificationReport:
     from . import rootsys as rs
 
     rep = VerificationReport("rootsys", seed=seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     for th, order, co_t, inv_t in FOLDING_TABLE_ROWS:
         fd = rs.folding_datum(th, order)
         co = rs.fold_coinvariants(fd)
@@ -90,7 +90,7 @@ def suite_rootsys(samples: int = 10, seed: int = 42) -> VerificationReport:
         built = rs.build_root_system(t)
         rep.case("build_root_system", len(built.all_roots) == built.dtype.root_count(),
                  built.dtype.root_count(), len(built.all_roots), t)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -100,7 +100,7 @@ def suite_weyl(samples: int = 10, seed: int = 42) -> VerificationReport:
     from . import weyl
 
     rep = VerificationReport("weyl", seed=seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = [("A3", 2, 24, 8), ("A5", 2, 720, 48), ("D4", 3, 192, 12), ("D5", 2, 1920, 384)]
     for th, order, wh_order, w_order in cases:
         fd = rs.folding_datum(th, order)
@@ -142,7 +142,7 @@ def suite_weyl(samples: int = 10, seed: int = 42) -> VerificationReport:
         wg = weyl.generate_weyl(rs.build_root_system(t_name))
         ok = inv.verify_degrees_by_molien(wg, invariant_degrees(t_name))
         rep.case("molien_degree_check", ok, "Hilbert series match", "mismatch", t_name)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -158,7 +158,7 @@ def suite_liealg(samples: int = 10, seed: int = 42) -> VerificationReport:
     from . import rootsys as rs
 
     rep = VerificationReport("liealg", seed=seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     sl4 = la.build_algebra("sl", 4)
     sp4 = la.build_algebra("sp", 4)
@@ -220,7 +220,7 @@ def suite_liealg(samples: int = 10, seed: int = 42) -> VerificationReport:
         rep.case("ad_invariance",
                  la.adjoint_quotient(sl4, conj).values == la.adjoint_quotient(sl4, m).values,
                  "chi(g m g^-1) = chi(m)", "mismatch")
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -237,7 +237,7 @@ def suite_slodowy(samples: int = 10, seed: int = 42) -> VerificationReport:
     from .exactalg import MultiPoly
 
     rep = VerificationReport("slodowy", seed=seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     sp4 = la.build_algebra("sp", 4)
     sl = sd.build_subregular_slice(sp4)
@@ -299,7 +299,7 @@ def suite_slodowy(samples: int = 10, seed: int = 42) -> VerificationReport:
         for p in pts:
             rep.case("fiber point checks", sd.slice_quotient(sl, p) == (b2, b4),
                      (str(b2), str(b4)), "miss")
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -309,7 +309,7 @@ def suite_appendix(samples: int = 100, seed: int = 42) -> VerificationReport:
     from .exactalg import MultiPoly
 
     rep = VerificationReport("appendix", seed=seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep.absorb(sd.phi_psi_square_check(sample_count=samples, seed=seed))
     rep.absorb(sd.unfolding_equivariance_check())
     # cross-module: the slice coordinates satisfy the deformation family
@@ -320,7 +320,7 @@ def suite_appendix(samples: int = 100, seed: int = 42) -> VerificationReport:
     residual = df.family_poly.substitute(mapping, target_variables=sd.UNFOLD_VARS)
     rep.case("slice lands in the semiuniversal family", residual.is_zero(),
              "0", str(residual))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -331,7 +331,7 @@ def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Verificat
     from .hitchin import dim_base, folded_branch_spec
 
     rep = VerificationReport("cameral", seed=seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     fd = rs.folding_datum("A3", 2)
     fwd = weyl.folding_weyl_data(fd)
@@ -361,7 +361,7 @@ def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Verificat
         rank_h = cam.hitchin_fiber_rank(ind, cam.own_lattice_action(fwd.wh))
         rep.case("induced fiber rank", rank_h == 2 * dim_base("A3", g).total,
                  2 * dim_base("A3", g).total, rank_h, f"g={g}")
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -371,7 +371,7 @@ def suite_dims(samples: int = 10, seed: int = 42) -> VerificationReport:
     from . import unfolding as uf
 
     rep = VerificationReport("dims", seed=seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     expectations = [("C2", 2, 10), ("A3", 2, 15), ("G2", 2, 14), ("D4", 2, 28)]
     for t, g, total in expectations:
         hb = ht.dim_base(t, g)
@@ -395,7 +395,7 @@ def suite_dims(samples: int = 10, seed: int = 42) -> VerificationReport:
                      f"{name}, g={g}")
     rep.case("exceptional components", uf.exceptional_divisor_components(2) == 1
              and uf.exceptional_divisor_components(3) == 2, (1, 2), "mismatch")
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 

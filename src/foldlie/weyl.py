@@ -14,6 +14,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import kernel
 from .exactalg import RatMatrix
@@ -37,10 +39,23 @@ def _flat_identity(n: int) -> tuple:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
-@dataclass(frozen=True)
 class WeylElement:
-    matrix: RatMatrix
-    word: tuple
+    """A group element: its integer flat matrix, a word in the generators,
+    and a :class:`RatMatrix` view built only when asked for."""
+
+    __slots__ = ("flat", "dim", "word", "_matrix")
+
+    def __init__(self, flat: tuple, dim: int, word: tuple):
+        self.flat = flat
+        self.dim = dim
+        self.word = word
+        self._matrix = None
+
+    @property
+    def matrix(self) -> RatMatrix:
+        if self._matrix is None:
+            self._matrix = RatMatrix(self.dim, self.dim, self.flat)
+        return self._matrix
 
     def verify_word(self, generators) -> bool:
         acc = RatMatrix.identity(self.matrix.rows)
@@ -62,15 +77,14 @@ class WeylGroup:
         self.generators = generators
         self._flat = flat_elements
         self._index = {m: i for i, m in enumerate(flat_elements)}
-        self.elements = [
-            WeylElement(RatMatrix(dim, dim, m), w) for m, w in zip(flat_elements, words)
-        ]
+        self.elements = [WeylElement(m, dim, w) for m, w in zip(flat_elements, words)]
         self.dtype = dtype
         self.root_system = root_system
         self.invariant_vectors = invariant_vectors
         self._mult_cache: dict = {}
         self._inv_cache: dict = {}
         self._rightmul_cache: dict = {}
+        self._identity = self._index[_flat_identity(dim)]
 
     # -- construction ---------------------------------------------------------
     @staticmethod
@@ -135,15 +149,24 @@ class WeylGroup:
         return out
 
     def inverse(self, i: int) -> int:
+        """w^-1 = w^(k-1) for w of order k, by integer products."""
         out = self._inv_cache.get(i)
         if out is None:
-            inv = self.elements[i].matrix.inverse()
-            out = self.index_of(inv)
+            n, w = self.dim, list(self._flat[i])
+            prev, power = self._flat[i], w
+            while True:
+                power = kernel.mat_mul(power, w, n, n, n)
+                idx = self._index[tuple(power)]
+                if idx == self._identity:
+                    break
+                prev = power
+            out = self._index[tuple(prev)]
             self._inv_cache[i] = out
+            self._inv_cache[out] = i
         return out
 
     def identity_index(self) -> int:
-        return self.index_of(_flat_identity(self.dim))
+        return self._identity
 
     def apply(self, i: int, vec) -> tuple:
         return tuple(
@@ -162,15 +185,13 @@ class WeylGroup:
     def reflections(self) -> list[int]:
         """Indices of elements acting as reflections (order 2, fixed space of
         codimension 1)."""
+        ident = self._identity
+        eye = RatMatrix.identity(self.dim)
         out = []
-        ident = RatMatrix.identity(self.dim)
         for i, el in enumerate(self.elements):
-            m = el.matrix
-            if m == ident:
+            if i == ident or self.multiply(i, i) != ident:
                 continue
-            if self.multiply(i, i) != self.identity_index():
-                continue
-            if (m - ident).rank() == 1:
+            if (el.matrix - eye).rank() == 1:
                 out.append(i)
         return out
 
@@ -215,6 +236,12 @@ def _bfs_closure(gens, n, expected=None):
     return flat, words
 
 
+def _as_int(x) -> int:
+    if x != int(x):
+        raise AssertionError(f"expected an integer, got {x}")
+    return int(x)
+
+
 def _coroot_vectors(rs: RootSystem) -> list[tuple]:
     """Coroots of rs in simple-coroot coordinates: for alpha = sum m_i alpha_i,
     alpha^vee = sum m_i (len_i^2/len_alpha^2) alpha_i^vee."""
@@ -224,7 +251,7 @@ def _coroot_vectors(rs: RootSystem) -> list[tuple]:
     for r in rs.all_roots:
         m = coords[r]
         L = rs.inner(r, r)
-        out.append(tuple(mi * li / L for mi, li in zip(m, lengths)))
+        out.append(tuple(_as_int(mi * li / L) for mi, li in zip(m, lengths)))
     return out
 
 
@@ -265,6 +292,11 @@ class FoldedWeylData:
     restrict: dict
     reflection_products: dict
 
+    @cached_property
+    def a_perm(self) -> tuple:
+        """The basis permutation of ``a_matrix``: a e_i = e_perm(i)."""
+        return _permutation_of_matrix(self.a_matrix)
+
     def simple_folded_reflection(self, orbit_index: int) -> int:
         """Folded-group index of the restricted product over the given
         simple-root orbit."""
@@ -281,34 +313,37 @@ def _orbit_product_index(wh: WeylGroup, gen_indices: list[int]) -> int:
     return idx
 
 
-def _reflection_matrix_from_root(rs: RootSystem, root) -> RatMatrix:
-    """s_gamma on V* in coroot coordinates, for a root of the homogeneous
-    (ADE) system: s(v) = v - <gamma, v> gamma^vee."""
-    coords = rs.simple_coordinates()[root]
+def _root_reflections(rs: RootSystem):
+    """The map gamma -> s_gamma on V* in coroot coordinates, as an integer
+    flat matrix: s(v) = v - <gamma, v> gamma^vee."""
     n = rs.rank
     C = rs.cartan_matrix()
-    L = rs.inner(root, root)
+    coords = rs.simple_coordinates()
     lengths = [rs.inner(s, s) for s in rs.simple_roots]
-    corv = [coords[i] * lengths[i] / L for i in range(n)]
-    pair_row = [sum(coords[i] * C[i][j] for i in range(n)) for j in range(n)]
-    ent = []
-    for i in range(n):
-        for j in range(n):
-            ent.append(Fraction(1 if i == j else 0) - corv[i] * pair_row[j])
-    return RatMatrix(n, n, ent)
+
+    def reflection(root) -> list:
+        m = coords[root]
+        L = rs.inner(root, root)
+        corv = [m[i] * lengths[i] / L for i in range(n)]
+        pair_row = [sum(m[i] * C[i][j] for i in range(n)) for j in range(n)]
+        return [_as_int((1 if i == j else 0) - corv[i] * pair_row[j])
+                for i in range(n) for j in range(n)]
+
+    return reflection
 
 
 def _commutant_indices(wh: WeylGroup, a_matrix: RatMatrix) -> list[int]:
-    """Indices of W_h^C = {w : aw = wa}.  Raises if a does not normalize W_h."""
+    """Indices of W_h^C = {w : aw = wa}.  Raises if a does not normalize W_h.
+
+    a permutes the basis (a e_i = e_perm(i)), so aw = wa exactly when
+    w[perm i, perm j] = w[i, j] for all i, j: an entry compare, no products."""
     for g in wh.generators:
         conj = a_matrix * g * a_matrix.inverse()
         if not wh.contains(conj):
             raise ValueError("automorphism does not normalize the Weyl group")
-    out = []
-    for i, el in enumerate(wh.elements):
-        if el.matrix * a_matrix == a_matrix * el.matrix:
-            out.append(i)
-    return out
+    perm, n = _permutation_of_matrix(a_matrix), wh.dim
+    src = [perm[i] * n + perm[j] for i in range(n) for j in range(n)]
+    return [i for i, f in enumerate(wh._flat) if all(f[s] == x for s, x in zip(src, f))]
 
 
 def commutant_fixed_subgroup(wh: WeylGroup, a_matrix: RatMatrix) -> WeylGroup:
@@ -387,11 +422,7 @@ def _restrict_matrix(flat, dim, orbits) -> tuple | None:
                     return None
         out.append([img[o2[0]] for o2 in orbits])
     # out[oi][k]: coordinate k of image of basis vector oi -> column oi
-    ent = []
-    for k in range(r):
-        for oi in range(r):
-            ent.append(Fraction(out[oi][k]))
-    return tuple(ent)
+    return tuple(out[oi][k] for k in range(r) for oi in range(r))
 
 
 def folding_weyl_data(fd: FoldingDatum, force: bool = False) -> FoldedWeylData:
@@ -490,7 +521,7 @@ def _folded_coroot_vectors(fd: FoldingDatum, orbits) -> list[tuple]:
         if key in seen:
             continue
         seen.add(key)
-        out.append(tuple(Fraction(s[o[0]]) for o in orbits))
+        out.append(tuple(_as_int(s[o[0]]) for o in orbits))
     return out
 
 
@@ -498,6 +529,8 @@ def _reflection_orbit_products(fd, wh, orbits, restrict) -> dict:
     """For every C-orbit of h-roots, the product of the commuting reflections
     over the orbit; keyed by the folded index of its restriction."""
     rs = fd.homogeneous
+    n = wh.dim
+    reflection = _root_reflections(rs)
     out = {}
     seen_orbits = set()
     for root in rs.all_roots:
@@ -511,9 +544,9 @@ def _reflection_orbit_products(fd, wh, orbits, restrict) -> dict:
         if key in seen_orbits:
             continue
         seen_orbits.add(key)
-        prod = RatMatrix.identity(wh.dim)
+        prod = list(_flat_identity(n))
         for g in orbit:
-            prod = prod * _reflection_matrix_from_root(rs, g)
+            prod = kernel.mat_mul(prod, reflection(g), n, n, n)
         idx = wh.index_of(prod)
         if idx not in restrict:
             raise AssertionError("orbit reflection product does not commute with a")
@@ -559,7 +592,12 @@ def embed_fixed_point(fwd: FoldedWeylData, folded_coords) -> tuple:
 
 
 def is_fixed_point(fwd: FoldedWeylData, v) -> bool:
-    return fwd.a_matrix.apply(v) == tuple(Fraction(x) for x in v)
+    return _is_fixed(fwd.a_perm, v)
+
+
+def _is_fixed(perm, v) -> bool:
+    """a v = v for the basis permutation a e_i = e_perm(i)."""
+    return all(v[p] == x for p, x in zip(perm, v))
 
 
 @dataclass
@@ -577,19 +615,17 @@ def orbit_regular_membership(fwd: FoldedWeylData, t_point, w: WeylElement) -> Me
     t = tuple(Fraction(x) for x in t_point)
     if not is_fixed_point(fwd, t):
         raise ValueError("t is not in the fixed Cartan subalgebra")
-    wt = w.matrix.apply(t)
+    wt = tuple(kernel.mat_vec(list(w.flat), list(t), wh.dim, wh.dim))
     if not is_fixed_point(fwd, wt):
         raise ValueError("w t is not in the fixed Cartan subalgebra")
-    folded_elems = [wh.elements[i].matrix for i in fwd.commutant]
-    orbit_t = {m.apply(t) for m in folded_elems}
-    orbit_wt = {m.apply(wt) for m in folded_elems}
+    orbit_t = {wh.apply(i, t) for i in fwd.commutant}
+    orbit_wt = {wh.apply(i, wt) for i in fwd.commutant}
     equal = orbit_t == orbit_wt
     regular = is_regular(fwd.fd.homogeneous, t)
     w_in = None
     restriction = None
     if regular:
-        key = w.matrix.entries
-        w_idx = wh._index.get(key)
+        w_idx = wh._index.get(w.flat)
         w_in = w_idx in fwd.restrict if w_idx is not None else False
         if w_in:
             fidx = fwd.restrict[w_idx]
@@ -607,7 +643,7 @@ def random_rational(rng: random.Random) -> Fraction:
 
 def random_fixed_point(fwd: FoldedWeylData, rng: random.Random,
                        regular: bool | None = None) -> tuple:
-    rows = root_pairing_rows(fwd.fd.homogeneous)
+    rows = None if regular is None else root_pairing_rows(fwd.fd.homogeneous)
     while True:
         v = embed_fixed_point(fwd, [random_rational(rng) for _ in fwd.orbits])
         if regular is None:
@@ -628,6 +664,13 @@ class CheckReport:
         return not self.failures
 
 
+def _clear_denominators(*points) -> list[list]:
+    """The points scaled by the lcm of all their denominators, as int lists:
+    exact orbit and fixed-point tests then need integer arithmetic only."""
+    d = lcm(*(x.denominator for p in points for x in p))
+    return [[x.numerator * (d // x.denominator) for x in p] for p in points]
+
+
 def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int,
                                   fwd: FoldedWeylData | None = None) -> CheckReport:
     """Exact sample-based check of t/W = (t_h/W_h)^C:
@@ -635,31 +678,58 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
     injectivity: for t, t' in the fixed Cartan, t' in W_h(t) iff t' in W(t);
     surjectivity: a point t of t_h has a-class fixed in t_h/W_h (a t in
     W_h(t)) iff some W_h-translate of t lands in the fixed Cartan.
+
+    Points are scaled to integer vectors once, so every orbit test is an
+    integer matrix-vector product and every fixed-point test a coordinate
+    compare.
     """
     if fwd is None:
         fwd = folding_weyl_data(fd)
     rng = random.Random(seed)
     wh = fwd.wh
+    n = wh.dim
+    perm = fwd.a_perm
     report = CheckReport(check="quotient-invariants-iso", cases_run=0)
-    all_mats = [e.matrix for e in wh.elements]
-    folded_mats = [wh.elements[i].matrix for i in fwd.commutant]
+    all_flats = wh._flat
+    folded_flats = [wh._flat[i] for i in fwd.commutant]
+
+    def apply(f, v) -> list:
+        return kernel.mat_vec(list(f), v, n, n)
+
+    def in_orbit(flats, v, target) -> bool:
+        return any(apply(f, v) == target for f in flats)
+
+    def class_fixed_and_hits(v) -> tuple:
+        """(a v in W_h(v), some W_h-translate of v is fixed by a)."""
+        av = [0] * n
+        for i, p in enumerate(perm):
+            av[p] = v[i]
+        fixed_class = hits = False
+        for f in all_flats:
+            img = apply(f, v)
+            fixed_class = fixed_class or img == av
+            hits = hits or _is_fixed(perm, img)
+            if fixed_class and hits:
+                break
+        return fixed_class, hits
 
     for case in range(sample_count):
         t = random_fixed_point(fwd, rng)
+        (ti,) = _clear_denominators(t)
         # (a) W_h-translate of t that happens to lie in the fixed Cartan
         u = rng.randrange(wh.order)
-        t2 = all_mats[u].apply(t)
-        if is_fixed_point(fwd, t2):
-            in_folded_orbit = any(m.apply(t) == t2 for m in folded_mats)
-            if not in_folded_orbit:
+        t2 = apply(all_flats[u], ti)
+        if _is_fixed(perm, t2):
+            if not in_orbit(folded_flats, ti, t2):
                 report.failures.append(
                     {"input": f"case {case}: t={t}, w_h index {u}",
                      "expected": "t' in W(t)", "got": "t' only in W_h(t)"}
                 )
         # (b) independent second point: the two orbit memberships must agree
         t3 = random_fixed_point(fwd, rng)
-        in_big = any(m.apply(t) == t3 for m in all_mats)
-        in_small = any(m.apply(t) == t3 for m in folded_mats)
+        tj, t3j = _clear_denominators(t, t3)
+        in_big = in_orbit(all_flats, tj, t3j)
+        in_small = in_orbit(folded_flats, tj, t3j)
         if in_big != in_small:
             report.failures.append(
                 {"input": f"case {case}: t={t}, t'={t3}",
@@ -667,11 +737,10 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
             )
         # (c) surjectivity: a C-fixed class in t_h/W_h comes from the fixed Cartan
         w = rng.randrange(wh.order)
-        th = all_mats[w].apply(t)
-        a_th = fwd.a_matrix.apply(th)
-        class_fixed = any(m.apply(th) == a_th for m in all_mats)
-        translate_hits = any(is_fixed_point(fwd, m.apply(th)) for m in all_mats)
+        th = apply(all_flats[w], ti)
+        class_fixed, translate_hits = class_fixed_and_hits(th)
         if not (class_fixed and translate_hits):
+            th = wh.apply(w, t)
             report.failures.append(
                 {"input": f"case {case}: t_h={th}",
                  "expected": "C-fixed class with translate in fixed Cartan",
@@ -679,9 +748,8 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
             )
         # (d) generic point of t_h: equivalence both ways
         tg = tuple(random_rational(rng) for _ in range(wh.dim))
-        a_tg = fwd.a_matrix.apply(tg)
-        fixed_class = any(m.apply(tg) == a_tg for m in all_mats)
-        hits = any(is_fixed_point(fwd, m.apply(tg)) for m in all_mats)
+        (tgi,) = _clear_denominators(tg)
+        fixed_class, hits = class_fixed_and_hits(tgi)
         if fixed_class != hits:
             report.failures.append(
                 {"input": f"case {case}: generic t_h={tg}",

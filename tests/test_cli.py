@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from foldlie.cli import main
 
 
@@ -84,6 +86,23 @@ class TestVerify:
         out = json.loads(a.stdout)
         assert out["induced"]["components"] == 3
         assert out["fiber_rank"] == out["two_dim_base"] == 20
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["slice", "--eval=1,0"],
+        ["slice", "--eval=1,0,0,x"],
+        ["slice", "--eval=1,0,0,1/0"],
+        ["cameral", "induce", "--type", "D4", "--order", "3", "--genus", "2"],
+        ["dims", "--type", "C3", "--genus", "2", "--fold-from", "A5", "--isogeny"],
+        ["verify", "cameral", "--samples", "-1"],
+        ["slice", "--verify-appendix", "--samples", "-1"],
+    ], ids=lambda a: " ".join(a))
+    def test_exit_2_without_traceback(self, args):
+        p = run_cli(["--format", "json", *args])
+        assert p.returncode == 2
+        assert "Traceback" not in p.stderr and "error:" in p.stderr
+        assert p.stdout == ""
 
 
 class TestOtherCommands:

@@ -122,3 +122,43 @@ class TestMolien:
         wg = generate_weyl(build_root_system("C2"))
         dims = molien_dimensions([e.matrix for e in wg.elements], 4)
         assert dims == [1, 0, 1, 0, 2]
+
+
+def _power_trace_molien(matrices, kmax):
+    """The Molien dimensions from Fraction matrix powers: tr Sym^k(w) by the
+    recursion k h_k = sum_j p_j h_(k-j) on the power traces p_j = tr w^j."""
+    total = [Q(0)] * (kmax + 1)
+    for m in matrices:
+        powers = [RatMatrix.identity(m.rows)]
+        for _ in range(kmax):
+            powers.append(powers[-1] * m)
+        p = [w.trace() for w in powers]
+        h = [Q(1)] + [Q(0)] * kmax
+        for k in range(1, kmax + 1):
+            h[k] = sum(p[j] * h[k - j] for j in range(1, k + 1)) / k
+        total = [x + y for x, y in zip(total, h)]
+    return [x / len(matrices) for x in total]
+
+
+class TestMolienIntegerPath:
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B3", "C2", "C3", "G2", "D4"])
+    def test_matches_power_trace_reference(self, name):
+        from foldlie.rootsys import build_root_system
+        from foldlie.weyl import generate_weyl
+
+        wg = generate_weyl(build_root_system(name))
+        mats = [e.matrix for e in wg.elements]
+        expected = _power_trace_molien(mats, 8)
+        assert molien_dimensions(mats, 8) == expected
+        assert molien_dimensions([e.flat for e in wg.elements], 8) == expected
+
+    def test_rational_matrices(self):
+        # a rotation of order 4 written in a non-integral basis
+        B = RatMatrix.from_rows([[1, Q(1, 2)], [0, Q(1, 3)]])
+        R = RatMatrix.from_rows([[0, -1], [1, 0]])
+        group = [RatMatrix.identity(2)]
+        for _ in range(3):
+            group.append(group[-1] * R)
+        conj = [B * g * B.inverse() for g in group]
+        assert not all(x.denominator == 1 for g in conj for x in g.entries)
+        assert molien_dimensions(conj, 8) == _power_trace_molien(conj, 8)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 from fractions import Fraction as Q
@@ -16,7 +17,10 @@ from foldlie.weyl import (
     orbit_regular_membership,
     quotient_invariants_iso_check,
     random_fixed_point,
+    random_rational,
 )
+
+FOLDINGS = [("A3", 2), ("A5", 2), ("D4", 2), ("D4", 3), ("D5", 2)]
 
 
 class TestGenerate:
@@ -191,6 +195,104 @@ class TestQuotientIso:
                     if is_dominant(rs, el.matrix.apply(t))]
             assert hits
         assert is_dominant(rs, (Q(0),) * 3)  # boundary: closure semantics
+
+
+class TestIntegerPath:
+    """The integer group layer against the definitions it replaces."""
+
+    @pytest.fixture(scope="class", params=FOLDINGS, ids=lambda p: f"{p[0]}/{p[1]}")
+    def fwd(self, request):
+        return folding_weyl_data(folding_datum(*request.param))
+
+    def test_commutant_is_matrix_commutant(self, fwd):
+        a = fwd.a_matrix
+        assert fwd.commutant == [i for i, el in enumerate(fwd.wh.elements)
+                                 if el.matrix * a == a * el.matrix]
+
+    def test_flat_entries_are_ints(self, fwd):
+        for group in (fwd.wh, fwd.folded):
+            assert all(type(x) is int for m in group._flat for x in m)
+        assert all(type(x) is int for v in fwd.folded.invariant_vectors for x in v)
+
+    def test_inverse_is_matrix_inverse(self, fwd):
+        folded = fwd.folded
+        for i, el in enumerate(folded.elements):
+            assert folded.elements[folded.inverse(i)].matrix == el.matrix.inverse()
+
+    def test_reflections_are_rank_one_involutions(self, fwd):
+        folded = fwd.folded
+        ident = RatMatrix.identity(folded.dim)
+        expected = [i for i, el in enumerate(folded.elements)
+                    if el.matrix != ident and el.matrix * el.matrix == ident
+                    and (el.matrix - ident).rank() == 1]
+        assert folded.reflections() == expected
+
+    def test_matrices_built_on_demand(self):
+        w = generate_weyl(build_root_system("B3"))
+        assert all(el._matrix is None for el in w.elements)
+        assert w.elements[5].matrix == RatMatrix(3, 3, w._flat[5])
+
+
+def _reference_quotient_check(fwd, sample_count, seed):
+    """The quotient check with RatMatrix products over Fractions, as the
+    integer path must reproduce it failure for failure."""
+    rng = random.Random(seed)
+    wh, a = fwd.wh, fwd.a_matrix
+    all_mats = [e.matrix for e in wh.elements]
+    folded_mats = [wh.elements[i].matrix for i in fwd.commutant]
+
+    def fixed(v):
+        return a.apply(v) == tuple(Q(x) for x in v)
+
+    failures = []
+    for case in range(sample_count):
+        t = random_fixed_point(fwd, rng)
+        u = rng.randrange(wh.order)
+        t2 = all_mats[u].apply(t)
+        if fixed(t2) and not any(m.apply(t) == t2 for m in folded_mats):
+            failures.append({"input": f"case {case}: t={t}, w_h index {u}",
+                             "expected": "t' in W(t)", "got": "t' only in W_h(t)"})
+        t3 = random_fixed_point(fwd, rng)
+        in_big = any(m.apply(t) == t3 for m in all_mats)
+        in_small = any(m.apply(t) == t3 for m in folded_mats)
+        if in_big != in_small:
+            failures.append({"input": f"case {case}: t={t}, t'={t3}",
+                             "expected": "memberships agree",
+                             "got": f"W_h: {in_big}, W: {in_small}"})
+        th = all_mats[rng.randrange(wh.order)].apply(t)
+        class_fixed = any(m.apply(th) == a.apply(th) for m in all_mats)
+        hits = any(fixed(m.apply(th)) for m in all_mats)
+        if not (class_fixed and hits):
+            failures.append({"input": f"case {case}: t_h={th}",
+                             "expected": "C-fixed class with translate in fixed Cartan",
+                             "got": f"fixed: {class_fixed}, translate: {hits}"})
+        tg = tuple(random_rational(rng) for _ in range(wh.dim))
+        fixed_class = any(m.apply(tg) == a.apply(tg) for m in all_mats)
+        hits = any(fixed(m.apply(tg)) for m in all_mats)
+        if fixed_class != hits:
+            failures.append({"input": f"case {case}: generic t_h={tg}",
+                             "expected": "equivalence",
+                             "got": f"fixed class: {fixed_class}, hits: {hits}"})
+    return failures
+
+
+class TestQuotientIsoInteger:
+    def test_cut_commutant_fails(self, fwd_a3):
+        cut = dataclasses.replace(fwd_a3, commutant=[fwd_a3.wh.identity_index()])
+        rep = quotient_invariants_iso_check(fwd_a3.fd, 12, 5, fwd=cut)
+        assert not rep.passed and rep.cases_run == 48
+        assert {f["got"] for f in rep.failures} >= {"t' only in W_h(t)"}
+
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("fixture", ["fwd_a3", "fwd_d4_triality"])
+    def test_same_report_as_fraction_reference(self, request, fixture, cut):
+        fwd = request.getfixturevalue(fixture)
+        if cut:
+            fwd = dataclasses.replace(fwd, commutant=[fwd.wh.identity_index()])
+        for seed in (1, 7):
+            rep = quotient_invariants_iso_check(fwd.fd, 6, seed, fwd=fwd)
+            assert rep.failures == _reference_quotient_check(fwd, 6, seed)
+            assert rep.passed or cut
 
 
 @pytest.mark.skipif(not os.environ.get("FOLDLIE_ENABLE_E6"),
