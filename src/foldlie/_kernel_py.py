@@ -1,11 +1,12 @@
-"""Pure-Python reference implementation of the hot numeric kernels.
+"""The hot numeric kernels, in pure Python.
 
-All routines operate on flat, row-major lists whose entries are exact
+All routines operate on flat, row-major sequences whose entries are exact
 scalars: Python ints, ``fractions.Fraction``, or any commutative ring
 element supporting ``+``, ``-``, ``*`` (and ``/`` by small integers for
-the generic characteristic polynomial).  A compiled twin with the same
-API lives in ``_speedups.pyx``; ``foldlie.kernel`` selects between them
-at import time.
+the generic characteristic polynomial).  Rational matrices arrive as
+integer numerators over a common denominator, so products and
+characteristic polynomials run on ints.  Callers import them through
+``foldlie.kernel``.
 """
 
 from __future__ import annotations

@@ -14,6 +14,11 @@ from fractions import Fraction
 
 USAGE_ERROR = 2
 
+# Largest --genus accepted.  Covers, fixed-locus Riemann-Hurwitz data and the
+# isogeny bookkeeping all grow linearly with the genus (a cameral cover over
+# genus 1000 takes about 2 s), so larger values are refused up front.
+MAX_GENUS = 1000
+
 
 def _emit(args, payload: dict, text_lines: list):
     if args.format == "json":
@@ -75,7 +80,7 @@ def cmd_weyl(args) -> int:
     try:
         fd = rs.folding_datum(args.type, args.order)
         fwd = weyl.folding_weyl_data(fd)
-    except ValueError as exc:
+    except (ValueError, weyl.EnumerationBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     payload = {
@@ -112,7 +117,12 @@ def cmd_liealg(args) -> int:
         cd = la.build_chevalley(alg)
         payload["chevalley"] = cd.to_json()
         if args.order > 1:
-            aut = la.lift_graph_aut(cd, rs.standard_automorphism(str(alg.dtype), args.order))
+            try:
+                a = rs.standard_automorphism(str(alg.dtype), args.order)
+                aut = la.lift_graph_aut(cd, a)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return USAGE_ERROR
             payload["automorphism_matrix"] = [
                 [str(aut.matrix.entry(i, j)) for j in range(aut.matrix.cols)]
                 for i in range(aut.matrix.rows)
@@ -138,9 +148,9 @@ def cmd_slice(args) -> int:
         _emit(args, payload, [f"appendix checks: {payload['cases_run']} cases, "
                               f"{len(failures)} failures"])
         return 0 if not failures else 1
-    family, size = args.algebra[:2], int(args.algebra[2:])
+    family, size = args.algebra[:2], args.algebra[2:]
     try:
-        alg = la.build_algebra(family, size)
+        alg = la.build_algebra(family, int(size))
         sl = sd.build_subregular_slice(alg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -254,7 +264,7 @@ def cmd_cameral(args) -> int:
     try:
         fd = rs.folding_datum(args.type, args.order)
         fwd = weyl.folding_weyl_data(fd)
-    except ValueError as exc:
+    except (ValueError, weyl.EnumerationBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     rng = random.Random(args.seed)
@@ -379,6 +389,16 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _bounded_genus(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value > MAX_GENUS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_GENUS}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="foldlie",
@@ -423,20 +443,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("threefold", help="threefold family over a curve")
     t.add_argument("--type", required=True, choices=["C2", "G2"])
-    t.add_argument("--genus", type=int, required=True)
+    t.add_argument("--genus", type=_bounded_genus, required=True,
+                   help=f"base genus, 2..{MAX_GENUS}")
     t.set_defaults(fn=cmd_threefold)
 
     c = sub.add_parser("cameral", help="random transversal cameral cover and folding")
     c.add_argument("induce", nargs="?", default="induce")
     c.add_argument("--type", default="A3")
     c.add_argument("--order", type=int, default=2)
-    c.add_argument("--genus", type=int, default=2)
+    c.add_argument("--genus", type=_bounded_genus, default=2,
+                   help=f"base genus, 2..{MAX_GENUS}")
     c.add_argument("--seed", type=int, default=42)
     c.set_defaults(fn=cmd_cameral)
 
     m = sub.add_parser("dims", help="Hitchin base/fiber dimension bookkeeping")
     m.add_argument("--type", required=True)
-    m.add_argument("--genus", type=int, required=True)
+    m.add_argument("--genus", type=_bounded_genus, required=True,
+                   help=f"base genus, 2..{MAX_GENUS}")
     m.add_argument("--fold-from", dest="fold_from")
     m.add_argument("--order", type=int, default=2)
     m.add_argument("--isogeny", action="store_true")

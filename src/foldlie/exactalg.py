@@ -26,14 +26,39 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _integer_vector(values):
+    """``(numerators, d)`` with ``values[i] == numerators[i] / d``, where d is
+    the lcm of the denominators; None if a value is not an int or Fraction."""
+    if not all(isinstance(x, (int, Fraction)) for x in values):
+        return None
+    d = kernel.entries_common_denominator(values)
+    if d == 1:
+        return tuple(x.numerator for x in values), 1
+    return tuple(x.numerator * (d // x.denominator) for x in values), d
+
+
+def _fractions(numerators, d) -> list:
+    """The Fractions ``x / d``, one division each."""
+    if d == 1:
+        return [Fraction(x) for x in numerators]
+    return [Fraction(x, d) for x in numerators]
+
+
 class RatMatrix:
     """Immutable matrix with exact entries, stored row-major.
 
     Entries are Fractions for ordinary matrices; :class:`MultiPoly` entries
     are accepted for symbolic work (most methods are generic).
+
+    Products, brackets and :meth:`apply` run in integers: a rational matrix
+    is read as integer numerators over one common denominator (its integer
+    form, computed on first use and cached; ``None`` when an entry is a
+    :class:`MultiPoly`), the kernels multiply the numerators, and each result
+    entry is divided once at the end.  ``entries`` stay Fractions, so
+    equality and hashing are unaffected.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_ints")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         ent = tuple(x if isinstance(x, MultiPoly) else _frac(x) for x in entries)
@@ -115,14 +140,28 @@ class RatMatrix:
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(self.rows, self.cols, [-a for a in self.entries])
 
+    def _integer_form(self):
+        """``(numerators, d)`` with ``entries == numerators / d``, or None if an
+        entry is a MultiPoly; computed once (the matrix is immutable)."""
+        try:
+            return self._ints
+        except AttributeError:
+            form = _integer_vector(self.entries)
+            object.__setattr__(self, "_ints", form)
+            return form
+
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
-            ent = kernel.mat_mul(
-                list(self.entries), list(other.entries), self.rows, self.cols, other.cols
-            )
-            return RatMatrix(self.rows, other.cols, ent)
+            fa, fb = self._integer_form(), other._integer_form()
+            if fa is None or fb is None:
+                ent = kernel.mat_mul(
+                    list(self.entries), list(other.entries), self.rows, self.cols, other.cols
+                )
+                return RatMatrix(self.rows, other.cols, ent)
+            ent = kernel.mat_mul(fa[0], fb[0], self.rows, self.cols, other.cols)
+            return RatMatrix(self.rows, other.cols, _fractions(ent, fa[1] * fb[1]))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -135,7 +174,11 @@ class RatMatrix:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(kernel.mat_vec(list(self.entries), list(vec), self.rows, self.cols))
+        fm, fv = self._integer_form(), _integer_vector(vec)
+        if fm is None or fv is None:
+            return tuple(kernel.mat_vec(list(self.entries), list(vec), self.rows, self.cols))
+        out = kernel.mat_vec(fm[0], fv[0], self.rows, self.cols)
+        return tuple(_fractions(out, fm[1] * fv[1]))
 
     def transpose(self) -> "RatMatrix":
         ent = [self.entries[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)]
@@ -150,8 +193,14 @@ class RatMatrix:
         return acc
 
     def bracket(self, other: "RatMatrix") -> "RatMatrix":
-        """Commutator [self, other]."""
-        return self * other - other * self
+        """Commutator [self, other]; both products share one denominator."""
+        n = self.rows
+        fa, fb = self._integer_form(), other._integer_form()
+        if fa is None or fb is None or (self.cols, other.rows, other.cols) != (n, n, n):
+            return self * other - other * self
+        ab = kernel.mat_mul(fa[0], fb[0], n, n, n)
+        ba = kernel.mat_mul(fb[0], fa[0], n, n, n)
+        return RatMatrix(n, n, _fractions([x - y for x, y in zip(ab, ba)], fa[1] * fb[1]))
 
     # -- linear algebra ----------------------------------------------------
     def rref(self) -> tuple["RatMatrix", list]:
@@ -507,8 +556,7 @@ def char_poly_coefficients(m: RatMatrix) -> list:
         one = MultiPoly.const(vs, 1)
         ent = [x if isinstance(x, MultiPoly) else one * x for x in m.entries]
         return kernel.charpoly_generic(ent, n, one)
-    d = kernel.entries_common_denominator(list(m.entries))
-    ints = [int(x * d) for x in m.entries]
+    ints, d = m._integer_form()
     coeffs = kernel.charpoly_int(ints, n)
     return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 

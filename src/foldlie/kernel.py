@@ -1,41 +1,20 @@
-"""Kernel backend selection: compiled extension if available, else pure Python.
+"""The hot numeric kernels, imported from ``_kernel_py``.
 
-Set ``FOLDLIE_PURE_PYTHON=1`` to force the fallback (used by the benchmark
-to compare both backends in one process).
+Callers reach them as ``kernel.mat_mul`` and so on, so that every caller
+resolves a kernel in one place.  ``BACKEND`` names the implementation; the
+kernels are pure Python, and rational matrices reach them as integer
+numerators (see :class:`foldlie.exactalg.RatMatrix`).
 """
 
 from __future__ import annotations
 
-import os
+from ._kernel_py import (  # noqa: F401 - re-exported
+    charpoly_generic,
+    charpoly_int,
+    entries_common_denominator,
+    mat_mul,
+    mat_vec,
+    rref,
+)
 
-from . import _kernel_py
-
-if os.environ.get("FOLDLIE_PURE_PYTHON"):
-    _impl = _kernel_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _kernel_py
-        BACKEND = "python"
-
-mat_mul = _impl.mat_mul
-mat_vec = _impl.mat_vec
-rref = _impl.rref
-charpoly_int = _impl.charpoly_int
-charpoly_generic = _impl.charpoly_generic
-entries_common_denominator = _impl.entries_common_denominator
-
-IMPLEMENTATIONS = {"python": _kernel_py}
-if BACKEND == "cython":
-    IMPLEMENTATIONS["cython"] = _impl
-else:
-    try:
-        from . import _speedups as _maybe  # type: ignore[attr-defined]
-
-        IMPLEMENTATIONS["cython"] = _maybe
-    except ImportError:
-        pass
+BACKEND = "python"

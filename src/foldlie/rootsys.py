@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .exactalg import RatMatrix
+from .exactalg import RatMatrix, _integer_vector
 
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
@@ -174,15 +174,19 @@ class RootSystem:
 
     # -- geometry -----------------------------------------------------------
     def inner(self, u, v) -> Fraction:
-        acc = Fraction(0)
-        g = self.gram
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    acc += ui * g.entry(i, j) * vj
-        return acc
+        """(u, v) under the Gram matrix, summed in integers and divided once."""
+        g, dg = self.gram._integer_form()
+        iu, du = _integer_vector(u)
+        iv, dv = _integer_vector(v)
+        n = self.gram.cols
+        acc = 0
+        for i, ui in enumerate(iu):
+            if ui:
+                row = i * n
+                for j, vj in enumerate(iv):
+                    if vj:
+                        acc += ui * g[row + j] * vj
+        return Fraction(acc, dg * du * dv)
 
     def cartan_integer(self, alpha, beta) -> Fraction:
         """2(alpha, beta)/(beta, beta)."""

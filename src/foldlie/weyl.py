@@ -353,13 +353,16 @@ def commutant_fixed_subgroup(wh: WeylGroup, a_matrix: RatMatrix) -> WeylGroup:
     indices = _commutant_indices(wh, a_matrix)
     perm = _permutation_of_matrix(a_matrix)
     orbits = _orbits_of_permutation(perm)
-    gens = []
-    for o in orbits:
-        idx = _orbit_product_index(wh, list(o))
-        gens.append(wh.elements[idx].matrix)
+    gens = [wh.elements[_orbit_product_index(wh, list(o))] for o in orbits]
     flat = [wh._flat[i] for i in indices]
-    words = [wh.elements[i].word for i in indices]
-    sub = WeylGroup(wh.dim, gens, flat, words, dtype=None,
+    # Words over the subgroup's own generators; the closure must be exactly
+    # the commutant.
+    closure, closure_words = _bfs_closure([g.flat for g in gens], wh.dim, len(flat))
+    word_of = dict(zip(closure, closure_words))
+    if word_of.keys() != set(flat):
+        raise AssertionError("orbit products do not generate the commutant")
+    words = [word_of[m] for m in flat]
+    sub = WeylGroup(wh.dim, [g.matrix for g in gens], flat, words, dtype=None,
                     root_system=wh.root_system,
                     invariant_vectors=wh.invariant_vectors)
     return sub

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foldlie.cli import main
+from foldlie.cli import MAX_GENUS, main
 
 
 def run_cli(args):
@@ -97,12 +101,99 @@ class TestUsageErrors:
         ["dims", "--type", "C3", "--genus", "2", "--fold-from", "A5", "--isogeny"],
         ["verify", "cameral", "--samples", "-1"],
         ["slice", "--verify-appendix", "--samples", "-1"],
+        ["cameral", "induce", "--type", "A3", "--genus", "1001"],
+        ["threefold", "--type", "G2", "--genus", "1000000"],
+        ["dims", "--type", "C2", "--genus", "1000000000", "--fold-from", "A3",
+         "--isogeny"],
+        ["threefold", "--type", "C2", "--genus", "two"],
+        ["weyl", "E7", "1"],
+        ["cameral", "induce", "--type", "E8", "--order", "1"],
+        ["liealg", "sl3", "--dump", "--order", "2"],
+        ["slice", "--algebra", "x"],
     ], ids=lambda a: " ".join(a))
     def test_exit_2_without_traceback(self, args):
         p = run_cli(["--format", "json", *args])
         assert p.returncode == 2
         assert "Traceback" not in p.stderr and "error:" in p.stderr
         assert p.stdout == ""
+
+    def test_genus_bound_is_inclusive(self):
+        p = run_cli(["--format", "json", "threefold", "--type", "C2",
+                     "--genus", str(MAX_GENUS)])
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["base_genus"] == MAX_GENUS
+
+
+def _opt(flag, values):
+    """Either nothing or ``[flag, value]``."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _pos(values):
+    """Either nothing or one positional value."""
+    return st.one_of(st.just([]), values.map(lambda v: [v]))
+
+
+def _argv(*parts):
+    """Concatenation of argv fragments drawn from each strategy in turn."""
+    return st.tuples(*parts).map(lambda ps: [x for p in ps for x in p])
+
+
+_BAD = ["", "x", "-1", "1/0", "99999999999999999999"]
+_SMALL = st.sampled_from(["1", "2", "3", "0", "-2", *_BAD[:3]])
+_TYPE = st.sampled_from(["A1", "A2", "A3", "A5", "B3", "C2", "C3", "D4", "G2", "F4", "E7",
+                         "A0", "D3", "Q2", *_BAD])
+_GENUS = st.sampled_from(["2", "3", "5", "1", "0", str(MAX_GENUS + 1), *_BAD])
+
+
+def _flag(name):
+    """Mostly no flag, sometimes the subcommand's own flag or an unknown one."""
+    return st.sampled_from([[], [], [name], ["--bogus"]])
+
+
+# Cheap subcommands with valid, boundary and malformed values; valid inputs
+# that are expensive (large Weyl groups, appendix samples, big suites) are
+# left out.
+_COMMANDS = st.one_of(
+    _argv(st.just(["fold"]), _pos(_TYPE), _pos(_SMALL), _flag("--roots")),
+    _argv(st.just(["weyl"]), _pos(st.sampled_from(["A1", "A3", "C2", "D4", "E7", "Q2", ""])),
+          _pos(_SMALL)),
+    _argv(st.just(["liealg"]), _pos(st.sampled_from(["sl2", "sl3", "sl4", "sp4", "sp3", "so5",
+                                                     "so6", "gl3", "sl", "sl0", ""])),
+          _opt("--order", _SMALL), _flag("--dump")),
+    _argv(st.just(["slice"]), _opt("--algebra", st.sampled_from(["sp4", "sl4", "sl3", "x"])),
+          _opt("--eval", st.sampled_from(["1,0,0,0", "0,0,0,0", "1/2,-3,0,7", "1,0",
+                                          "a,b,c,d", "1/0,0,0,0", ",,,", ""]))),
+    _argv(st.just(["slice", "--verify-appendix", "--samples"]),
+          st.sampled_from([["-1"], ["x"], [""]])),
+    _argv(st.just(["deform"]), _opt("--type", _TYPE), _opt("--order", _SMALL),
+          _flag("--fold")),
+    _argv(st.just(["threefold"]), _opt("--type", st.sampled_from(["C2", "G2", "A3", ""])),
+          _opt("--genus", _GENUS)),
+    _argv(st.just(["cameral"]), st.sampled_from([[], ["induce"], ["other"]]),
+          _opt("--type", st.sampled_from(["A3", "D4", "A1", "C2", "E8", "Q2", ""])),
+          _opt("--order", _SMALL), _opt("--genus", _GENUS), _opt("--seed", _SMALL)),
+    _argv(st.just(["dims", "--type"]), _TYPE.map(lambda v: [v]), _opt("--genus", _GENUS),
+          _opt("--fold-from", st.sampled_from(["A3", "D4", "A5", "E6", "Q2"])),
+          _opt("--order", _SMALL), _flag("--isogeny")),
+    _argv(st.just(["verify"]), st.sampled_from([[], ["cameral"], ["slodowy"], ["nope"]]),
+          _opt("--samples", st.sampled_from(["0", "1", "-1", "x"])), _opt("--seed", _SMALL)),
+    st.lists(st.sampled_from(["fold", "--format", "xml", "--help", *_BAD]), max_size=3),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(argv=_COMMANDS)
+    def test_exit_code_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(["--format", "json", *argv])
+            except SystemExit as exc:  # argparse: usage errors and --help
+                rc = 0 if exc.code is None else exc.code
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestOtherCommands:

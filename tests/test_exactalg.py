@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -197,3 +198,140 @@ class TestImmutability:
         p = MultiPoly.const(("x",), 1)
         with pytest.raises(AttributeError):
             p.terms = {}
+
+
+# -- the integer path against plain Fraction loops -----------------------------
+
+
+def _ref_mul(a, b, n, k, m):
+    return [sum((a[i * k + t] * b[t * m + j] for t in range(k)), Q(0))
+            for i in range(n) for j in range(m)]
+
+
+def _ref_rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _entries(rng, rows, cols, kind):
+    """Random entries: mixed denominators, all integers, or with zero rows."""
+    if kind == "integer":
+        ent = [Q(rng.randint(-6, 6)) for _ in range(rows * cols)]
+    else:
+        ent = [Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rows * cols)]
+    if kind == "zero_rows":
+        for i in rng.sample(range(rows), rng.randint(1, rows)):
+            ent[i * cols:(i + 1) * cols] = [Q(0)] * cols
+    return ent
+
+
+def _normalized(values):
+    """Every value is a Fraction in lowest terms with a positive denominator."""
+    return all(type(x) is Q and x.denominator > 0
+               and math.gcd(x.numerator, x.denominator) == 1 for x in values)
+
+
+KINDS = ["mixed", "integer", "zero_rows"]
+
+
+class TestIntegerPath:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mul_and_bracket(self, kind):
+        rng = random.Random(f"mul-{kind}")
+        for _ in range(40):
+            n, k, m = (rng.randint(1, 8) for _ in range(3))
+            a, b = _entries(rng, n, k, kind), _entries(rng, k, m, kind)
+            prod = RatMatrix(n, k, a) * RatMatrix(k, m, b)
+            assert (prod.rows, prod.cols) == (n, m)
+            assert list(prod.entries) == _ref_mul(a, b, n, k, m)
+            assert _normalized(prod.entries)
+            c = _entries(rng, n, n, kind)
+            d = _entries(rng, n, n, kind)
+            br = RatMatrix(n, n, c).bracket(RatMatrix(n, n, d))
+            assert list(br.entries) == [x - y for x, y in zip(_ref_mul(c, d, n, n, n),
+                                                              _ref_mul(d, c, n, n, n))]
+            assert _normalized(br.entries)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_apply(self, kind):
+        rng = random.Random(f"apply-{kind}")
+        for _ in range(40):
+            n, k = rng.randint(1, 8), rng.randint(1, 8)
+            a, v = _entries(rng, n, k, kind), _entries(rng, k, 1, kind)
+            out = RatMatrix(n, k, a).apply(v)
+            assert list(out) == _ref_mul(a, v, n, k, 1)
+            assert _normalized(out)
+            # plain ints in the vector take the same path
+            ints = [rng.randint(-5, 5) for _ in range(k)]
+            assert list(RatMatrix(n, k, a).apply(ints)) == _ref_mul(a, ints, n, k, 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_span_solver_coordinates(self, kind):
+        rng = random.Random(f"span-{kind}")
+        for _ in range(25):
+            m = rng.randint(1, 8)
+            d = rng.randint(1, m)
+            basis = [_entries(rng, m, 1, "mixed" if kind == "zero_rows" else kind)
+                     for _ in range(d)]
+            if _ref_rank(basis) < d:
+                continue
+            solver = SpanSolver(basis)
+            coeffs = _entries(rng, d, 1, kind)
+            v = [sum((c * b[i] for c, b in zip(coeffs, basis)), Q(0)) for i in range(m)]
+            got = solver.coordinates(v)
+            assert list(got) == coeffs and _normalized(got)
+            w = _entries(rng, m, 1, kind)
+            got = solver.coordinates(w)
+            if _ref_rank(basis + [w]) > d:
+                assert got is None
+            else:
+                assert [sum((c * b[i] for c, b in zip(got, basis)), Q(0))
+                        for i in range(m)] == w
+
+    def test_integer_form_is_cached_and_exact(self):
+        m = RatMatrix(2, 2, [Q(1, 2), Q(-2, 3), 0, 5])
+        nums, d = m._integer_form()
+        assert d == 6 and nums == (3, -4, 0, 30)
+        assert m._integer_form() is m._integer_form()
+
+    def test_multipoly_entries_take_the_generic_path(self):
+        x, y = MultiPoly.variables_of(("x", "y"))
+        a = [x, x * y + 1, Q(1, 2), y ** 2, Q(0), x - y]
+        b = [Q(2, 3), y, Q(-1), Q(0), x, Q(5, 7)]
+        left = RatMatrix(2, 3, a)
+        assert left._integer_form() is None
+        prod = left * RatMatrix(3, 2, b)
+        assert prod._integer_form() is None
+        expected = [sum((a[i * 3 + t] * b[t * 2 + j] for t in range(1, 3)),
+                        a[i * 3] * b[j]) for i in range(2) for j in range(2)]
+        assert list(prod.entries) == expected
+        assert all(isinstance(e, MultiPoly) for e in prod.entries)
+        assert list(left.apply([Q(1), Q(2, 3), Q(-1)])) == [
+            a[3 * i] + a[3 * i + 1] * Q(2, 3) - a[3 * i + 2] for i in range(2)]
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4/3 folded"])
+    def test_root_system_inner(self, name):
+        from foldlie.rootsys import build_root_system, fold_coinvariants, folding_datum
+
+        if name.endswith("folded"):
+            rs = fold_coinvariants(folding_datum("D4", 3))
+        else:
+            rs = build_root_system(name)
+        g = rs.gram.to_rows()
+        n = len(g)
+        for u in rs.all_roots:
+            for v in rs.all_roots:
+                got = rs.inner(u, v)
+                ref = sum((u[i] * g[i][j] * v[j] for i in range(n) for j in range(n)), Q(0))
+                assert got == ref and _normalized([got])

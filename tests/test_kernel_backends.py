@@ -1,77 +1,135 @@
-"""The compiled and pure-Python kernels must agree exactly."""
+"""The pure-Python kernels against plain Fraction/int references kept here."""
 
+import math
 import random
 from fractions import Fraction as Q
 
-from foldlie import kernel
-
-
-def backends():
-    return list(kernel.IMPLEMENTATIONS.values())
+import foldlie
+from foldlie import _kernel_py, kernel
 
 
 def rand_entries(rng, n, m):
     return [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n * m)]
 
 
+def ref_mat_mul(a, b, n, k, m):
+    return [sum((a[i * k + t] * b[t * m + j] for t in range(k)), Q(0))
+            for i in range(n) for j in range(m)]
+
+
+def ref_rref(a, rows, cols):
+    """Gauss-Jordan on a list of row lists; the reduced form is unique."""
+    m = [[Q(x) for x in a[i * cols:(i + 1) * cols]] for i in range(rows)]
+    pivots, r = [], 0
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [x for row in m for x in row], pivots
+
+
+def ref_det(a, n):
+    """Determinant by Fraction Gaussian elimination."""
+    m = [[Q(x) for x in a[i * n:(i + 1) * n]] for i in range(n)]
+    det = Q(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            return Q(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def charpoly_matches_det(coeffs, a, n):
+    """coeffs (x^n .. x^0) agree with det(x I - a) at n + 1 points."""
+    for x in range(n + 1):
+        shifted = [(x if i == j else 0) - a[i * n + j] for i in range(n) for j in range(n)]
+        value = sum(c * x ** (n - k) for k, c in enumerate(coeffs))
+        if value != ref_det(shifted, n):
+            return False
+    return True
+
+
 class TestAgreement:
     def test_backend_selected(self):
-        assert kernel.BACKEND in ("python", "cython")
-        assert "python" in kernel.IMPLEMENTATIONS
+        assert kernel.BACKEND == foldlie.BACKEND == "python"
+        for name in ("mat_mul", "mat_vec", "rref", "charpoly_int", "charpoly_generic",
+                     "entries_common_denominator"):
+            assert getattr(kernel, name) is getattr(_kernel_py, name)
 
     def test_mat_mul(self):
         rng = random.Random(1)
         for _ in range(20):
             n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
             a, b = rand_entries(rng, n, k), rand_entries(rng, k, m)
-            results = [impl.mat_mul(list(a), list(b), n, k, m) for impl in backends()]
-            assert all(r == results[0] for r in results)
+            assert _kernel_py.mat_mul(list(a), list(b), n, k, m) == ref_mat_mul(a, b, n, k, m)
+            ia = [rng.randint(-9, 9) for _ in range(n * k)]
+            ib = [rng.randint(-9, 9) for _ in range(k * m)]
+            out = _kernel_py.mat_mul(ia, ib, n, k, m)
+            assert out == ref_mat_mul(ia, ib, n, k, m)
+            assert all(type(x) is int for x in out)
+            v = b[:k]
+            assert _kernel_py.mat_vec(list(a), v, n, k) == ref_mat_mul(a, v, n, k, 1)
 
     def test_rref(self):
         rng = random.Random(2)
         for _ in range(20):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
             a = rand_entries(rng, n, m)
-            results = [impl.rref(list(a), n, m) for impl in backends()]
-            assert all(r == results[0] for r in results)
+            assert _kernel_py.rref(list(a), n, m) == ref_rref(a, n, m)
 
     def test_charpoly_int(self):
         rng = random.Random(3)
         for _ in range(20):
             n = rng.randint(1, 6)
             a = [rng.randint(-9, 9) for _ in range(n * n)]
-            results = [impl.charpoly_int(list(a), n) for impl in backends()]
-            assert all(r == results[0] for r in results)
+            coeffs = _kernel_py.charpoly_int(list(a), n)
+            assert all(type(c) is int for c in coeffs)
+            assert charpoly_matches_det(coeffs, a, n)
 
     def test_charpoly_generic(self):
         rng = random.Random(4)
         for _ in range(10):
             n = rng.randint(1, 4)
             a = rand_entries(rng, n, n)
-            results = [impl.charpoly_generic(list(a), n, Q(1)) for impl in backends()]
-            assert all(r == results[0] for r in results)
+            assert charpoly_matches_det(_kernel_py.charpoly_generic(list(a), n, Q(1)), a, n)
 
     def test_common_denominator(self):
         vals = [Q(1, 2), Q(3, 4), Q(5, 6), 7]
-        results = [impl.entries_common_denominator(vals) for impl in backends()]
-        assert all(r == 12 for r in results)
+        assert _kernel_py.entries_common_denominator(vals) == 12
+        rng = random.Random(6)
+        for _ in range(20):
+            vals = rand_entries(rng, 1, rng.randint(1, 8))
+            assert _kernel_py.entries_common_denominator(vals) == math.lcm(
+                *(x.denominator for x in vals))
 
 
 class TestIntegerFaddeevLeVerrier:
     def test_matches_eigenvalue_expansion(self):
-        impl = kernel.IMPLEMENTATIONS["python"]
         # diag(1, 2, -1, -2): x^4 - 5 x^2 + 4
         a = [0] * 16
         for i, v in enumerate((1, 2, -1, -2)):
             a[i * 4 + i] = v
-        assert impl.charpoly_int(a, 4) == [1, 0, -5, 0, 4]
+        assert _kernel_py.charpoly_int(a, 4) == [1, 0, -5, 0, 4]
 
     def test_division_exactness_guard(self):
         # FL divisions are exact for any integer matrix; spot-check many
         rng = random.Random(5)
-        impl = kernel.IMPLEMENTATIONS["python"]
         for _ in range(50):
             n = rng.randint(1, 6)
             a = [rng.randint(-20, 20) for _ in range(n * n)]
-            coeffs = impl.charpoly_int(a, n)
+            coeffs = _kernel_py.charpoly_int(a, n)
             assert len(coeffs) == n + 1 and coeffs[0] == 1

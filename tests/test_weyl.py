@@ -227,6 +227,15 @@ class TestIntegerPath:
                     and (el.matrix - ident).rank() == 1]
         assert folded.reflections() == expected
 
+    def test_commutant_subgroup_words(self, fwd):
+        from foldlie.weyl import commutant_fixed_subgroup
+
+        sub = commutant_fixed_subgroup(fwd.wh, fwd.a_matrix)
+        assert sub.order == len(fwd.commutant)
+        for el in sub.elements:
+            assert all(g < len(sub.generators) for g in el.word)
+            assert el.verify_word(sub.generators)
+
     def test_matrices_built_on_demand(self):
         w = generate_weyl(build_root_system("B3"))
         assert all(el._matrix is None for el in w.elements)
