@@ -461,6 +461,16 @@ def reflection_length_classes(fwd: FoldedWeylData) -> dict:
     return out
 
 
+def transversal_branch_spec(fwd: FoldedWeylData, genus: int) -> dict:
+    """Branch counts of a transversal section, keyed by h-side orbit size:
+    each folded root meets the section 2g - 2 times, so a class with r
+    reflections (2r roots) gets 2r(2g - 2) branch points.  The total
+    |R|(2g - 2) is the count that makes rank H^1((p_* Lambda)^W) = 2 dim B.
+    For (A3, Z/2) this is ``hitchin.folded_branch_spec``."""
+    return {cls: 2 * len(refls) * (2 * genus - 2)
+            for cls, refls in reflection_length_classes(fwd).items()}
+
+
 def random_transversal_monodromy(fwd: FoldedWeylData, genus: int,
                                  branch_spec, rng: random.Random,
                                  require_full: bool = True) -> CoverMonodromy:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -18,6 +19,12 @@ USAGE_ERROR = 2
 # isogeny bookkeeping all grow linearly with the genus (a cameral cover over
 # genus 1000 takes about 2 s), so larger values are refused up front.
 MAX_GENUS = 1000
+
+# Largest Dynkin rank (the 8 of E8) and matrix size (the 8 of so8) accepted.
+# Root data, Chevalley bases and slices grow with a high power of the rank
+# (on a 2-vCPU host, fold A40 took 7.4 s and liealg sl10 --dump 5.8 s), so
+# larger values are refused up front; 8 still admits so8, A7, E6 and E8.
+MAX_RANK = 8
 
 
 def _emit(args, payload: dict, text_lines: list):
@@ -256,19 +263,24 @@ def cmd_cameral(args) -> int:
     from . import cameral as cam
     from . import rootsys as rs
     from . import weyl
-    from .hitchin import dim_base, folded_branch_spec
+    from .hitchin import dim_base
 
     if args.genus < 2:
         print("error: genus must be >= 2", file=sys.stderr)
         return USAGE_ERROR
     try:
         fd = rs.folding_datum(args.type, args.order)
+        # Covers are sampled for order-2 foldings only; D4 triality and
+        # trivial foldings are usage errors.
+        if fd.aut.order != 2:
+            raise ValueError("cameral induce folds along an involution; "
+                             f"got an order-{fd.aut.order} automorphism")
         fwd = weyl.folding_weyl_data(fd)
     except (ValueError, weyl.EnumerationBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     rng = random.Random(args.seed)
-    spec = folded_branch_spec(args.genus)
+    spec = cam.transversal_branch_spec(fwd, args.genus)
     try:
         cm = cam.random_transversal_monodromy(fwd, args.genus, spec, rng)
     except ValueError as exc:
@@ -399,6 +411,15 @@ def _bounded_genus(text: str) -> int:
     return value
 
 
+def _bounded_rank(text: str) -> str:
+    """A Dynkin type (``A5``) or algebra name (``sl4``) whose trailing number
+    is at most MAX_RANK; other malformed names are left to the command."""
+    m = re.search(r"(\d+)\s*$", text)
+    if m and int(m.group(1)) > MAX_RANK:
+        raise argparse.ArgumentTypeError(f"rank or size must be <= {MAX_RANK}, got {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="foldlie",
@@ -410,25 +431,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     f = sub.add_parser("fold", help="fold a simply-laced type both ways")
-    f.add_argument("type")
+    f.add_argument("type", type=_bounded_rank)
     f.add_argument("order", type=int, nargs="?", default=2)
     f.add_argument("--roots", action="store_true", help="include full root data")
     f.set_defaults(fn=cmd_fold)
 
     w = sub.add_parser("weyl", help="Weyl-group folding isomorphism data")
-    w.add_argument("type")
+    w.add_argument("type", type=_bounded_rank)
     w.add_argument("order", type=int, nargs="?", default=2)
     w.set_defaults(fn=cmd_weyl)
 
     l = sub.add_parser("liealg", help="matrix Lie algebra data")
-    l.add_argument("algebra", help="e.g. sl4, sp4, so8")
+    l.add_argument("algebra", type=_bounded_rank,
+                   help=f"e.g. sl4, sp4, so8; size at most {MAX_RANK}")
     l.add_argument("--dump", action="store_true", help="dump Chevalley constants")
     l.add_argument("--order", type=int, default=1, help="also dump the lift of the "
                    "standard automorphism of this order")
     l.set_defaults(fn=cmd_liealg)
 
     s = sub.add_parser("slice", help="Slodowy slice data and evaluation")
-    s.add_argument("--algebra", default="sp4")
+    s.add_argument("--algebra", type=_bounded_rank, default="sp4")
     s.add_argument("--eval", help="comma-separated slice parameters")
     s.add_argument("--verify-appendix", action="store_true")
     s.add_argument("--samples", type=_nonnegative_int, default=100)
@@ -436,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_slice)
 
     d = sub.add_parser("deform", help="semi-universal deformation of a singularity")
-    d.add_argument("--type", required=True)
+    d.add_argument("--type", type=_bounded_rank, required=True)
     d.add_argument("--fold", action="store_true")
     d.add_argument("--order", type=int, default=2)
     d.set_defaults(fn=cmd_deform)
@@ -449,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cameral", help="random transversal cameral cover and folding")
     c.add_argument("induce", nargs="?", default="induce")
-    c.add_argument("--type", default="A3")
+    c.add_argument("--type", type=_bounded_rank, default="A3")
     c.add_argument("--order", type=int, default=2)
     c.add_argument("--genus", type=_bounded_genus, default=2,
                    help=f"base genus, 2..{MAX_GENUS}")
@@ -457,10 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_cameral)
 
     m = sub.add_parser("dims", help="Hitchin base/fiber dimension bookkeeping")
-    m.add_argument("--type", required=True)
+    m.add_argument("--type", type=_bounded_rank, required=True)
     m.add_argument("--genus", type=_bounded_genus, required=True,
                    help=f"base genus, 2..{MAX_GENUS}")
-    m.add_argument("--fold-from", dest="fold_from")
+    m.add_argument("--fold-from", dest="fold_from", type=_bounded_rank)
     m.add_argument("--order", type=int, default=2)
     m.add_argument("--isogeny", action="store_true")
     m.set_defaults(fn=cmd_dims)

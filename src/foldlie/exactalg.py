@@ -11,6 +11,7 @@ the rationals check for that.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import kernel
@@ -230,10 +231,10 @@ class RatMatrix:
         return RatMatrix(n, n, ent)
 
     def det(self):
-        cp = char_poly(self)
-        n = self.rows
-        c0 = cp.coefficient((0,))
-        return c0 if n % 2 == 0 else -c0
+        """(-1)^n times the constant coefficient of the characteristic
+        polynomial; exact, possibly symbolic."""
+        c = char_poly_coefficients(self)[-1]
+        return -c if self.rows % 2 else c
 
     def conjugate_by(self, p: "RatMatrix") -> "RatMatrix":
         """p * self * p^{-1}."""
@@ -286,6 +287,18 @@ class MultiPoly:
         clean = {e: c for e, c in clean.items() if c != 0}
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """Wrap terms that are already canonical: non-zero Fraction
+        coefficients keyed by int exponent tuples of the right length.
+
+        Ring operations build their results this way instead of through the
+        validating constructor, which is kept for outside input."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -346,10 +359,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.variables, other)
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.variables, terms)
+        _accumulate(terms, other.terms.items())
+        return MultiPoly._trusted(self.variables, terms)
 
     __radd__ = __add__
 
@@ -362,19 +378,32 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = _frac(other)
-            return MultiPoly(self.variables, {e: k * c for e, k in self.terms.items()})
+            if not c:
+                return MultiPoly._trusted(self.variables, {})
+            return MultiPoly._trusted(self.variables, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         terms: dict = {}
+        get = terms.get
+        others = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.variables, terms)
+            for e2, c2 in others:
+                # _accumulate, inlined: this is the hottest loop of the symbolic checks
+                e = tuple(map(add, e1, e2))
+                s = get(e)
+                if s is None:
+                    terms[e] = c1 * c2
+                else:
+                    s += c1 * c2
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+        return MultiPoly._trusted(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -425,7 +454,7 @@ class MultiPoly:
             e2 = list(e)
             e2[i] -= 1
             terms[tuple(e2)] = c * e[i]
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._trusted(self.variables, terms)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact evaluation; every variable must be assigned."""
@@ -490,7 +519,7 @@ class MultiPoly:
             for i, k in zip(idx, e):
                 e2[i] = k
             terms[tuple(e2)] = c
-        return MultiPoly(vs, terms)
+        return MultiPoly._trusted(vs, terms)
 
     def reduce_square(self, name: str, square: "MultiPoly | Scalar") -> "MultiPoly":
         """Rewrite ``name**2 -> square`` until the degree in ``name`` is < 2.
@@ -502,25 +531,42 @@ class MultiPoly:
         if not isinstance(square, MultiPoly):
             square = MultiPoly.const(self.variables, square)
         self._check(square)
+        vs = self.variables
+        powers = {}
         cur = self
         while True:
             high = [e for e in cur.terms if e[i] >= 2]
             if not high:
                 return cur
-            keep = {e: c for e, c in cur.terms.items() if e[i] < 2}
-            acc = MultiPoly(self.variables, keep)
+            terms = {e: c for e, c in cur.terms.items() if e[i] < 2}
             for e in high:
-                c = cur.terms[e]
                 e2 = list(e)
-                q, r = divmod(e2[i], 2)
-                e2[i] = r
-                acc = acc + MultiPoly(self.variables, {tuple(e2): c}) * (square**q)
-            cur = acc
+                q, e2[i] = divmod(e2[i], 2)
+                if q not in powers:
+                    powers[q] = square**q
+                low = MultiPoly._trusted(vs, {tuple(e2): cur.terms[e]})
+                _accumulate(terms, (low * powers[q]).terms.items())
+            cur = MultiPoly._trusted(vs, terms)
 
     def weighted_degrees(self, weights: Mapping[str, int]) -> set:
         """Set of weighted degrees of the monomials (empty for 0)."""
         ws = [weights[v] for v in self.variables]
         return {sum(w * k for w, k in zip(ws, e)) for e in self.terms}
+
+
+def _accumulate(terms: dict, items) -> None:
+    """Add ``(exponents, coefficient)`` pairs into ``terms`` in place,
+    dropping every term that cancels to zero."""
+    for e, c in items:
+        s = terms.get(e)
+        if s is None:
+            terms[e] = c
+        else:
+            s += c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
 
 
 # -- spec operations ------------------------------------------------------
@@ -590,16 +636,23 @@ def char_poly(m: RatMatrix, variable: str = "x") -> MultiPoly:
     return MultiPoly(vs, terms)
 
 
-def exterior_trace(m: RatMatrix, k: int):
-    """tr(Lambda^k m) = e_k(eigenvalues) = (-1)^k times the coefficient of
-    x^(n-k) in the characteristic polynomial; exact, possibly symbolic."""
+def exterior_traces(m: RatMatrix, ks: Sequence[int]) -> tuple:
+    """tr(Lambda^k m) for every k in ``ks``, from one characteristic
+    polynomial: e_k(eigenvalues) is (-1)^k times the coefficient of x^(n-k);
+    exact, possibly symbolic."""
     if not m.is_square:
         raise ValueError("exterior_trace of a non-square matrix")
     n = m.rows
-    if not 1 <= k <= n:
-        raise ValueError(f"exterior power degree {k} out of range 1..{n}")
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"exterior power degree {k} out of range 1..{n}")
     coeffs = char_poly_coefficients(m)
-    return coeffs[k] * (Fraction(-1) ** k)
+    return tuple(-coeffs[k] if k % 2 else coeffs[k] for k in ks)
+
+
+def exterior_trace(m: RatMatrix, k: int):
+    """tr(Lambda^k m); see :func:`exterior_traces`."""
+    return exterior_traces(m, (k,))[0]
 
 
 def poly_eval(p: MultiPoly, point: Mapping[str, Scalar]) -> Fraction:

@@ -178,5 +178,6 @@ def transversal_branch_counts(t: DynkinType | str, g: int) -> dict:
 def folded_branch_spec(g: int) -> dict:
     """Branch counts for the folded C2 cover keyed by h-side orbit size:
     short folded roots (orbit size 2) and long ones (orbit size 1) each form
-    a class of 4 roots, so each class meets the section 4(2g-2) times."""
+    a class of 4 roots, so each class meets the section 4(2g-2) times.
+    ``cameral.transversal_branch_spec`` derives the counts for any folding."""
     return {1: 4 * (2 * g - 2), 2: 4 * (2 * g - 2)}

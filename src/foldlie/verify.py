@@ -328,7 +328,7 @@ def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Verificat
     from . import cameral as cam
     from . import rootsys as rs
     from . import weyl
-    from .hitchin import dim_base, folded_branch_spec
+    from .hitchin import dim_base
 
     rep = VerificationReport("cameral", seed=seed)
     t0 = time.perf_counter()
@@ -337,7 +337,7 @@ def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Verificat
     fwd = weyl.folding_weyl_data(fd)
     W = fwd.folded
     for g in genera:
-        spec = folded_branch_spec(g)
+        spec = cam.transversal_branch_spec(fwd, g)
         for _ in range(samples):
             cm = cam.random_transversal_monodromy(fwd, g, spec, rng)
             ind = cam.induce_cover(cm, fwd)

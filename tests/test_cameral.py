@@ -15,11 +15,12 @@ from foldlie.cameral import (
     pushforward_sections_check,
     random_transversal_monodromy,
     reflection_length_classes,
+    transversal_branch_spec,
     validate_monodromy,
 )
 from foldlie.hitchin import dim_base, folded_branch_spec
-from foldlie.rootsys import build_root_system
-from foldlie.weyl import generate_weyl
+from foldlie.rootsys import build_root_system, folding_datum
+from foldlie.weyl import folding_weyl_data, generate_weyl
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +202,21 @@ class TestSampling:
         rng = random.Random(41)
         cm = random_transversal_monodromy(fwd_a3, 2, folded_branch_spec(2), rng)
         assert len(monodromy_subgroup(cm)) == fwd_a3.folded.order
+
+
+class TestDerivedBranchSpec:
+    def test_a3_matches_c2_spec(self, fwd_a3):
+        for g in (2, 3, 7):
+            assert transversal_branch_spec(fwd_a3, g) == folded_branch_spec(g)
+
+    @pytest.mark.parametrize("hom", ["A3", "A5"])
+    def test_fiber_rank_is_twice_base(self, hom):
+        fwd = folding_weyl_data(folding_datum(hom, 2))
+        folded = str(fwd.folded.dtype)
+        rng = random.Random(43)
+        for g in (2, 3):
+            spec = transversal_branch_spec(fwd, g)
+            cm = random_transversal_monodromy(fwd, g, spec, rng)
+            assert len(cm.branch_images) == (2 * g - 2) * 2 * len(fwd.reflection_products)
+            rank = hitchin_fiber_rank(cm, own_lattice_action(fwd.folded))
+            assert rank == 2 * dim_base(folded, g).total, (hom, g)

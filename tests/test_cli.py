@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldlie.cli import MAX_GENUS, main
+from foldlie.cli import MAX_GENUS, MAX_RANK, main
 
 
 def run_cli(args):
@@ -91,6 +91,15 @@ class TestVerify:
         assert out["induced"]["components"] == 3
         assert out["fiber_rank"] == out["two_dim_base"] == 20
 
+    @pytest.mark.parametrize("genus, rank", [(2, 42), (3, 84)])
+    def test_cameral_a5_fiber_rank(self, genus, rank):
+        p = run_cli(["--format", "json", "cameral", "induce", "--type", "A5",
+                     "--genus", str(genus), "--seed", "5"])
+        assert p.returncode == 0
+        out = json.loads(p.stdout)
+        assert out["induced"]["components"] == 15
+        assert out["fiber_rank"] == out["two_dim_base"] == rank
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("args", [
@@ -110,6 +119,14 @@ class TestUsageErrors:
         ["cameral", "induce", "--type", "E8", "--order", "1"],
         ["liealg", "sl3", "--dump", "--order", "2"],
         ["slice", "--algebra", "x"],
+        ["fold", "A40", "1"],
+        ["weyl", "A9", "2"],
+        ["liealg", "sl10", "--dump"],
+        ["slice", "--algebra", "sl9"],
+        ["cameral", "induce", "--type", "A9"],
+        ["dims", "--type", "C9", "--genus", "2"],
+        ["dims", "--type", "C2", "--genus", "2", "--fold-from", "A9"],
+        ["deform", "--type", "A80"],
     ], ids=lambda a: " ".join(a))
     def test_exit_2_without_traceback(self, args):
         p = run_cli(["--format", "json", *args])
@@ -122,6 +139,14 @@ class TestUsageErrors:
                      "--genus", str(MAX_GENUS)])
         assert p.returncode == 0
         assert json.loads(p.stdout)["base_genus"] == MAX_GENUS
+
+    def test_rank_bound_is_inclusive(self):
+        p = run_cli(["--format", "json", "fold", f"E{MAX_RANK}", "1"])
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["homogeneous"] == f"E{MAX_RANK}"
+        p = run_cli(["--format", "json", "liealg", f"so{MAX_RANK}"])
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["algebra"] == f"so{MAX_RANK}"
 
 
 def _opt(flag, values):

@@ -261,3 +261,48 @@ class TestFixedLocus:
             [[0, 1, 1, 0], [4, 0, 0, -1], [9, 0, 0, -1], [0, -9, -4, 0]]
         )
         assert m == expected
+
+
+class TestWorkCount:
+    """Pin the symbolic work of the appendix checks by counting kernel calls
+    (deterministic, unlike a wall-clock bound)."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        from foldlie import kernel
+
+        calls = []
+        real = getattr(kernel, name)
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+        return calls
+
+    def test_appendix_request_charpolys(self, monkeypatch, capsys):
+        from foldlie.cli import main
+
+        calls = self._count(monkeypatch, "charpoly_generic")
+        rc = main(["--format", "json", "slice", "--verify-appendix", "--samples", "10",
+                   "--seed", "3"])
+        assert rc == 0 and '"failures": []' in capsys.readouterr().out
+        # one per symbolic matrix: two in the square check, five in the
+        # unfolding check (four coordinate changes and the residual)
+        assert len(calls) <= 7 and set(calls) == {4}
+
+    def test_adjoint_quotient_one_charpoly_per_call(self, monkeypatch, sl4, sp4):
+        from foldlie.liealg import adjoint_quotient
+        from foldlie.slodowy import sh_matrix
+
+        symbolic = sh_matrix(*(MultiPoly.var(UNFOLD_VARS, n) for n in UNFOLD_VARS))
+        for name, alg, m, degrees in (
+            ("charpoly_int", sl4, RatMatrix.diagonal([1, Q(2, 3), -3, Q(4, 3)]), 3),
+            ("charpoly_int", sp4, RatMatrix.diagonal([1, 2, -1, -2]), 2),
+            ("charpoly_generic", sl4, symbolic, 3),
+        ):
+            calls = self._count(monkeypatch, name)
+            assert len(adjoint_quotient(alg, m).values) == degrees
+            assert len(calls) == 1
+            monkeypatch.undo()
