@@ -139,7 +139,7 @@ def suite_weyl(samples: int = 10, seed: int = 42) -> VerificationReport:
     from .hitchin import invariant_degrees
 
     for t_name in ("A1", "A2", "A3", "C2", "B3", "C3", "G2"):
-        wg = weyl.generate_weyl(rs.build_root_system(t_name))
+        wg = weyl.WeylGroup.generate(rs.build_root_system(t_name))
         ok = inv.verify_degrees_by_molien(wg, invariant_degrees(t_name))
         rep.case("molien_degree_check", ok, "Hilbert series match", "mismatch", t_name)
     rep.elapsed = time.perf_counter() - t0

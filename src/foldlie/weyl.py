@@ -10,7 +10,6 @@ restriction a cheap coordinate read."""
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,18 +87,17 @@ class WeylGroup:
 
     # -- construction ---------------------------------------------------------
     @staticmethod
-    def generate(rs: RootSystem, force: bool = False) -> "WeylGroup":
+    def generate(rs: RootSystem) -> "WeylGroup":
         """Enumerate W(R^vee) by breadth-first closure over the simple
-        reflections.  Types with more elements than the budget (rank > 6
-        territory: A7, E6 and up) are rejected unless forced or enabled via
-        FOLDLIE_ENABLE_E6."""
+        reflections.  E6 and A7 are enumerated; groups larger than
+        ``ENUMERATION_BUDGET`` (E7, E8, A8, and B, C, D from rank 7) are
+        refused from their known order before any work."""
         t = rs.dtype
         expected = t.weyl_order()
-        allowed = force or bool(os.environ.get("FOLDLIE_ENABLE_E6"))
-        if expected > ENUMERATION_BUDGET and not allowed:
+        if expected > ENUMERATION_BUDGET:
             raise EnumerationBudgetExceeded(
-                f"|W({t})| = {expected} exceeds the enumeration budget; "
-                "set FOLDLIE_ENABLE_E6=1 or pass force=True"
+                f"|W({t})| = {expected} exceeds the enumeration budget of "
+                f"{ENUMERATION_BUDGET} elements"
             )
         n = rs.rank
         C = [[int(x) for x in row] for row in rs.cartan_matrix()]
@@ -109,17 +107,11 @@ class WeylGroup:
             for j in range(n):
                 m[i][j] -= C[i][j]
             gens.append(tuple(x for row in m for x in row))
-        flat, words = _bfs_closure(gens, n, expected)
-        gen_mats = [RatMatrix(n, n, g) for g in gens]
         inv_vecs = _coroot_vectors(rs)
+        flat, words = _bfs_closure(gens, n, _weyl_vector(inv_vecs), expected)
+        gen_mats = [RatMatrix(n, n, g) for g in gens]
         return WeylGroup(n, gen_mats, flat, words, dtype=t, root_system=rs,
                          invariant_vectors=inv_vecs)
-
-    @staticmethod
-    def from_elements(dim, generators, flat_elements, words, dtype=None,
-                      root_system=None, invariant_vectors=None) -> "WeylGroup":
-        return WeylGroup(dim, generators, flat_elements, words, dtype=dtype,
-                         root_system=root_system, invariant_vectors=invariant_vectors)
 
     # -- group structure ----------------------------------------------------
     @property
@@ -212,28 +204,42 @@ class WeylGroup:
                         raise AssertionError("element does not permute the coroot set")
 
 
-def _bfs_closure(gens, n, expected=None):
-    ident = _flat_identity(n)
-    flat = [ident]
-    words = [()]
-    index = {ident: 0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for idx in frontier:
-            m = list(flat[idx])
-            w = words[idx]
-            for gi, g in enumerate(gens):
-                prod = tuple(kernel.mat_mul(m, list(g), n, n, n))
-                if prod not in index:
-                    index[prod] = len(flat)
-                    flat.append(prod)
-                    words.append(w + (gi,))
-                    new.append(len(flat) - 1)
-                    if expected is None and len(flat) > ENUMERATION_BUDGET:
-                        raise EnumerationBudgetExceeded("enumeration budget exceeded")
-        frontier = new
+def _bfs_closure(gens, n, key, order):
+    """The group generated by the involutions ``gens`` (flat n x n integer
+    matrices) as (elements, words), breadth first by right multiplication.
+
+    Elements are told apart by w^-1 key, which is injective when ``key`` is
+    regular.  As (w g)^-1 key = g (w^-1 key), an edge updates only the rows
+    where g differs from the identity, and only a new element costs a matrix
+    product.  A closure of any size but ``order`` raises: ``key`` was not
+    regular, or ``gens`` do not generate a group of that order."""
+    moved = [[(i, [(j, g[i * n + j]) for j in range(n) if g[i * n + j]])
+              for i in range(n) if any(g[i * n + j] != (i == j) for j in range(n))]
+             for g in gens]
+    flat, words, keys = [_flat_identity(n)], [()], [tuple(key)]
+    seen = {keys[0]}
+    idx = 0
+    while idx < len(flat):
+        k = keys[idx]
+        for gi, rows in enumerate(moved):
+            nk = list(k)
+            for i, row in rows:
+                nk[i] = sum(c * k[j] for j, c in row)
+            nk = tuple(nk)
+            if nk not in seen:
+                seen.add(nk)
+                keys.append(nk)
+                flat.append(tuple(kernel.mat_mul(flat[idx], gens[gi], n, n, n)))
+                words.append(words[idx] + (gi,))
+        idx += 1
+    if len(flat) != order:
+        raise AssertionError(f"closure has {len(flat)} elements, expected {order}")
     return flat, words
+
+
+def _weyl_vector(coroots) -> tuple:
+    """2 rho^vee, the sum of the positive coroots: a regular vector."""
+    return tuple(map(sum, zip(*(v for v in coroots if min(v) >= 0))))
 
 
 def _as_int(x) -> int:
@@ -253,11 +259,6 @@ def _coroot_vectors(rs: RootSystem) -> list[tuple]:
         L = rs.inner(r, r)
         out.append(tuple(_as_int(mi * li / L) for mi, li in zip(m, lengths)))
     return out
-
-
-def generate_weyl(r: RootSystem, force: bool = False) -> WeylGroup:
-    """Spec operation: complete enumeration of the Weyl group of ``r``."""
-    return WeylGroup.generate(r, force=force)
 
 
 # -- folding -------------------------------------------------------------------
@@ -357,7 +358,8 @@ def commutant_fixed_subgroup(wh: WeylGroup, a_matrix: RatMatrix) -> WeylGroup:
     flat = [wh._flat[i] for i in indices]
     # Words over the subgroup's own generators; the closure must be exactly
     # the commutant.
-    closure, closure_words = _bfs_closure([g.flat for g in gens], wh.dim, len(flat))
+    closure, closure_words = _bfs_closure([g.flat for g in gens], wh.dim,
+                                          _weyl_vector(wh.invariant_vectors), len(flat))
     word_of = dict(zip(closure, closure_words))
     if word_of.keys() != set(flat):
         raise AssertionError("orbit products do not generate the commutant")
@@ -428,7 +430,7 @@ def _restrict_matrix(flat, dim, orbits) -> tuple | None:
     return tuple(out[oi][k] for k in range(r) for oi in range(r))
 
 
-def folding_weyl_data(fd: FoldingDatum, force: bool = False) -> FoldedWeylData:
+def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
     """Build W_h, its commutant W_h^C, and the restriction isomorphism onto
     the folded Weyl group, with the structural claims verified exactly:
 
@@ -438,7 +440,7 @@ def folding_weyl_data(fd: FoldingDatum, force: bool = False) -> FoldedWeylData:
       reflections over an h-side root orbit.
     """
     rs, aut = fd.homogeneous, fd.aut
-    wh = WeylGroup.generate(rs, force=force)
+    wh = WeylGroup.generate(rs)
     a_matrix = aut_matrix_on_corootspace(aut)
     comm = _commutant_indices(wh, a_matrix)
     orbits = aut.orbits(rs.rank)
@@ -459,9 +461,10 @@ def folding_weyl_data(fd: FoldingDatum, force: bool = False) -> FoldedWeylData:
     for o in orbits:
         idx = _orbit_product_index(wh, list(o))
         gen_flats.append(restricted[idx])
-    flat, words = _bfs_closure(gen_flats, r)
     folded_type = classify(fd_folded_cartan(fd))
     inv_vecs = _folded_coroot_vectors(fd, orbits)
+    flat, words = _bfs_closure(gen_flats, r, _weyl_vector(inv_vecs),
+                               folded_type.weyl_order())
     folded = WeylGroup(
         r,
         [RatMatrix(r, r, g) for g in gen_flats],

@@ -227,7 +227,7 @@ def test_criterion_12_verify_all():
         [sys.executable, "-m", "foldlie.cli", "--format", "json", "verify", "all",
          "--samples", "10", "--seed", "42"],
         capture_output=True, text=True, timeout=90,
-        env={"PATH": "/usr/bin:/bin", "FOLDLIE_ENABLE_E6": "", "PYTHONPATH": src_dir},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     import json

@@ -20,12 +20,12 @@ from foldlie.cameral import (
 )
 from foldlie.hitchin import dim_base, folded_branch_spec
 from foldlie.rootsys import build_root_system, folding_datum
-from foldlie.weyl import folding_weyl_data, generate_weyl
+from foldlie.weyl import WeylGroup, folding_weyl_data
 
 
 @pytest.fixture(scope="module")
 def wc2():
-    return generate_weyl(build_root_system("C2"))
+    return WeylGroup.generate(build_root_system("C2"))
 
 
 def surjective_unramified(w, rng, genus=2):

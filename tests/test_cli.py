@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldlie.cli import MAX_GENUS, MAX_RANK, main
+from foldlie.weyl import ENUMERATION_BUDGET
 
 
 def run_cli(args):
@@ -133,6 +134,20 @@ class TestUsageErrors:
         assert p.returncode == 2
         assert "Traceback" not in p.stderr and "error:" in p.stderr
         assert p.stdout == ""
+
+    @pytest.mark.parametrize("args,message", [
+        (["weyl", "E7", "1"], "|W(E7)| = 2903040 exceeds the enumeration budget "
+                              f"of {ENUMERATION_BUDGET} elements"),
+        (["cameral", "induce", "--type", "D7", "--order", "2"],
+         f"|W(D7)| = 322560 exceeds the enumeration budget of {ENUMERATION_BUDGET} elements"),
+        # refused for its automorphism before any group is built
+        (["cameral", "induce", "--type", "E8", "--order", "1"],
+         "cameral induce folds along an involution; got an order-1 automorphism"),
+    ], ids=["weyl E7 1", "cameral D7 2", "cameral E8 1"])
+    def test_refusal_text(self, args, message):
+        p = run_cli(args)
+        assert p.returncode == 2
+        assert p.stderr == f"error: {message}\n"
 
     def test_genus_bound_is_inclusive(self):
         p = run_cli(["--format", "json", "threefold", "--type", "C2",

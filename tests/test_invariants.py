@@ -102,24 +102,24 @@ class TestMolien:
     def test_molien_matches_degrees(self):
         from foldlie.hitchin import invariant_degrees
         from foldlie.rootsys import build_root_system
-        from foldlie.weyl import generate_weyl
+        from foldlie.weyl import WeylGroup
 
         for name in ("A1", "A2", "A3", "C2", "C3", "B3", "G2"):
-            wg = generate_weyl(build_root_system(name))
+            wg = WeylGroup.generate(build_root_system(name))
             assert verify_degrees_by_molien(wg, invariant_degrees(name))
 
     def test_molien_detects_wrong_table(self):
         from foldlie.rootsys import build_root_system
-        from foldlie.weyl import generate_weyl
+        from foldlie.weyl import WeylGroup
 
-        wg = generate_weyl(build_root_system("C2"))
+        wg = WeylGroup.generate(build_root_system("C2"))
         assert not verify_degrees_by_molien(wg, [2, 3])
 
     def test_molien_dimension_values(self):
         from foldlie.rootsys import build_root_system
-        from foldlie.weyl import generate_weyl
+        from foldlie.weyl import WeylGroup
 
-        wg = generate_weyl(build_root_system("C2"))
+        wg = WeylGroup.generate(build_root_system("C2"))
         dims = molien_dimensions([e.matrix for e in wg.elements], 4)
         assert dims == [1, 0, 1, 0, 2]
 
@@ -144,9 +144,9 @@ class TestMolienIntegerPath:
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B3", "C2", "C3", "G2", "D4"])
     def test_matches_power_trace_reference(self, name):
         from foldlie.rootsys import build_root_system
-        from foldlie.weyl import generate_weyl
+        from foldlie.weyl import WeylGroup
 
-        wg = generate_weyl(build_root_system(name))
+        wg = WeylGroup.generate(build_root_system(name))
         mats = [e.matrix for e in wg.elements]
         expected = _power_trace_molien(mats, 8)
         assert molien_dimensions(mats, 8) == expected

@@ -1,18 +1,19 @@
 import dataclasses
-import os
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from foldlie import kernel
 from foldlie.exactalg import RatMatrix
 from foldlie.rootsys import build_root_system, folding_datum
 from foldlie.weyl import (
+    ENUMERATION_BUDGET,
     EnumerationBudgetExceeded,
     WeylGroup,
+    _bfs_closure,
     folded_reflection,
     folding_weyl_data,
-    generate_weyl,
     is_fixed_point,
     orbit_regular_membership,
     quotient_invariants_iso_check,
@@ -27,31 +28,89 @@ class TestGenerate:
     @pytest.mark.parametrize("name,order", [("A3", 24), ("C2", 8), ("A1", 2),
                                             ("B3", 48), ("G2", 12)])
     def test_orders(self, name, order):
-        w = generate_weyl(build_root_system(name))
+        w = WeylGroup.generate(build_root_system(name))
         assert w.order == order
         w.verify(check_coroots=(order <= 48))
 
     def test_words_multiply_out(self):
-        w = generate_weyl(build_root_system("C2"))
+        w = WeylGroup.generate(build_root_system("C2"))
         for el in w.elements:
             assert el.verify_word(w.generators)
 
     def test_budget(self):
-        with pytest.raises(EnumerationBudgetExceeded):
-            generate_weyl(build_root_system("E7"))
+        with pytest.raises(EnumerationBudgetExceeded,
+                           match=f"= 2903040 exceeds .* of {ENUMERATION_BUDGET} "):
+            WeylGroup.generate(build_root_system("E7"))
 
     def test_reflection_count_matches_positive_roots(self):
         for name in ("A3", "C2", "G2"):
             rs = build_root_system(name)
-            w = generate_weyl(rs)
+            w = WeylGroup.generate(rs)
             assert len(w.reflections()) == len(rs.all_roots) // 2
+
+
+def _product_closure(gens, n):
+    """Breadth-first closure with one matrix product per edge, deduplicated
+    on the product itself: the enumeration the keyed closure replaced, kept
+    as its reference."""
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    flat, words, index = [ident], [()], {ident}
+    frontier = [0]
+    while frontier:
+        new = []
+        for idx in frontier:
+            for gi, g in enumerate(gens):
+                prod = tuple(kernel.mat_mul(flat[idx], g, n, n, n))
+                if prod not in index:
+                    index.add(prod)
+                    flat.append(prod)
+                    words.append(words[idx] + (gi,))
+                    new.append(len(flat) - 1)
+        frontier = new
+    return flat, words
+
+
+def _generator_flats(group):
+    return [group._flat[group.index_of(g)] for g in group.generators]
+
+
+class TestKeyedClosure:
+    """The closure keyed on 2 rho^vee against the product closure."""
+
+    @pytest.mark.parametrize("name", ["A3", "C2", "G2", "B3", "D4", "D5"])
+    def test_generate_matches_reference(self, name):
+        w = WeylGroup.generate(build_root_system(name))
+        flat, words = _product_closure(_generator_flats(w), w.dim)
+        assert w._flat == flat
+        assert [el.word for el in w.elements] == words
+
+    @pytest.mark.parametrize("th,order", [("A3", 2), ("D4", 3)])
+    def test_folding_groups_match_reference(self, th, order):
+        from foldlie.weyl import commutant_fixed_subgroup
+
+        fwd = folding_weyl_data(folding_datum(th, order))
+        flat, words = _product_closure(_generator_flats(fwd.folded), fwd.folded.dim)
+        assert fwd.folded._flat == flat
+        assert [el.word for el in fwd.folded.elements] == words
+
+        sub = commutant_fixed_subgroup(fwd.wh, fwd.a_matrix)
+        flat, words = _product_closure(_generator_flats(sub), sub.dim)
+        word_of = dict(zip(flat, words))
+        assert sub._flat == [fwd.wh._flat[i] for i in fwd.commutant]
+        assert [el.word for el in sub.elements] == [word_of[m] for m in sub._flat]
+
+    def test_non_regular_key_rejected(self):
+        w = WeylGroup.generate(build_root_system("A3"))
+        with pytest.raises(AssertionError, match="closure has 1 elements, expected 24"):
+            _bfs_closure(_generator_flats(w), w.dim, (0, 0, 0), w.order)
 
 
 class TestFoldingIsomorphism:
     @pytest.mark.parametrize(
         "th,order,wh_order,w_order,folded",
         [("A3", 2, 24, 8, "C2"), ("A5", 2, 720, 48, "C3"),
-         ("D4", 3, 192, 12, "G2"), ("D5", 2, 1920, 384, "B4")],
+         ("D4", 3, 192, 12, "G2"), ("D5", 2, 1920, 384, "B4"),
+         ("A7", 2, 40320, 384, "C4"), ("E6", 2, 51840, 1152, "F4")],
     )
     def test_orders_and_types(self, th, order, wh_order, w_order, folded):
         fwd = folding_weyl_data(folding_datum(th, order))
@@ -237,7 +296,7 @@ class TestIntegerPath:
             assert el.verify_word(sub.generators)
 
     def test_matrices_built_on_demand(self):
-        w = generate_weyl(build_root_system("B3"))
+        w = WeylGroup.generate(build_root_system("B3"))
         assert all(el._matrix is None for el in w.elements)
         assert w.elements[5].matrix == RatMatrix(3, 3, w._flat[5])
 
@@ -302,18 +361,3 @@ class TestQuotientIsoInteger:
             rep = quotient_invariants_iso_check(fwd.fd, 6, seed, fwd=fwd)
             assert rep.failures == _reference_quotient_check(fwd, 6, seed)
             assert rep.passed or cut
-
-
-@pytest.mark.skipif(not os.environ.get("FOLDLIE_ENABLE_E6"),
-                    reason="gated: 51840-element enumeration")
-class TestGated:
-    def test_e6_commutant(self):
-        fwd = folding_weyl_data(folding_datum("E6", 2))
-        assert fwd.wh.order == 51840
-        assert len(fwd.commutant) == 1152
-        assert str(fwd.folded.dtype) == "F4"
-
-    def test_a7_commutant(self):
-        fwd = folding_weyl_data(folding_datum("A7", 2), force=True)
-        assert fwd.wh.order == 40320
-        assert len(fwd.commutant) == 384
