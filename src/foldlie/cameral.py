@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .exactalg import RatMatrix, nullspace
-from .weyl import CheckReport, FoldedWeylData, WeylGroup
+from .verify import Report
+from .weyl import FoldedWeylData, WeylGroup
 
 
 @dataclass
@@ -188,11 +189,11 @@ def induce_cover(cm: CoverMonodromy, fwd: FoldedWeylData) -> CoverMonodromy:
 
 
 def induced_components_isomorphic(cm: CoverMonodromy, induced: CoverMonodromy,
-                                  fwd: FoldedWeylData) -> CheckReport:
+                                  fwd: FoldedWeylData) -> Report:
     """Each component of the induced cover, via the coset-representative
     inclusions, is isomorphic to the original W-cover: the bijection
     w -> w_j * w intertwines every monodromy permutation exactly."""
-    report = CheckReport(check="induced-components", cases_run=0)
+    report = Report("induced-components")
     wh, folded = fwd.wh, fwd.folded
     embedded = [fwd.embed[i] for i in range(folded.order)]
     emb_set = set(embedded)
@@ -205,47 +206,29 @@ def induced_components_isomorphic(cm: CoverMonodromy, induced: CoverMonodromy,
         seen |= coset
         reps.append(i)
     expected = wh.order // folded.order
-    report.cases_run += 1
-    if len(reps) != expected:
-        report.failures.append(
-            {"input": "coset count", "expected": expected, "got": len(reps)}
-        )
+    report.expect(len(reps) == expected, "coset count", expected, len(reps))
     images = cm.all_images()
     for wj in reps:
         phi = {w: wh.multiply(wj, fwd.embed[w]) for w in range(folded.order)}
         for c in images:
-            report.cases_run += 1
             pf = folded.right_multiplication_permutation(c)
             ph = wh.right_multiplication_permutation(fwd.embed[c])
-            ok = all(ph[phi[w]] == phi[pf[w]] for w in range(folded.order))
-            if not ok:
-                report.failures.append(
-                    {"input": f"coset rep {wj}, monodromy {c}",
-                     "expected": "intertwined permutations", "got": "mismatch"}
-                )
+            report.expect(all(ph[phi[w]] == phi[pf[w]] for w in range(folded.order)),
+                          f"coset rep {wj}, monodromy {c}", "intertwined permutations",
+                          "mismatch")
     return report
 
 
 # -- equivariant sections -----------------------------------------------------------
 
 
-def _fixed_space_rank(mats: list[RatMatrix]) -> int:
-    """Rank of the common fixed space of a list of matrices."""
+def _fixed_space_basis(mats: list[RatMatrix]) -> list[tuple]:
+    """Basis of the common fixed space of a list of matrices."""
     if not mats:
         raise ValueError("empty generator list")
     d = mats[0].rows
     if d == 0:
-        return 0
-    rows = []
-    for m in mats:
-        delta = m - RatMatrix.identity(d)
-        rows.extend(delta.to_rows())
-    stacked = RatMatrix.from_rows(rows)
-    return len(nullspace(stacked))
-
-
-def _fixed_space_basis(mats: list[RatMatrix]) -> list[tuple]:
-    d = mats[0].rows
+        return []
     rows = []
     for m in mats:
         delta = m - RatMatrix.identity(d)
@@ -357,13 +340,13 @@ def embedded_lattice_action(fwd: FoldedWeylData) -> dict:
     return {i: fwd.wh.elements[fwd.embed[i]].matrix for i in range(fwd.folded.order)}
 
 
-def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> CheckReport:
+def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Report:
     """Prop-level check: over a generic fiber and over every branch-point
     type, the W_h-equivariant sections of the induced fiber with values in
     Lambda_h and the W-equivariant sections of the original fiber with the
     same values have equal rank, and restriction to the distinguished copy
     (f -> f_1) is a bijection."""
-    report = CheckReport(check="pushforward-sections", cases_run=0)
+    report = Report("pushforward-sections")
     validate_monodromy(cm)
     wh, folded = fwd.wh, fwd.folded
     act_h = {i: wh.elements[i].matrix for i in range(wh.order)}
@@ -377,11 +360,9 @@ def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Check
         fib_h = FiberModel.at(wh, ch)
         tables_w = section_value_tables(fib_w, act_w)
         tables_h = section_value_tables(fib_h, act_h)
+        where = f"fiber at local monodromy {c}"
         if len(tables_w) != len(tables_h):
-            report.failures.append(
-                {"input": f"fiber at local monodromy {c}", "expected": "equal ranks",
-                 "got": f"W: {len(tables_w)}, W_h: {len(tables_h)}"}
-            )
+            report.fail(where, "equal ranks", f"W: {len(tables_w)}, W_h: {len(tables_h)}")
             continue
         # the embedding of fiber points: W-point of w -> W_h-point of embed(w)
         point_map = {}
@@ -409,16 +390,10 @@ def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Check
             RatMatrix.from_rows(w_rows + restricted).rank() if w_rows + restricted else 0
         )
         if rank_w != len(tables_w):
-            report.failures.append(
-                {"input": f"fiber at local monodromy {c}",
-                 "expected": "independent W-section basis", "got": f"rank {rank_w}"}
-            )
+            report.fail(where, "independent W-section basis", f"rank {rank_w}")
         if not (rank_restr == len(tables_h) == rank_w and rank_union == rank_w):
-            report.failures.append(
-                {"input": f"fiber at local monodromy {c}",
-                 "expected": "f -> f_1 a bijection onto the W-sections",
-                 "got": f"restricted rank {rank_restr}, union rank {rank_union}"}
-            )
+            report.fail(where, "f -> f_1 a bijection onto the W-sections",
+                        f"restricted rank {rank_restr}, union rank {rank_union}")
     return report
 
 
@@ -434,7 +409,7 @@ def hitchin_fiber_rank(cm: CoverMonodromy, lattice_action: dict) -> int:
     out."""
     validate_monodromy(cm)
     sub = monodromy_subgroup(cm)
-    h0 = _fixed_space_rank([lattice_action[i] for i in sorted(sub)])
+    h0 = len(_fixed_space_basis([lattice_action[i] for i in sorted(sub)]))
     if h0 != 0:
         raise ValueError(
             f"H^0 is nonzero (rank {h0}); the Euler-characteristic formula "
@@ -444,7 +419,7 @@ def hitchin_fiber_rank(cm: CoverMonodromy, lattice_action: dict) -> int:
     rank0 = d
     chi = (2 - 2 * cm.base_genus) * rank0
     for c in cm.branch_images:
-        rank_c = _fixed_space_rank([lattice_action[c]])
+        rank_c = len(_fixed_space_basis([lattice_action[c]]))
         chi -= rank0 - rank_c
     return -chi
 

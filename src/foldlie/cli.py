@@ -382,9 +382,9 @@ def cmd_verify(args) -> int:
     total_failures = 0
     for r in reports:
         status = "pass" if r.passed else "FAIL"
-        lines.append(f"{r.suite:<10} {r.cases_run:>5} cases  {len(r.failures):>3} "
+        lines.append(f"{r.name:<10} {r.cases_run:>5} cases  {len(r.failures):>3} "
                      f"failures  [{status}]")
-        print(f"# {r.suite}: {r.elapsed:.2f}s", file=sys.stderr)
+        print(f"# {r.name}: {r.elapsed:.2f}s", file=sys.stderr)
         total_failures += len(r.failures)
     lines.append(f"total failures: {total_failures}")
     _emit(args, payload, lines)

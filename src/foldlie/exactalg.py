@@ -236,10 +236,6 @@ class RatMatrix:
         c = char_poly_coefficients(self)[-1]
         return -c if self.rows % 2 else c
 
-    def conjugate_by(self, p: "RatMatrix") -> "RatMatrix":
-        """p * self * p^{-1}."""
-        return p * self * p.inverse()
-
     # -- dunder plumbing ----------------------------------------------------
     def __eq__(self, other) -> bool:
         return (

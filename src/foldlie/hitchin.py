@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rootsys import DynkinType, FoldingDatum, fold_coinvariants
-from .weyl import CheckReport
+from .verify import Report
 
 
 def invariant_degrees(t: DynkinType | str) -> list[int]:
@@ -77,32 +77,25 @@ def fiber_dim(t: DynkinType | str, g: int) -> int:
     return dim_base(t, g).total
 
 
-def folded_base_match(fd: FoldingDatum, g: int) -> CheckReport:
+def folded_base_match(fd: FoldingDatum, g: int) -> Report:
     """dim B(folded) equals the C-invariant part of dim B_h, with the
     surviving degrees computed symbolically (not looked up) from the action
     on the invariant generators."""
     from .invariants import surviving_invariant_degrees
 
-    report = CheckReport(check="folded-base-match", cases_run=0)
+    report = Report("folded-base-match")
     folded_type = fold_coinvariants(fd).dtype
     sd = surviving_invariant_degrees(fd)
     base_h = dim_base(fd.homogeneous.dtype, g)
-    report.cases_run += 1
-    if sorted(sd.degrees_h) != sorted(base_h.degrees):
-        report.failures.append(
-            {"input": f"{fd.homogeneous.dtype} degrees", "expected": base_h.degrees,
-             "got": sd.degrees_h}
-        )
+    report.expect(sorted(sd.degrees_h) == sorted(base_h.degrees),
+                  f"{fd.homogeneous.dtype} degrees", base_h.degrees, sd.degrees_h)
     invariant_part = sum(
         mult * h0_canonical_power(g, d) for d, mult in sd.survivors.items()
     )
     folded_total = dim_base(folded_type, g).total
-    report.cases_run += 1
-    if invariant_part != folded_total:
-        report.failures.append(
-            {"input": f"{fd.homogeneous.dtype} -> {folded_type}, g={g} ({sd.method})",
-             "expected": folded_total, "got": invariant_part}
-        )
+    report.expect(invariant_part == folded_total,
+                  f"{fd.homogeneous.dtype} -> {folded_type}, g={g} ({sd.method})",
+                  folded_total, invariant_part)
     return report
 
 

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import isqrt
 
 from . import kernel
-from .exactalg import MultiPoly, RatMatrix
+from .exactalg import MultiPoly, RatMatrix, SpanSolver
 from .rootsys import FoldingDatum
 
 
@@ -191,21 +192,13 @@ def _vector_of(poly: MultiPoly, monos_index) -> list:
     return v
 
 
-def _independent_subset(vectors, polys):
-    """Greedy row-reduction keeping an independent subset of vectors."""
-    basis_rows = []
-    kept = []
-    for vec, poly in zip(vectors, polys):
-        row = list(vec)
-        for prow in basis_rows:
-            lead = next(i for i, x in enumerate(prow) if x != 0)
-            if row[lead] != 0:
-                f = row[lead] / prow[lead]
-                row = [a - f * b for a, b in zip(row, prow)]
-        if any(x != 0 for x in row):
-            basis_rows.append(row)
-            kept.append(poly)
-    return kept, basis_rows
+def _pivot_columns(vectors) -> list[int]:
+    """Indices of the vectors outside the span of the vectors before them:
+    the pivot columns of the matrix whose columns are the vectors."""
+    if not vectors:
+        return []
+    n = len(vectors[0])
+    return kernel.rref([v[i] for i in range(n) for v in vectors], n, len(vectors))[1]
 
 
 def reynolds_invariant_basis(group, names, degree: int) -> list:
@@ -231,15 +224,13 @@ def reynolds_invariant_basis(group, names, degree: int) -> list:
             continue
         vectors.append(_vector_of(avg, monos_index))
         polys.append(avg)
-    kept, _ = _independent_subset(vectors, polys)
-    return kept
+    return [polys[j] for j in _pivot_columns(vectors)]
 
 
 def span_rank(polys, names, degree) -> int:
     monos = monomials_of_degree(len(names), degree)
     idx = {m: i for i, m in enumerate(monos)}
-    kept, _ = _independent_subset([_vector_of(p, idx) for p in polys], polys)
-    return len(kept)
+    return len(_pivot_columns([_vector_of(p, idx) for p in polys]))
 
 
 @dataclass
@@ -273,25 +264,13 @@ def invariant_generator_action(group, a_map, names, degrees) -> list[QuotientAct
             for p in inv_bases.get(d1, []):
                 for q in inv_bases.get(d2, []):
                     dec_polys.append(p * q)
-        dec_vectors = [_vector_of(p, idx) for p in dec_polys]
-        dec_kept, dec_rows = _independent_subset(dec_vectors, dec_polys)
-
-        def reduce_mod(vec, rows):
-            row = list(vec)
-            for prow in rows:
-                lead = next(i for i, x in enumerate(prow) if x != 0)
-                if row[lead] != 0:
-                    f = row[lead] / prow[lead]
-                    row = [a - f * b for a, b in zip(row, prow)]
-            return row
-
-        # quotient basis from the invariant basis
-        q_polys, q_rows = [], list(dec_rows)
-        for p in basis:
-            res = reduce_mod(_vector_of(p, idx), q_rows)
-            if any(x != 0 for x in res):
-                q_rows.append(res)
-                q_polys.append(p)
+        # the pivot columns of [decomposables | invariant basis]: those in the
+        # first block span the decomposables, those in the second the quotient
+        vectors = [_vector_of(p, idx) for p in dec_polys + basis]
+        pivots = _pivot_columns(vectors)
+        nd = len(dec_polys)
+        dec_kept = [dec_polys[j] for j in pivots if j < nd]
+        q_polys = [basis[j - nd] for j in pivots if j >= nd]
         gen_mult = len(q_polys)
 
         # matrix of the a-action on the quotient
@@ -299,11 +278,7 @@ def invariant_generator_action(group, a_map, names, degrees) -> list[QuotientAct
             reports.append(QuotientActionReport(d, len(basis), len(dec_kept), 0, 0))
             continue
         # solve coordinates of a*p in (decomposables + quotient basis)
-        from .exactalg import SpanSolver
-
-        col_polys = dec_kept + q_polys
-        cols = [_vector_of(p, idx) for p in col_polys]
-        solver = SpanSolver(cols) if cols else None
+        solver = SpanSolver([vectors[j] for j in pivots])
         act = []
         for p in q_polys:
             image = a_map(p)
@@ -391,21 +366,16 @@ def triality_matrix_eps() -> RatMatrix:
     return M * B.inverse()
 
 
-_D4_REPORT_CACHE: list | None = None
-
-
+@cache
 def d4_triality_reports() -> list[QuotientActionReport]:
-    global _D4_REPORT_CACHE
-    if _D4_REPORT_CACHE is None:
-        group = signed_permutation_group_d(4)
-        names = var_names("t", 4)
-        Ai = triality_matrix_eps().inverse()
+    group = signed_permutation_group_d(4)
+    names = var_names("t", 4)
+    Ai = triality_matrix_eps().inverse()
 
-        def a_map(p):
-            return compose_linear(p, Ai, names)
+    def a_map(p):
+        return compose_linear(p, Ai, names)
 
-        _D4_REPORT_CACHE = invariant_generator_action(group, a_map, names, [2, 4, 6])
-    return _D4_REPORT_CACHE
+    return invariant_generator_action(group, a_map, names, [2, 4, 6])
 
 
 def d4_fixed_cartan_basis() -> list[tuple]:

@@ -19,7 +19,7 @@ from math import factorial
 
 from .exactalg import MultiPoly, RatMatrix, SpanSolver, exterior_traces
 from .rootsys import DynkinType, FoldingDatum, GraphAut, RootSystem, build_root_system
-from .weyl import CheckReport
+from .verify import Report
 
 
 def _E(n: int, i: int, j: int) -> RatMatrix:
@@ -520,13 +520,6 @@ class FixedSubalgebra:
     root_space_weights: list
     dimension: int
 
-    def contains(self, m: RatMatrix) -> bool:
-        return _span_solver(self.basis).coordinates(list(m.entries)) is not None
-
-
-def _span_solver(mats) -> SpanSolver:
-    return SpanSolver([list(m.entries) for m in mats])
-
 
 def fixed_subalgebra(cd: ChevalleyData, aut: LieAut) -> FixedSubalgebra:
     """Compute g_h^C from the basis permutation (orbit sums), verify bracket
@@ -559,7 +552,7 @@ def fixed_subalgebra(cd: ChevalleyData, aut: LieAut) -> FixedSubalgebra:
         else:
             e_orbit_reps.append((acc, orbit))
 
-    solver = _span_solver(basis)
+    solver = SpanSolver([list(m.entries) for m in basis])
     for i, x in enumerate(basis):
         for y in basis[i:]:
             if solver.coordinates(list(x.bracket(y).entries)) is None:
@@ -679,7 +672,11 @@ def _diag_poly_matrix(values, names) -> RatMatrix:
     return RatMatrix(n, n, out)
 
 
-def base_iso_check(fd: FoldingDatum, sample_count: int = 100, seed: int = 42) -> CheckReport:
+def _is_zero(x) -> bool:
+    return x == 0 or (hasattr(x, "is_zero") and x.is_zero())
+
+
+def base_iso_check(fd: FoldingDatum, sample_count: int = 100, seed: int = 42) -> Report:
     """t/W = (t_h/W_h)^C at the invariant-ring level.
 
     A-series: symbolically, the odd elementary symmetric generators vanish
@@ -691,7 +688,7 @@ def base_iso_check(fd: FoldingDatum, sample_count: int = 100, seed: int = 42) ->
     from . import invariants as inv
 
     t = fd.homogeneous.dtype
-    report = CheckReport(check=f"base-iso-{t}/{fd.aut.order}", cases_run=0)
+    report = Report(f"base-iso-{t}/{fd.aut.order}")
     rng = random.Random(seed)
     if fd.aut.is_trivial:
         report.cases_run += 1
@@ -713,18 +710,10 @@ def base_iso_check(fd: FoldingDatum, sample_count: int = 100, seed: int = 42) ->
             report.cases_run += 1
             lhs = th_traces[k]
             if k % 2 == 1:
-                if not (lhs == 0 or (hasattr(lhs, "is_zero") and lhs.is_zero())):
-                    report.failures.append(
-                        {"input": f"sigma_{k} on fixed Cartan", "expected": "0",
-                         "got": str(lhs)}
-                    )
-            else:
-                rhs = tc_traces[k]
-                if lhs != rhs:
-                    report.failures.append(
-                        {"input": f"sigma_{k} restricted vs folded", "expected": str(rhs),
-                         "got": str(lhs)}
-                    )
+                if not _is_zero(lhs):
+                    report.fail(f"sigma_{k} on fixed Cartan", "0", str(lhs))
+            elif lhs != tc_traces[k]:
+                report.fail(f"sigma_{k} restricted vs folded", str(tc_traces[k]), str(lhs))
         if N == 4:
             _a3_paper_identity(report)
         for _ in range(sample_count):
@@ -742,10 +731,7 @@ def base_iso_check(fd: FoldingDatum, sample_count: int = 100, seed: int = 42) ->
                 lv = th_vals[k]
                 rv = 0 if k % 2 else tc_vals[k]
                 if (k % 2 and lv != 0) or (k % 2 == 0 and lv != rv):
-                    report.failures.append(
-                        {"input": f"point {point}, degree {k}",
-                         "expected": str(rv), "got": str(lv)}
-                    )
+                    report.fail(f"point {point}, degree {k}", str(rv), str(lv))
         return report
     if t.series == "D" and t.rank == 4 and fd.aut.order == 3:
         _d4_restricted_invariants(report)
@@ -753,7 +739,7 @@ def base_iso_check(fd: FoldingDatum, sample_count: int = 100, seed: int = 42) ->
     raise ValueError(f"base_iso_check implemented for A-series and D4 triality, not {t}")
 
 
-def _a3_paper_identity(report: CheckReport):
+def _a3_paper_identity(report: Report):
     """The worked identity: xi_h(u(a1v + a3v) + (u+v) a2v) = (-u^2 - v^2, u^2 v^2)
     = xi(2u b1v + (u+v) b2v), with sigma_3 vanishing."""
     names = ("u", "v")
@@ -765,24 +751,14 @@ def _a3_paper_identity(report: CheckReport):
     expected4 = (u**2) * (v**2)
     h2, s3, h4 = exterior_traces(th, (2, 3, 4))
     c2, c4 = exterior_traces(tc, (2, 4))
-    report.cases_run += 3
-    if h2 != expected2 or c2 != expected2:
-        report.failures.append(
-            {"input": "paper identity degree 2", "expected": str(expected2),
-             "got": f"{h2} / {c2}"}
-        )
-    if h4 != expected4 or c4 != expected4:
-        report.failures.append(
-            {"input": "paper identity degree 4", "expected": str(expected4),
-             "got": f"{h4} / {c4}"}
-        )
-    if not (s3 == 0 or (hasattr(s3, "is_zero") and s3.is_zero())):
-        report.failures.append(
-            {"input": "sigma_3 on fixed Cartan", "expected": "0", "got": str(s3)}
-        )
+    report.expect(h2 == expected2 and c2 == expected2, "paper identity degree 2",
+                  str(expected2), f"{h2} / {c2}")
+    report.expect(h4 == expected4 and c4 == expected4, "paper identity degree 4",
+                  str(expected4), f"{h4} / {c4}")
+    report.expect(_is_zero(s3), "sigma_3 on fixed Cartan", "0", str(s3))
 
 
-def _d4_restricted_invariants(report: CheckReport):
+def _d4_restricted_invariants(report: Report):
     """Restrict the four D4 fundamental invariants to the triality-fixed
     plane: the degree-2 image is nonzero, the degree-4 images fall into the
     span of its square, and degree 6 stays independent (G2 degrees 2, 6)."""
@@ -802,30 +778,15 @@ def _d4_restricted_invariants(report: CheckReport):
     I6 = inv.esym_squares(names, 3)
     Pf = inv.product_of_vars(names)
     r2, r4, rpf, r6 = restrict(I2), restrict(I4), restrict(Pf), restrict(I6)
-    report.cases_run += 4
-    if r2.is_zero():
-        report.failures.append(
-            {"input": "degree-2 restriction", "expected": "nonzero", "got": "0"}
-        )
+    report.expect(not r2.is_zero(), "degree-2 restriction", "nonzero", "0")
     rank4 = inv.span_rank([r2 * r2, r4, rpf], snames, 4)
-    if rank4 != 1:
-        report.failures.append(
-            {"input": "degree-4 restrictions modulo (deg2)^2",
-             "expected": "rank 1 (no surviving degree-4 generator)",
-             "got": f"rank {rank4}"}
-        )
+    report.expect(rank4 == 1, "degree-4 restrictions modulo (deg2)^2",
+                  "rank 1 (no surviving degree-4 generator)", f"rank {rank4}")
     rank6 = inv.span_rank([r2 * r2 * r2, r6], snames, 6)
-    if rank6 != 2:
-        report.failures.append(
-            {"input": "degree-6 restriction",
-             "expected": "independent of (deg2)^3 (G2 degree-6 generator)",
-             "got": f"rank {rank6}"}
-        )
+    report.expect(rank6 == 2, "degree-6 restriction",
+                  "independent of (deg2)^3 (G2 degree-6 generator)", f"rank {rank6}")
     from .rootsys import folding_datum
 
     surv = inv.surviving_invariant_degrees(folding_datum("D4", 3))
-    if surv.survivors != {2: 1, 4: 0, 6: 1}:
-        report.failures.append(
-            {"input": "surviving degrees", "expected": "{2:1, 4:0, 6:1}",
-             "got": str(surv.survivors)}
-        )
+    report.expect(surv.survivors == {2: 1, 4: 0, 6: 1}, "surviving degrees",
+                  "{2:1, 4:0, 6:1}", str(surv.survivors))

@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .exactalg import RatMatrix, _integer_vector
+from .verify import Report
 
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
@@ -523,33 +524,23 @@ def dualize_root_system(r: RootSystem) -> RootSystem:
     return RootSystem(r.ambient_dim, r.gram, simple, coroots)
 
 
-@dataclass
-class DualityReport:
-    passed: bool
-    coinvariant_type: str
-    invariant_type: str
-    details: str = ""
-
-
-def check_folding_duality(fd: FoldingDatum) -> DualityReport:
+def check_folding_duality(fd: FoldingDatum) -> Report:
     """Verify (R_{h,C})^vee = (R_h^vee)^C elementwise: the dual of each
     projected root equals the orbit sum, and the identification preserves
     Cartan integers."""
-    co = fold_coinvariants(fd)
+    report = Report("folding-duality")
+    dual_co = dualize_root_system(fold_coinvariants(fd))
     inv = fold_invariants(fd)
-    dual_co = dualize_root_system(co)
-    ok = set(dual_co.all_roots) == set(inv.all_roots)
-    msg = ""
-    if not ok:
-        msg = "dualized coinvariant roots differ from orbit sums"
-    else:
+    report.expect(set(dual_co.all_roots) == set(inv.all_roots), "roots", "orbit sums",
+                  "dualized coinvariant roots differ from orbit sums")
+    if report.passed:
         # Cartan integers are preserved by the (identity) bijection
-        for a in dual_co.simple_roots:
-            for b in dual_co.simple_roots:
-                if dual_co.cartan_integer(a, b) != inv.cartan_integer(a, b):
-                    ok = False
-                    msg = "Cartan integers disagree under the duality bijection"
-    return DualityReport(ok, str(co.dtype), str(inv.dtype), msg)
+        simple = dual_co.simple_roots
+        report.expect(all(dual_co.cartan_integer(a, b) == inv.cartan_integer(a, b)
+                          for a in simple for b in simple),
+                      "Cartan integers", "preserved",
+                      "Cartan integers disagree under the duality bijection")
+    return report
 
 
 def folded_lattices(fd: FoldingDatum) -> tuple[Lattice, Lattice]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .exactalg import MultiPoly, RatMatrix, SpanSolver, nullspace
 from .liealg import MatrixLieAlgebra, adjoint_quotient, build_algebra
-from .weyl import CheckReport
+from .verify import Report
 
 
 def ad_matrix(alg: MatrixLieAlgebra, m: RatMatrix) -> RatMatrix:
@@ -392,13 +392,13 @@ def appendix_phi(params) -> tuple:
     return tuple(_reduce_tower(u) for u in phi_parameters(*consts))
 
 
-def phi_psi_square_check(sample_count: int = 100, seed: int = 42) -> CheckReport:
+def phi_psi_square_check(sample_count: int = 100, seed: int = 42) -> Report:
     """The commuting square: xi~_h o chi_h o Phi = xi~ o chi as polynomials
     over the Q(i, r)-tower with all final coefficients rational, plus exact
     point checks and C- / C*-equivariance of Phi."""
     import random
 
-    report = CheckReport(check="appendix-phi-psi", cases_run=0)
+    report = Report("appendix-phi-psi")
     sl4 = build_algebra("sl", 4)
     sp4 = build_algebra("sp", 4)
     v = [_poly(n) for n in ("v1m", "v2m", "v1p", "v2p")]
@@ -415,34 +415,21 @@ def phi_psi_square_check(sample_count: int = 100, seed: int = 42) -> CheckReport
 
     report.cases_run += 4
     if not b3h.is_zero():
-        report.failures.append(
-            {"input": "sigma_3-coordinate on the image of Phi", "expected": "0",
-             "got": str(b3h)}
-        )
+        report.fail("sigma_3-coordinate on the image of Phi", "0", str(b3h))
     for k, (left, right) in enumerate(zip(lhs, rhs)):
         if left != right:
-            report.failures.append(
-                {"input": f"square coordinate {k}", "expected": str(right), "got": str(left)}
-            )
+            report.fail(f"square coordinate {k}", str(right), str(left))
         if left.depends_on("i") or left.depends_on("r"):
-            report.failures.append(
-                {"input": f"coordinate {k} rationality", "expected": "coefficients in Q",
-                 "got": str(left)}
-            )
+            report.fail(f"coordinate {k} rationality", "coefficients in Q", str(left))
 
     # C-equivariance: Phi(-v1m, -v2m, v1p, v2p) = sign-flip of Phi(v)
-    report.cases_run += 1
     flipped = phi_parameters(-v[0], -v[1], v[2], v[3])
     signs = (-1, -1, 1, 1)
-    if any(_reduce_tower(a) != _reduce_tower(b * s)
-           for a, b, s in zip(flipped, u, signs)):
-        report.failures.append(
-            {"input": "C-equivariance of Phi", "expected": "sign flip of minus-parameters",
-             "got": "mismatch"}
-        )
+    report.expect(all(_reduce_tower(a) == _reduce_tower(b * s)
+                      for a, b, s in zip(flipped, u, signs)),
+                  "C-equivariance of Phi", "sign flip of minus-parameters", "mismatch")
 
     # C*-equivariance with a formal lambda
-    report.cases_run += 1
     lvars = PHI_VARS + ("lam",)
     lam = MultiPoly.var(lvars, "lam")
     vl = [MultiPoly.var(lvars, n) for n in ("v1m", "v2m", "v1p", "v2p")]
@@ -456,11 +443,8 @@ def phi_psi_square_check(sample_count: int = 100, seed: int = 42) -> CheckReport
         p = p.reduce_square("i", Fraction(-1))
         return p.reduce_square("r", Fraction(2, 3))
 
-    if any(red(a) != red(b) for a, b in zip(phi_of_scaled, target)):
-        report.failures.append(
-            {"input": "C*-equivariance of Phi",
-             "expected": "weights (2,4,4,4) on parameters", "got": "mismatch"}
-        )
+    report.expect(all(red(a) == red(b) for a, b in zip(phi_of_scaled, target)),
+                  "C*-equivariance of Phi", "weights (2,4,4,4) on parameters", "mismatch")
 
     rng = random.Random(seed)
     for case in range(sample_count):
@@ -472,9 +456,7 @@ def phi_psi_square_check(sample_count: int = 100, seed: int = 42) -> CheckReport
         lv = tuple(x.evaluate(pt) for x in lhs)
         rv = tuple(x.evaluate(pt) for x in rhs)
         if lv != rv:
-            report.failures.append(
-                {"input": f"point check {case}: {pt}", "expected": str(rv), "got": str(lv)}
-            )
+            report.fail(f"point check {case}: {pt}", str(rv), str(lv))
     return report
 
 
@@ -507,21 +489,17 @@ def unfolding_residual() -> MultiPoly:
     return b4 + x**4 + b2 * x**2 + b3 * x - y * z
 
 
-def unfolding_equivariance_check() -> CheckReport:
+def unfolding_equivariance_check() -> Report:
     """The coordinate change is C-equivariant ((x,y,z,b2,b3,b4) ->
     (-x,z,y,b2,-b3,b4) under the sign flip of the minus parameters) and
     C*-equivariant with doubled weights."""
-    report = CheckReport(check="unfolding-equivariance", cases_run=0)
+    report = Report("unfolding-equivariance")
     u = [MultiPoly.var(UNFOLD_VARS, n) for n in UNFOLD_VARS]
     out = unfolding_coordinates(u)
     flip = unfolding_coordinates([-u[0], -u[1], -u[2], u[3], u[4]])
     expected = (-out[0], out[2], out[1], out[3], -out[4], out[5])
-    report.cases_run += 1
-    if tuple(flip) != expected:
-        report.failures.append(
-            {"input": "C-equivariance of the coordinate change",
-             "expected": "(-x, z, y, b2, -b3, b4)", "got": "mismatch"}
-        )
+    report.expect(tuple(flip) == expected, "C-equivariance of the coordinate change",
+                  "(-x, z, y, b2, -b3, b4)", "mismatch")
     lvars = UNFOLD_VARS + ("lam",)
     lam = MultiPoly.var(lvars, "lam")
     ul = [MultiPoly.var(lvars, n) for n in UNFOLD_VARS]
@@ -530,18 +508,11 @@ def unfolding_equivariance_check() -> CheckReport:
     out_scaled = unfolding_coordinates(scaled)
     out_plain = unfolding_coordinates(ul)
     weights = (2, 4, 4, 4, 6, 8)  # x, y, z, b2, b3, b4
-    report.cases_run += 1
-    if any(a != b * lam**w for a, b, w in zip(out_scaled, out_plain, weights)):
-        report.failures.append(
-            {"input": "C*-equivariance of the coordinate change",
-             "expected": f"weights {weights}", "got": "mismatch"}
-        )
-    report.cases_run += 1
-    if not unfolding_residual().is_zero():
-        report.failures.append(
-            {"input": "normal form residual", "expected": "0",
-             "got": str(unfolding_residual())}
-        )
+    report.expect(all(a == b * lam**w for a, b, w in zip(out_scaled, out_plain, weights)),
+                  "C*-equivariance of the coordinate change", f"weights {weights}",
+                  "mismatch")
+    residual = unfolding_residual()
+    report.expect(residual.is_zero(), "normal form residual", "0", str(residual))
     return report
 
 

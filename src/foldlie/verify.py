@@ -1,6 +1,7 @@
 """Deterministic verification suites behind the command-line `verify`
-subcommand.  Every suite is a pure function of (samples, seed) and returns a
-report whose JSON form is byte-stable across runs."""
+subcommand, and the one report type that every exact check returns.  Every
+suite is a pure function of (samples, seed) and returns a report whose JSON
+form is byte-stable across runs."""
 
 from __future__ import annotations
 
@@ -10,12 +11,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import RatMatrix
-from .weyl import CheckReport
 
 
 @dataclass
-class VerificationReport:
-    suite: str
+class Report:
+    """Cases run and failures found by one exact check or one suite.
+
+    A check records a failure as ``input, expected, got`` with the values as
+    given (:meth:`expect`, :meth:`fail`).  A suite records ``operation,
+    input, expected, got`` with expected and got as strings (:meth:`case`),
+    and a check it absorbs keeps its records, named by the check as
+    ``operation``."""
+
+    name: str
     cases_run: int = 0
     failures: list = field(default_factory=list)
     seed: int = 42
@@ -25,12 +33,20 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def absorb(self, check: CheckReport):
+    def fail(self, input, expected, got):
+        """Record a failure of a case counted in ``cases_run`` by the caller."""
+        self.failures.append({"input": input, "expected": expected, "got": got})
+
+    def expect(self, ok: bool, input, expected, got):
+        """One case: record a failure unless ``ok``."""
+        self.cases_run += 1
+        if not ok:
+            self.fail(input, expected, got)
+
+    def absorb(self, check: Report):
         self.cases_run += check.cases_run
         for f in check.failures:
-            g = dict(f)
-            g["operation"] = check.check
-            self.failures.append(g)
+            self.failures.append({**f, "operation": check.name})
 
     def case(self, operation: str, condition: bool, expected="pass", got="fail",
              detail=""):
@@ -44,7 +60,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         # elapsed is intentionally omitted: reports are byte-identical across runs
         return {
-            "suite": self.suite,
+            "suite": self.name,
             "seed": self.seed,
             "cases_run": self.cases_run,
             "failures": self.failures,
@@ -62,10 +78,10 @@ FOLDING_TABLE_ROWS = [
 ]
 
 
-def suite_rootsys(samples: int = 10, seed: int = 42) -> VerificationReport:
+def suite_rootsys(samples: int = 10, seed: int = 42) -> Report:
     from . import rootsys as rs
 
-    rep = VerificationReport("rootsys", seed=seed)
+    rep = Report("rootsys", seed=seed)
     t0 = time.perf_counter()
     for th, order, co_t, inv_t in FOLDING_TABLE_ROWS:
         fd = rs.folding_datum(th, order)
@@ -76,7 +92,8 @@ def suite_rootsys(samples: int = 10, seed: int = 42) -> VerificationReport:
         rep.case("root_count", len(co.all_roots) == co.dtype.root_count(),
                  co.dtype.root_count(), len(co.all_roots), th)
         dual = rs.check_folding_duality(fd)
-        rep.case("check_folding_duality", dual.passed, "bijection", dual.details, th)
+        rep.case("check_folding_duality", dual.passed, "bijection",
+                 "; ".join(f["got"] for f in dual.failures), th)
         ch, cch = rs.folded_lattices(fd)
         rep.case("folded_lattices", ch.rank == co.rank and cch.rank == co.rank,
                  co.rank, (ch.rank, cch.rank), th)
@@ -94,12 +111,12 @@ def suite_rootsys(samples: int = 10, seed: int = 42) -> VerificationReport:
     return rep
 
 
-def suite_weyl(samples: int = 10, seed: int = 42) -> VerificationReport:
+def suite_weyl(samples: int = 10, seed: int = 42) -> Report:
     from . import invariants as inv
     from . import rootsys as rs
     from . import weyl
 
-    rep = VerificationReport("weyl", seed=seed)
+    rep = Report("weyl", seed=seed)
     t0 = time.perf_counter()
     cases = [("A3", 2, 24, 8), ("A5", 2, 720, 48), ("D4", 3, 192, 12), ("D5", 2, 1920, 384)]
     for th, order, wh_order, w_order in cases:
@@ -153,11 +170,11 @@ def _vector_sum(vectors):
     return acc
 
 
-def suite_liealg(samples: int = 10, seed: int = 42) -> VerificationReport:
+def suite_liealg(samples: int = 10, seed: int = 42) -> Report:
     from . import liealg as la
     from . import rootsys as rs
 
-    rep = VerificationReport("liealg", seed=seed)
+    rep = Report("liealg", seed=seed)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     sl4 = la.build_algebra("sl", 4)
@@ -231,12 +248,12 @@ def _random_element(alg, rng) -> RatMatrix:
     return acc
 
 
-def suite_slodowy(samples: int = 10, seed: int = 42) -> VerificationReport:
+def suite_slodowy(samples: int = 10, seed: int = 42) -> Report:
     from . import liealg as la
     from . import slodowy as sd
     from .exactalg import MultiPoly
 
-    rep = VerificationReport("slodowy", seed=seed)
+    rep = Report("slodowy", seed=seed)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     sp4 = la.build_algebra("sp", 4)
@@ -303,12 +320,12 @@ def suite_slodowy(samples: int = 10, seed: int = 42) -> VerificationReport:
     return rep
 
 
-def suite_appendix(samples: int = 100, seed: int = 42) -> VerificationReport:
+def suite_appendix(samples: int = 100, seed: int = 42) -> Report:
     from . import slodowy as sd
     from . import unfolding as uf
     from .exactalg import MultiPoly
 
-    rep = VerificationReport("appendix", seed=seed)
+    rep = Report("appendix", seed=seed)
     t0 = time.perf_counter()
     rep.absorb(sd.phi_psi_square_check(sample_count=samples, seed=seed))
     rep.absorb(sd.unfolding_equivariance_check())
@@ -324,13 +341,13 @@ def suite_appendix(samples: int = 100, seed: int = 42) -> VerificationReport:
     return rep
 
 
-def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> VerificationReport:
+def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Report:
     from . import cameral as cam
     from . import rootsys as rs
     from . import weyl
     from .hitchin import dim_base
 
-    rep = VerificationReport("cameral", seed=seed)
+    rep = Report("cameral", seed=seed)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     fd = rs.folding_datum("A3", 2)
@@ -365,12 +382,12 @@ def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Verificat
     return rep
 
 
-def suite_dims(samples: int = 10, seed: int = 42) -> VerificationReport:
+def suite_dims(samples: int = 10, seed: int = 42) -> Report:
     from . import hitchin as ht
     from . import rootsys as rs
     from . import unfolding as uf
 
-    rep = VerificationReport("dims", seed=seed)
+    rep = Report("dims", seed=seed)
     t0 = time.perf_counter()
     expectations = [("C2", 2, 10), ("A3", 2, 15), ("G2", 2, 14), ("D4", 2, 28)]
     for t, g, total in expectations:
@@ -410,7 +427,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, samples: int = 10, seed: int = 42) -> list[VerificationReport]:
+def run_suite(name: str, samples: int = 10, seed: int = 42) -> list[Report]:
     if name == "all":
         return [SUITES[k](samples=samples, seed=seed) for k in SUITES]
     if name not in SUITES:

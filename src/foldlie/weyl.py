@@ -11,7 +11,7 @@ restriction a cheap coordinate read."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -26,6 +26,7 @@ from .rootsys import (
     build_root_system,
     classify,
 )
+from .verify import Report
 
 ENUMERATION_BUDGET = 60_000
 
@@ -659,17 +660,6 @@ def random_fixed_point(fwd: FoldedWeylData, rng: random.Random,
             return v
 
 
-@dataclass
-class CheckReport:
-    check: str
-    cases_run: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def _clear_denominators(*points) -> list[list]:
     """The points scaled by the lcm of all their denominators, as int lists:
     exact orbit and fixed-point tests then need integer arithmetic only."""
@@ -678,7 +668,7 @@ def _clear_denominators(*points) -> list[list]:
 
 
 def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int,
-                                  fwd: FoldedWeylData | None = None) -> CheckReport:
+                                  fwd: FoldedWeylData | None = None) -> Report:
     """Exact sample-based check of t/W = (t_h/W_h)^C:
 
     injectivity: for t, t' in the fixed Cartan, t' in W_h(t) iff t' in W(t);
@@ -695,7 +685,7 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
     wh = fwd.wh
     n = wh.dim
     perm = fwd.a_perm
-    report = CheckReport(check="quotient-invariants-iso", cases_run=0)
+    report = Report("quotient-invariants-iso")
     all_flats = wh._flat
     folded_flats = [wh._flat[i] for i in fwd.commutant]
 
@@ -727,39 +717,30 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
         t2 = apply(all_flats[u], ti)
         if _is_fixed(perm, t2):
             if not in_orbit(folded_flats, ti, t2):
-                report.failures.append(
-                    {"input": f"case {case}: t={t}, w_h index {u}",
-                     "expected": "t' in W(t)", "got": "t' only in W_h(t)"}
-                )
+                report.fail(f"case {case}: t={t}, w_h index {u}", "t' in W(t)",
+                            "t' only in W_h(t)")
         # (b) independent second point: the two orbit memberships must agree
         t3 = random_fixed_point(fwd, rng)
         tj, t3j = _clear_denominators(t, t3)
         in_big = in_orbit(all_flats, tj, t3j)
         in_small = in_orbit(folded_flats, tj, t3j)
         if in_big != in_small:
-            report.failures.append(
-                {"input": f"case {case}: t={t}, t'={t3}",
-                 "expected": "memberships agree", "got": f"W_h: {in_big}, W: {in_small}"}
-            )
+            report.fail(f"case {case}: t={t}, t'={t3}", "memberships agree",
+                        f"W_h: {in_big}, W: {in_small}")
         # (c) surjectivity: a C-fixed class in t_h/W_h comes from the fixed Cartan
         w = rng.randrange(wh.order)
         th = apply(all_flats[w], ti)
         class_fixed, translate_hits = class_fixed_and_hits(th)
         if not (class_fixed and translate_hits):
-            th = wh.apply(w, t)
-            report.failures.append(
-                {"input": f"case {case}: t_h={th}",
-                 "expected": "C-fixed class with translate in fixed Cartan",
-                 "got": f"fixed: {class_fixed}, translate: {translate_hits}"}
-            )
+            report.fail(f"case {case}: t_h={wh.apply(w, t)}",
+                        "C-fixed class with translate in fixed Cartan",
+                        f"fixed: {class_fixed}, translate: {translate_hits}")
         # (d) generic point of t_h: equivalence both ways
         tg = tuple(random_rational(rng) for _ in range(wh.dim))
         (tgi,) = _clear_denominators(tg)
         fixed_class, hits = class_fixed_and_hits(tgi)
         if fixed_class != hits:
-            report.failures.append(
-                {"input": f"case {case}: generic t_h={tg}",
-                 "expected": "equivalence", "got": f"fixed class: {fixed_class}, hits: {hits}"}
-            )
+            report.fail(f"case {case}: generic t_h={tg}", "equivalence",
+                        f"fixed class: {fixed_class}, hits: {hits}")
         report.cases_run += 4
     return report

@@ -234,3 +234,6 @@ def test_criterion_12_verify_all():
 
     payload = json.loads(proc.stdout)
     assert all(not s["failures"] for s in payload["suites"])
+    assert {s["suite"]: s["cases_run"] for s in payload["suites"]} == {
+        "rootsys": 47, "weyl": 88, "liealg": 54, "slodowy": 66, "appendix": 20,
+        "cameral": 250, "dims": 63}

@@ -1,20 +1,31 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
-from foldlie.exactalg import RatMatrix
+from foldlie.exactalg import MultiPoly, RatMatrix, SpanSolver
 from foldlie.invariants import (
+    QuotientActionReport,
+    _signed_perm_monomial,
+    _vector_of,
     a_flip_action_signs,
     a_restriction_to_fixed_cartan,
+    compose_linear,
     d4_fixed_cartan_basis,
     d4_triality_reports,
     d_flip_action_signs,
     esym,
     hilbert_series_coefficients,
+    invariant_generator_action,
     molien_dimensions,
+    monomials_of_degree,
+    reynolds_invariant_basis,
+    signed_perm_apply,
     signed_permutation_group_d,
+    span_rank,
     surviving_invariant_degrees,
     triality_matrix_eps,
+    var_names,
     verify_degrees_by_molien,
 )
 from foldlie.rootsys import folding_datum
@@ -162,3 +173,144 @@ class TestMolienIntegerPath:
         conj = [B * g * B.inverse() for g in group]
         assert not all(x.denominator == 1 for g in conj for x in g.entries)
         assert molien_dimensions(conj, 8) == _power_trace_molien(conj, 8)
+
+
+
+# -- the greedy eliminations replaced by pivot columns, kept as references --------------
+
+
+def _independent_subset(vectors, polys):
+    """Greedy row reduction keeping an independent subset of vectors."""
+    basis_rows = []
+    kept = []
+    for vec, poly in zip(vectors, polys):
+        row = _reduce_mod(vec, basis_rows)
+        if any(x != 0 for x in row):
+            basis_rows.append(row)
+            kept.append(poly)
+    return kept, basis_rows
+
+
+def _reduce_mod(vec, rows):
+    row = list(vec)
+    for prow in rows:
+        lead = next(i for i, x in enumerate(prow) if x != 0)
+        if row[lead] != 0:
+            f = row[lead] / prow[lead]
+            row = [a - f * b for a, b in zip(row, prow)]
+    return row
+
+
+def _reference_reynolds_basis(group, names, degree):
+    monos = monomials_of_degree(len(names), degree)
+    monos_index = {m: i for i, m in enumerate(monos)}
+    seen_exps, vectors, polys = set(), [], []
+    for mono in monos:
+        if mono in seen_exps:
+            continue
+        counts = {}
+        for perm, signs in group:
+            key, sgn = _signed_perm_monomial(mono, perm, signs)
+            counts[key] = counts.get(key, 0) + sgn
+        avg = MultiPoly(names, {e: Q(c, len(group)) for e, c in counts.items() if c})
+        seen_exps.update(avg.terms.keys())
+        if avg.is_zero():
+            continue
+        vectors.append(_vector_of(avg, monos_index))
+        polys.append(avg)
+    return _independent_subset(vectors, polys)[0]
+
+
+def _reference_generator_action(group, a_map, names, degrees):
+    needed = sorted(set(degrees))
+    inv_bases = {d: _reference_reynolds_basis(group, names, d)
+                 for d in range(2, max(needed) + 1)}
+    reports = []
+    for d in needed:
+        basis = inv_bases[d]
+        idx = {m: i for i, m in enumerate(monomials_of_degree(len(names), d))}
+        dec_polys = [p * q for d1 in range(2, d // 2 + 1)
+                     for p in inv_bases.get(d1, []) for q in inv_bases.get(d - d1, [])]
+        dec_kept, dec_rows = _independent_subset([_vector_of(p, idx) for p in dec_polys],
+                                                 dec_polys)
+        q_polys, q_rows = [], list(dec_rows)
+        for p in basis:
+            res = _reduce_mod(_vector_of(p, idx), q_rows)
+            if any(x != 0 for x in res):
+                q_rows.append(res)
+                q_polys.append(p)
+        n = len(q_polys)
+        if n == 0:
+            reports.append(QuotientActionReport(d, len(basis), len(dec_kept), 0, 0))
+            continue
+        solver = SpanSolver([_vector_of(p, idx) for p in dec_kept + q_polys])
+        act = [solver.coordinates(_vector_of(a_map(p), idx))[len(dec_kept):]
+               for p in q_polys]
+        m = RatMatrix(n, n, [act[j][i] for i in range(n) for j in range(n)])
+        surviving = n - (m - RatMatrix.identity(n)).rank()
+        reports.append(QuotientActionReport(d, len(basis), len(dec_kept), n, surviving))
+    return reports
+
+
+def _random_vectors(rng, count, length):
+    """Random rational vectors, about half of them forced to be zero or a
+    combination of earlier ones."""
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append([Q(0)] * length)
+        elif kind < 0.5 and out:
+            coeffs = [(Q(rng.randint(-3, 3), rng.randint(1, 3)), v)
+                      for v in rng.sample(out, min(len(out), rng.randint(1, 3)))]
+            out.append([sum((c * v[i] for c, v in coeffs), Q(0)) for i in range(length)])
+        else:
+            out.append([Q(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.6
+                        else Q(0) for _ in range(length)])
+    return out
+
+
+class TestPivotColumnsMatchGreedy:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_span_rank(self, seed):
+        rng = random.Random(seed)
+        names, degree = ("t1", "t2", "t3"), rng.randint(1, 3)
+        monos = monomials_of_degree(3, degree)
+        vectors = _random_vectors(rng, rng.randint(1, 12), len(monos))
+        polys = [MultiPoly(names, {m: c for m, c in zip(monos, v) if c}) for v in vectors]
+        kept, _ = _independent_subset(vectors, list(range(len(vectors))))
+        assert span_rank(polys, names, degree) == len(kept)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pivot_columns(self, seed):
+        from foldlie.invariants import _pivot_columns
+
+        rng = random.Random(seed)
+        vectors = _random_vectors(rng, rng.randint(1, 12), rng.randint(1, 8))
+        kept, _ = _independent_subset(vectors, list(range(len(vectors))))
+        assert _pivot_columns(vectors) == kept
+
+    @pytest.mark.parametrize("n,degree", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 4), (4, 6)])
+    def test_reynolds_basis(self, n, degree):
+        group = signed_permutation_group_d(n)
+        # averages over two or three elements are often zero or dependent
+        subsets = [group] + [random.Random(s).sample(group, k)
+                             for s in range(8) for k in (2, 3)]
+        names = var_names("t", n)
+        for sub in subsets:
+            assert (reynolds_invariant_basis(sub, names, degree)
+                    == _reference_reynolds_basis(sub, names, degree))
+
+    def test_d4_generator_action(self):
+        group = signed_permutation_group_d(4)
+        names = var_names("t", 4)
+        Ai = triality_matrix_eps().inverse()
+        expected = _reference_generator_action(
+            group, lambda p: compose_linear(p, Ai, names), names, [2, 4, 6])
+        assert d4_triality_reports() == expected
+
+        def flip(p):  # t4 -> -t4
+            return signed_perm_apply(p, (0, 1, 2, 3), (1, 1, 1, -1))
+
+        assert (invariant_generator_action(group, flip, names, [2, 4, 6])
+                == _reference_generator_action(group, flip, names, [2, 4, 6]))
