@@ -10,25 +10,11 @@ from .verify import Report
 
 
 def invariant_degrees(t: DynkinType | str) -> list[int]:
-    """Degrees of the fundamental Weyl invariants (exponents + 1)."""
+    """Degrees of the fundamental Weyl invariants (exponents + 1), from the
+    positive-root heights (:meth:`DynkinType.degrees`)."""
     if isinstance(t, str):
         t = DynkinType.parse(t)
-    n = t.rank
-    if t.series == "A":
-        return list(range(2, n + 2))
-    if t.series in ("B", "C"):
-        return [2 * k for k in range(1, n + 1)]
-    if t.series == "D":
-        return sorted([2 * k for k in range(1, n)] + [n])
-    if t.series == "G":
-        return [2, 6]
-    if t.series == "F":
-        return [2, 6, 8, 12]
-    return {
-        6: [2, 5, 6, 8, 9, 12],
-        7: [2, 6, 8, 10, 12, 14, 18],
-        8: [2, 8, 12, 14, 18, 20, 24, 30],
-    }[n]
+    return t.degrees()
 
 
 def h0_canonical_power(g: int, d: int) -> int:
@@ -53,7 +39,7 @@ class HitchinBase:
             raise ValueError("genus must be >= 2")
         expected = invariant_degrees(self.group_type)
         if sorted(self.degrees) != sorted(expected):
-            raise AssertionError("degrees do not match the exponent table")
+            raise AssertionError("degrees do not match the root-height degrees")
         for d, s in zip(self.degrees, self.summand_dims):
             if s != h0_canonical_power(self.genus, d):
                 raise AssertionError("summand dimension violates Riemann-Roch")
@@ -64,7 +50,7 @@ class HitchinBase:
 
 
 def dim_base(t: DynkinType | str, g: int) -> HitchinBase:
-    """B = sum_j H^0(Sigma, K^{d_j}) with the d_j from the exponent table."""
+    """B = sum_j H^0(Sigma, K^{d_j}) with the d_j the invariant degrees of t."""
     if isinstance(t, str):
         t = DynkinType.parse(t)
     degrees = invariant_degrees(t)
@@ -79,8 +65,8 @@ def fiber_dim(t: DynkinType | str, g: int) -> int:
 
 def folded_base_match(fd: FoldingDatum, g: int) -> Report:
     """dim B(folded) equals the C-invariant part of dim B_h, with the
-    surviving degrees computed symbolically (not looked up) from the action
-    on the invariant generators."""
+    surviving degrees derived from the folding's action on the invariant
+    generators (:func:`~foldlie.invariants.surviving_invariant_degrees`)."""
     from .invariants import surviving_invariant_degrees
 
     report = Report("folded-base-match")

@@ -7,12 +7,13 @@ Three consumers:
   folded generators),
 * the surviving-degree computation behind the Hitchin-base dimension match
   (which fundamental invariants restrict to zero / fail to be C-invariant),
-* the Molien-series cross-check of the stored exponent tables.
+* the Molien-series cross-check of the root-height degrees.
 
-The A- and D-series cases run on closed-form generator sets (elementary
+The A- and D-series closed forms act on generator sets (elementary
 symmetric polynomials, their squares, and the Pfaffian); the D4 triality
 case runs an honest Reynolds-operator computation over the 192-element
-signed-permutation group, with decomposables quotiented out exactly.
+signed-permutation group, with decomposables quotiented out exactly.  The
+A and E6 flips are -w0 and need no generators.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import isqrt
 
 from . import kernel
 from .exactalg import MultiPoly, RatMatrix, SpanSolver
-from .rootsys import FoldingDatum
+from .rootsys import DynkinType, FoldingDatum
 
 
 def var_names(prefix: str, n: int) -> tuple:
@@ -307,39 +308,30 @@ class SurvivingDegrees:
 
 def surviving_invariant_degrees(fd: FoldingDatum) -> SurvivingDegrees:
     """Which fundamental-invariant degrees of the homogeneous type survive
-    folding, derived symbolically (A/D series and D4 triality) or from the
-    stored table (E6, flagged)."""
+    folding.  D/2 checks the Pfaffian symbolically and D4/3 runs a Reynolds
+    computation.  A/2 and E6/2 fold by a = -w0: as w0 fixes every
+    W-invariant, a acts on a degree-d generator as (-1)^d, so exactly the
+    even degrees survive."""
     t = fd.homogeneous.dtype
     order = fd.aut.order
     if order == 1:
-        from .hitchin import invariant_degrees
-
-        ds = invariant_degrees(t)
+        ds = t.degrees()
         return SurvivingDegrees(ds, _count(ds), "trivial")
-    if t.series == "A":
-        n_vars = t.rank + 1
-        signs = a_flip_action_signs(n_vars)
-        degrees = list(range(2, n_vars + 1))
-        survivors = {}
-        for k in degrees:
-            if signs[k] == 1:
-                survivors[k] = survivors.get(k, 0) + 1
-        return SurvivingDegrees(degrees, survivors, "symbolic-sigma-action")
     if t.series == "D" and order == 2:
         n = t.rank
-        d_flip_action_signs(n)  # raises if the symbolic facts fail
-        degrees = [2 * k for k in range(1, n)] + [n]
-        survivors = _count([2 * k for k in range(1, n)])
-        return SurvivingDegrees(sorted(degrees), survivors, "symbolic-pfaffian-action")
+        signs = d_flip_action_signs(n)
+        degree = {key: 2 * key[1] if key[0] == "e2k" else n for key in signs}
+        survivors = _count(degree[key] for key, sign in signs.items() if sign == 1)
+        return SurvivingDegrees(sorted(degree.values()), survivors,
+                                "symbolic-pfaffian-action")
     if t.series == "D" and t.rank == 4 and order == 3:
         reports = d4_triality_reports()
-        degrees = [2, 4, 4, 6]
+        degrees = [r.degree for r in reports for _ in range(r.generator_multiplicity)]
         survivors = {r.degree: r.surviving_multiplicity for r in reports}
         return SurvivingDegrees(degrees, survivors, "reynolds-quotient-action")
-    if t.series == "E" and t.rank == 6:
-        return SurvivingDegrees(
-            [2, 5, 6, 8, 9, 12], {2: 1, 6: 1, 8: 1, 12: 1}, "table-derived"
-        )
+    if fd.aut.permutation == t.opposition():
+        ds = t.degrees()
+        return SurvivingDegrees(ds, _count(d for d in ds if d % 2 == 0), "minus-w0")
     raise ValueError(f"no folding family for {t} with order {order}")
 
 
@@ -375,7 +367,8 @@ def d4_triality_reports() -> list[QuotientActionReport]:
     def a_map(p):
         return compose_linear(p, Ai, names)
 
-    return invariant_generator_action(group, a_map, names, [2, 4, 6])
+    degrees = sorted(set(DynkinType("D", 4).degrees()))
+    return invariant_generator_action(group, a_map, names, degrees)
 
 
 def d4_fixed_cartan_basis() -> list[tuple]:
@@ -434,7 +427,7 @@ def hilbert_series_coefficients(degrees, kmax: int) -> list[int]:
 
 
 def verify_degrees_by_molien(weyl_group, degrees, kmax: int | None = None) -> bool:
-    """Cross-check stored fundamental degrees against the Molien series of an
+    """Cross-check fundamental degrees against the Molien series of an
     enumerated Weyl group (desk scale, rank <= 3)."""
     if kmax is None:
         kmax = max(degrees)

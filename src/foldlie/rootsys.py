@@ -13,7 +13,9 @@ inner product), so coinvariants and invariants can be compared directly.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -78,21 +80,29 @@ class DynkinType:
             return 48
         return {6: 72, 7: 126, 8: 240}[n]
 
-    def weyl_order(self) -> int:
-        import math
+    def degrees(self) -> list[int]:
+        """Degrees of the fundamental Weyl invariants, exponents + 1.
 
-        n, s = self.rank, self.series
-        if s == "A":
-            return math.factorial(n + 1)
-        if s in ("B", "C"):
-            return 2**n * math.factorial(n)
-        if s == "D":
-            return 2 ** (n - 1) * math.factorial(n)
-        if s == "G":
-            return 12
-        if s == "F":
-            return 1152
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
+        Kostant: the exponents are the partition dual to the numbers of
+        positive roots of each height."""
+        counts = Counter(map(sum, _positive_root_coords(self.cartan_rows()))).values()
+        return sorted(sum(k >= j for k in counts) + 1 for j in range(1, self.rank + 1))
+
+    def weyl_order(self) -> int:
+        """|W|, the product of the degrees."""
+        return math.prod(self.degrees())
+
+    def opposition(self) -> tuple:
+        """-w0 as a permutation p of the simple-root indices, -w0(alpha_i) =
+        alpha_{p[i]}.  The descent walk (s_j wherever the j-th coordinate is
+        positive) takes the regular dominant weight with coordinates
+        1, ..., n to w0 of it, whose negation has coordinate i + 1 at p[i]."""
+        C = self.cartan_rows()
+        v = list(range(1, self.rank + 1))
+        while any(x > 0 for x in v):
+            vj, row = next((x, C[j]) for j, x in enumerate(v) if x > 0)
+            v = [x - vj * c for x, c in zip(v, row)]
+        return tuple(-v[i] - 1 for i in range(self.rank))
 
     def cartan_rows(self) -> list[list[int]]:
         """Cartan matrix C with C[i][j] = <alpha_i, alpha_j^vee>."""
@@ -380,6 +390,26 @@ class Lattice:
 # -- construction -----------------------------------------------------------
 
 
+def _positive_root_coords(C) -> list[tuple]:
+    """Positive roots in simple-root coordinates, for the Cartan matrix C
+    with C[i][j] = <alpha_i, alpha_j^vee>: the simple roots closed under
+    s_j(c) = c - <c, alpha_j^vee> alpha_j wherever <c, alpha_j^vee> < 0.
+    Every positive root is reached, as each one of height > 1 is s_j of a
+    lower one with negative pairing."""
+    n = len(C)
+    roots = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    seen = set(roots)
+    for c in roots:
+        for j in range(n):
+            p = sum(c[i] * C[i][j] for i in range(n))
+            if p < 0:
+                img = c[:j] + (c[j] - p,) + c[j + 1:]
+                if img not in seen:
+                    seen.add(img)
+                    roots.append(img)
+    return roots
+
+
 def build_root_system(t: DynkinType | str) -> RootSystem:
     """Standard root system of a Dynkin type, in weight coordinates."""
     if isinstance(t, str):
@@ -394,22 +424,10 @@ def build_root_system(t: DynkinType | str) -> RootSystem:
     # weight coords w = C^T m  =>  gram_w = C^{-1} G C^{-T}
     gram_w = Ci * RatMatrix.from_rows(G_simple) * Ci.transpose()
     simple = [tuple(Fraction(x) for x in C[i]) for i in range(n)]
-
-    # closure under simple reflections: s_j(w) = w - w[j] * simple[j]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for j in range(n):
-                if w[j] == 0:
-                    continue
-                img = tuple(x - w[j] * simple[j][k] for k, x in enumerate(w))
-                if img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    all_roots = sorted(roots)
+    # root sum_i c_i alpha_i has weight coordinates C^T c
+    positive = [tuple(sum(c[i] * C[i][j] for i in range(n)) for j in range(n))
+                for c in _positive_root_coords(C)]
+    all_roots = sorted(positive + [tuple(-x for x in w) for w in positive])
     return RootSystem(n, gram_w, simple, all_roots, dtype=t)
 
 

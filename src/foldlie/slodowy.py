@@ -415,12 +415,12 @@ def phi_psi_square_check(sample_count: int = 100, seed: int = 42) -> Report:
 
     report.cases_run += 4
     if not b3h.is_zero():
-        report.fail("sigma_3-coordinate on the image of Phi", "0", str(b3h))
+        report.fail("sigma_3-coordinate on the image of Phi", "0", b3h)
     for k, (left, right) in enumerate(zip(lhs, rhs)):
         if left != right:
-            report.fail(f"square coordinate {k}", str(right), str(left))
+            report.fail(f"square coordinate {k}", right, left)
         if left.depends_on("i") or left.depends_on("r"):
-            report.fail(f"coordinate {k} rationality", "coefficients in Q", str(left))
+            report.fail(f"coordinate {k} rationality", "coefficients in Q", left)
 
     # C-equivariance: Phi(-v1m, -v2m, v1p, v2p) = sign-flip of Phi(v)
     flipped = phi_parameters(-v[0], -v[1], v[2], v[3])
@@ -456,7 +456,7 @@ def phi_psi_square_check(sample_count: int = 100, seed: int = 42) -> Report:
         lv = tuple(x.evaluate(pt) for x in lhs)
         rv = tuple(x.evaluate(pt) for x in rhs)
         if lv != rv:
-            report.fail(f"point check {case}: {pt}", str(rv), str(lv))
+            report.fail(f"point check {case}: {pt}", rv, lv)
     return report
 
 
@@ -512,7 +512,7 @@ def unfolding_equivariance_check() -> Report:
                   "C*-equivariance of the coordinate change", f"weights {weights}",
                   "mismatch")
     residual = unfolding_residual()
-    report.expect(residual.is_zero(), "normal form residual", "0", str(residual))
+    report.expect(residual.is_zero(), "normal form residual", "0", residual)
     return report
 
 

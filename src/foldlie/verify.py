@@ -17,11 +17,10 @@ from .exactalg import RatMatrix
 class Report:
     """Cases run and failures found by one exact check or one suite.
 
-    A check records a failure as ``input, expected, got`` with the values as
-    given (:meth:`expect`, :meth:`fail`).  A suite records ``operation,
-    input, expected, got`` with expected and got as strings (:meth:`case`),
-    and a check it absorbs keeps its records, named by the check as
-    ``operation``."""
+    A check records a failure as ``input, expected, got`` (:meth:`expect`,
+    :meth:`fail`), a suite as ``operation, input, expected, got``
+    (:meth:`case`), in both with expected and got as strings.  A check a
+    suite absorbs keeps its records, named by the check as ``operation``."""
 
     name: str
     cases_run: int = 0
@@ -35,7 +34,7 @@ class Report:
 
     def fail(self, input, expected, got):
         """Record a failure of a case counted in ``cases_run`` by the caller."""
-        self.failures.append({"input": input, "expected": expected, "got": got})
+        self.failures.append({"input": input, "expected": str(expected), "got": str(got)})
 
     def expect(self, ok: bool, input, expected, got):
         """One case: record a failure unless ``ok``."""
@@ -152,7 +151,7 @@ def suite_weyl(samples: int = 10, seed: int = 42) -> Report:
                 rep.case("orbit_regular_membership", False, "lemma holds", "violated")
             hits += 1
     rep.case("orbit_regular_membership", hits == 8, 8, hits, "regular point stabilizer count")
-    # Molien cross-check of the stored degrees at rank <= 3
+    # Molien cross-check of the root-height degrees at rank <= 3
     from .hitchin import invariant_degrees
 
     for t_name in ("A1", "A2", "A3", "C2", "B3", "C3", "G2"):

@@ -92,7 +92,7 @@ class WeylGroup:
         """Enumerate W(R^vee) by breadth-first closure over the simple
         reflections.  E6 and A7 are enumerated; groups larger than
         ``ENUMERATION_BUDGET`` (E7, E8, A8, and B, C, D from rank 7) are
-        refused from their known order before any work."""
+        refused from their order, the product of the degrees, before any work."""
         t = rs.dtype
         expected = t.weyl_order()
         if expected > ENUMERATION_BUDGET:
@@ -191,7 +191,7 @@ class WeylGroup:
     def verify(self, check_coroots: bool = True):
         if self.dtype is not None and self.order != self.dtype.weyl_order():
             raise AssertionError(
-                f"group order {self.order} != classical order {self.dtype.weyl_order()}"
+                f"group order {self.order} != product of the degrees {self.dtype.weyl_order()}"
             )
         ident = RatMatrix.identity(self.dim)
         for g in self.generators:

@@ -96,9 +96,26 @@ class TestSurvivingDegrees:
         sd = surviving_invariant_degrees(folding_datum(th, order))
         assert sd.survivors == expect
 
-    def test_e6_flagged_table_derived(self):
-        assert surviving_invariant_degrees(folding_datum("E6", 2)).method == \
-            "table-derived"
+    def test_no_table_route(self):
+        from foldlie.verify import FOLDING_TABLE_ROWS
+
+        for th, order, _, _ in FOLDING_TABLE_ROWS:
+            assert "table" not in surviving_invariant_degrees(
+                folding_datum(th, order)).method
+        assert surviving_invariant_degrees(folding_datum("E6", 2)).method == "minus-w0"
+
+    @pytest.mark.parametrize("rank", range(3, 9))
+    def test_minus_w0_matches_a_flip_signs(self, rank):
+        from foldlie.rootsys import DynkinType, standard_automorphism
+
+        t = DynkinType("A", rank)
+        assert standard_automorphism(t, 2).permutation == t.opposition()
+        signs = a_flip_action_signs(rank + 1)
+        symbolic = {k: 1 for k in range(2, rank + 2) if signs[k] == 1}
+        assert {d: 1 for d in t.degrees() if d % 2 == 0} == symbolic
+        if rank % 2:
+            sd = surviving_invariant_degrees(folding_datum(str(t), 2))
+            assert (sd.survivors, sd.method) == (symbolic, "minus-w0")
 
     def test_symbolic_methods_elsewhere(self):
         for th, order in (("A3", 2), ("D5", 2), ("D4", 3)):
@@ -174,6 +191,29 @@ class TestMolienIntegerPath:
         assert not all(x.denominator == 1 for g in conj for x in g.entries)
         assert molien_dimensions(conj, 8) == _power_trace_molien(conj, 8)
 
+
+class TestTwistedMolien:
+    """Springer: (1/|W|) sum_w 1/det(1 - q w a) = prod_d 1/(1 - eps_d q^d),
+    where a acts on the degree-d generator by eps_d.  The enumeration of W_h
+    makes this independent of the -w0 and Pfaffian routes it checks.  E6/2
+    and A7/2 are left out: enumerating their W_h takes about 10 s each."""
+
+    @pytest.mark.parametrize("th", ["A3", "A5", "D4", "D5"])
+    def test_matches_survivors(self, th):
+        from foldlie.weyl import aut_matrix_on_corootspace, folding_weyl_data
+
+        fd = folding_datum(th, 2)
+        a = aut_matrix_on_corootspace(fd.aut)
+        twisted = [el.matrix * a for el in folding_weyl_data(fd).wh.elements]
+        sd = surviving_invariant_degrees(fd)
+        kmax = max(sd.degrees_h) + 2
+        series = [1] + [0] * kmax
+        signed = [(d, 1 if i < sd.survivors.get(d, 0) else -1)
+                  for d in set(sd.degrees_h) for i in range(sd.degrees_h.count(d))]
+        for d, eps in signed:
+            for k in range(d, kmax + 1):
+                series[k] += eps * series[k - d]
+        assert molien_dimensions(twisted, kmax) == series
 
 
 # -- the greedy eliminations replaced by pivot columns, kept as references --------------

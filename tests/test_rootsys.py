@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from foldlie import rootsys
 from foldlie.rootsys import (
     DynkinType,
     FoldingDatum,
@@ -28,6 +29,42 @@ FOLD_TABLE = [
     ("E6", 2, "F4", "F4"),
 ]
 
+# Weyl group orders (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates
+# I-IX) for every type the command line admits.
+WEYL_ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720, "A6": 5040, "A7": 40320,
+    "A8": 362880,
+    "B2": 8, "B3": 48, "B4": 384, "B5": 3840, "B6": 46080, "B7": 645120,
+    "B8": 10321920,
+    "C2": 8, "C3": 48, "C4": 384, "C5": 3840, "C6": 46080, "C7": 645120,
+    "C8": 10321920,
+    "D3": 24, "D4": 192, "D5": 1920, "D6": 23040, "D7": 322560, "D8": 5160960,
+    "E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12,
+}
+
+
+def _fraction_closure(t: DynkinType) -> list:
+    """The simple roots in weight coordinates closed under every simple
+    reflection s_j(w) = w - w[j] alpha_j in Fraction arithmetic: the
+    reference for the integer closure behind build_root_system."""
+    C = t.cartan_rows()
+    n = t.rank
+    simple = [tuple(Q(x) for x in C[i]) for i in range(n)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for j in range(n):
+                if w[j] == 0:
+                    continue
+                img = tuple(x - w[j] * simple[j][k] for k, x in enumerate(w))
+                if img not in roots:
+                    roots.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return sorted(roots)
+
 
 class TestDynkinType:
     def test_parse_and_str(self):
@@ -47,7 +84,31 @@ class TestDynkinType:
     def test_counts(self):
         assert DynkinType.parse("A3").root_count() == 12
         assert DynkinType.parse("G2").root_count() == 12
-        assert DynkinType.parse("E6").weyl_order() == 51840
+        for name, order in WEYL_ORDERS.items():
+            assert DynkinType.parse(name).weyl_order() == order, name
+
+    @pytest.mark.parametrize("name", ["A3", "A5", "A7", "D5", "D7", "E6"])
+    def test_opposition_is_the_standard_flip(self, name):
+        assert DynkinType.parse(name).opposition() == \
+            standard_automorphism(name, 2).permutation
+
+    @pytest.mark.parametrize("name", ["B3", "C4", "D4", "D6", "D8", "E7", "E8", "F4", "G2"])
+    def test_opposition_is_trivial(self, name):
+        t = DynkinType.parse(name)
+        assert t.opposition() == tuple(range(t.rank))
+
+
+class TestClosure:
+    @pytest.mark.parametrize("name", list(WEYL_ORDERS))
+    def test_matches_fraction_closure(self, name):
+        t = DynkinType.parse(name)
+        assert build_root_system(t).all_roots == _fraction_closure(t)
+
+    def test_stored_count_catches_a_lost_root(self, monkeypatch):
+        closure = rootsys._positive_root_coords
+        monkeypatch.setattr(rootsys, "_positive_root_coords", lambda C: closure(C)[:-1])
+        with pytest.raises(AssertionError, match="root count"):
+            build_root_system("A3")
 
 
 class TestBuild:
