@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 USAGE_ERROR = 2
 
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic folding of root systems, Weyl groups, "
         "Slodowy slices, cameral covers, and Hitchin-base bookkeeping.",
     )
-    p.add_argument("--format", choices=["json", "text"], default=_default_format())
+    p.add_argument("--format", choices=["json", "text"])
     p.add_argument("--out", help="write the report to this path instead of stdout")
     sub = p.add_subparsers(dest="command")
 
@@ -496,9 +497,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It holds no per-call state: the
+    default --format is resolved by ``main`` on each call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
+    if args.format is None:
+        args.format = _default_format()
     if not getattr(args, "fn", None):
         parser.print_help()
         return USAGE_ERROR

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .exactalg import MultiPoly, RatMatrix, SpanSolver, exterior_traces
@@ -193,7 +194,13 @@ def build_algebra(family: str, size: int) -> MatrixLieAlgebra:
     """Spec operation: a classical matrix Lie algebra (``size`` is the matrix
     size, e.g. build_algebra('sp', 4) is 4x4 = sp_4).  For sp_4 the standard
     symplectic form coincides with the block convention of the worked
-    example: {(a, b; c, -a^T) : b, c symmetric}."""
+    example: {(a, b; c, -a^T) : b, c symmetric}.  Built once per (family,
+    size) and process; the result is shared and must not be mutated."""
+    return _build_algebra(family, size)
+
+
+@cache
+def _build_algebra(family: str, size: int) -> MatrixLieAlgebra:
     return MatrixLieAlgebra(family, size)
 
 

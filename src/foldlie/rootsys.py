@@ -18,6 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from .exactalg import RatMatrix, _integer_vector
@@ -411,9 +412,15 @@ def _positive_root_coords(C) -> list[tuple]:
 
 
 def build_root_system(t: DynkinType | str) -> RootSystem:
-    """Standard root system of a Dynkin type, in weight coordinates."""
+    """Standard root system of a Dynkin type, in weight coordinates.  Built
+    once per type and process; the result is shared and must not be mutated."""
     if isinstance(t, str):
         t = DynkinType.parse(t)
+    return _build_root_system(t)
+
+
+@cache
+def _build_root_system(t: DynkinType) -> RootSystem:
     C = t.cartan_rows()
     n = t.rank
     lengths = t.simple_length_sq()
@@ -454,9 +461,15 @@ def standard_automorphism(t: DynkinType | str, order: int) -> GraphAut:
 
 
 def folding_datum(type_text: str, order: int) -> FoldingDatum:
-    t = DynkinType.parse(type_text)
-    rs = build_root_system(t)
-    return FoldingDatum(rs, standard_automorphism(t, order))
+    """The folding datum (R_h, a) of a type and the order of its standard
+    automorphism.  Built once per process for each parsed type and order, so
+    "A3" and " A3 " share one datum; the result is shared."""
+    return _folding_datum(DynkinType.parse(type_text), order)
+
+
+@cache
+def _folding_datum(t: DynkinType, order: int) -> FoldingDatum:
+    return FoldingDatum(build_root_system(t), standard_automorphism(t, order))
 
 
 # -- the two foldings ---------------------------------------------------------
@@ -492,7 +505,13 @@ def _aut_projector_images(fd: FoldingDatum):
 def fold_coinvariants(fd: FoldingDatum) -> RootSystem:
     """Coinvariant folding: R_h/(1-a), realized inside the fixed subspace by
     the orthogonal averaging projection.  Gives the folded type of the
-    classical table (A_{2n-1} -> C_n, D_{n+1} -> B_n, D4/3 -> G2, E6 -> F4)."""
+    classical table (A_{2n-1} -> C_n, D_{n+1} -> B_n, D4/3 -> G2, E6 -> F4).
+    Built once per datum and process; the result is shared."""
+    return _fold_coinvariants(fd)
+
+
+@cache
+def _fold_coinvariants(fd: FoldingDatum) -> RootSystem:
     rs = fd.homogeneous
     project, _ = _aut_projector_images(fd)
     images = []
@@ -514,7 +533,13 @@ def fold_coinvariants(fd: FoldingDatum) -> RootSystem:
 
 def fold_invariants(fd: FoldingDatum) -> RootSystem:
     """Invariant folding: R_h^C = {alpha^O} with alpha^O the orbit sum
-    (no multiplicities).  Gives the dual of the coinvariant type."""
+    (no multiplicities).  Gives the dual of the coinvariant type.  Built once
+    per datum and process; the result is shared."""
+    return _fold_invariants(fd)
+
+
+@cache
+def _fold_invariants(fd: FoldingDatum) -> RootSystem:
     rs = fd.homogeneous
     _, orbit_sum = _aut_projector_images(fd)
     images = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .exactalg import MultiPoly, RatMatrix, SpanSolver, nullspace
 from .liealg import MatrixLieAlgebra, adjoint_quotient, build_algebra
@@ -196,7 +197,13 @@ def build_subregular_slice(alg: MatrixLieAlgebra) -> SlodowySlice:
     sp4 and sl4 use the worked triples (so the returned parametrizations
     match the published matrices verbatim); other sl_n use the Jordan-type
     (n-1, 1) triple.  Inputs with no subregular construction are rejected.
+    Built once per algebra and process; the result is shared.
     """
+    return _build_subregular_slice(alg)
+
+
+@cache
+def _build_subregular_slice(alg: MatrixLieAlgebra) -> SlodowySlice:
     if alg.family == "sp" and alg.size == 4:
         x, y, h, dirs, conj = _sp4_data()
         triple = Sl2Triple(alg, x, y, h)

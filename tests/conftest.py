@@ -1,6 +1,19 @@
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def cold_builder_memo():
+    """Start every test with the per-process builder memo empty, so each
+    test builds what it uses, and a test that patches a builder's helper
+    sees that builder run."""
+    from foldlie import cli, liealg, rootsys, slodowy
+
+    for helper in (rootsys._build_root_system, rootsys._folding_datum,
+                   rootsys._fold_coinvariants, rootsys._fold_invariants,
+                   liealg._build_algebra, slodowy._build_subregular_slice, cli._parser):
+        helper.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def sl4():
     from foldlie.liealg import build_algebra

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldlie import cli
 from foldlie.cli import MAX_GENUS, MAX_RANK, main
 from foldlie.weyl import ENUMERATION_BUDGET
 
@@ -275,3 +276,36 @@ class TestOtherCommands:
         rc = main(["--format", "json", "fold", "A3", "2"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["coinvariants"] == "C2"
+
+
+class _TTYStream(io.StringIO):
+    def isatty(self):
+        return True
+
+
+class TestParserReuse:
+    """main builds its parser once per process; nothing of one call may leak
+    into the next."""
+
+    def test_default_format_follows_each_callers_stdout(self, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        pipe, tty = io.StringIO(), _TTYStream()
+        with contextlib.redirect_stdout(pipe):
+            assert main(["fold", "A3", "2"]) == 0
+        assert json.loads(pipe.getvalue())["coinvariants"] == "C2"
+        with contextlib.redirect_stdout(tty):
+            assert main(["fold", "A3", "2"]) == 0
+        assert tty.getvalue().startswith("A3 with an order-2 automorphism:\n")
+        assert len(builds) == 1
+
+    def test_usage_error_leaves_the_next_request_unaffected(self, capsys):
+        argv = ["--format", "json", "threefold", "--type", "C2", "--genus"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "two"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+        assert main([*argv, "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["fixed_locus_genus"] == 13
