@@ -1,22 +1,25 @@
 """The hot numeric kernels, in pure Python.
 
-All routines operate on flat, row-major sequences whose entries are exact
-scalars: Python ints, ``fractions.Fraction``, or any commutative ring
-element supporting ``+``, ``-``, ``*`` (and ``/`` by small integers for
-the generic characteristic polynomial).  Rational matrices arrive as
-integer numerators over a common denominator, so products and
-characteristic polynomials run on ints.  Callers import them through
+All routines operate on flat, row-major sequences.  Rational matrices
+arrive as integer numerators over one denominator (see
+:class:`foldlie.exactalg.RatMatrix`), so products, row reduction and
+characteristic polynomials run on ints; ``rref`` and ``charpoly_int`` take
+ints only.  ``mat_mul``, ``mat_vec`` and ``charpoly_generic`` also accept
+any commutative ring element supporting ``+``, ``-``, ``*`` (and ``/`` by
+small integers for the characteristic polynomial), which is how matrices
+with polynomial entries are handled.  Callers import them through
 ``foldlie.kernel``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def mat_mul(a, b, n, k, m):
     """Multiply an n x k by a k x m flat row-major matrix."""
+    if not k:
+        return [0] * (n * m)
     out = [None] * (n * m)
     for i in range(n):
         arow = i * k
@@ -30,6 +33,8 @@ def mat_mul(a, b, n, k, m):
 
 def mat_vec(a, v, n, k):
     """Apply an n x k flat matrix to a length-k vector."""
+    if not k:
+        return [0] * n
     out = [None] * n
     for i in range(n):
         arow = i * k
@@ -41,44 +46,57 @@ def mat_vec(a, v, n, k):
 
 
 def rref(entries, rows, cols):
-    """Reduced row echelon form over Fraction entries.
+    """Reduced row echelon form of an integer matrix, without fractions.
 
-    Returns (new_entries, pivot_columns).  The input list is not mutated.
+    Returns ``(numerators, denominator, pivot_columns)``: the reduced form is
+    ``numerators / denominator`` with ``denominator > 0`` and no factor
+    common to it and every numerator.  Rows stay integer vectors: eliminating
+    column c from row i replaces it by ``a * row_i - b * pivot_row`` with
+    ``a / b`` the pivot over the row's entry in lowest terms, then divides out
+    the row's content.  At the end each pivot row is divided by its pivot,
+    over the lcm of the pivots.  The input is not mutated.
     """
-    m = [Fraction(x) for x in entries]
+    m = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = -1
-        for i in range(r, rows):
-            if m[i * cols + c] != 0:
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        if pivot_row != r:
-            for j in range(cols):
-                m[r * cols + j], m[pivot_row * cols + j] = (
-                    m[pivot_row * cols + j],
-                    m[r * cols + j],
-                )
-        pv = m[r * cols + c]
-        if pv != 1:
-            inv = 1 / pv
-            for j in range(c, cols):
-                m[r * cols + j] *= inv
-        for i in range(rows):
-            if i == r:
-                continue
-            f = m[i * cols + c]
-            if f != 0:
-                for j in range(c, cols):
-                    m[i * cols + j] -= f * m[r * cols + j]
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
-    return m, pivots
+        best, size = -1, 0
+        for i in range(r, rows):
+            x = abs(m[i][c])
+            if x and (best < 0 or x < size):
+                best, size = i, x
+                if x == 1:
+                    break
+        if best < 0:
+            continue
+        m[r], m[best] = m[best], m[r]
+        prow = m[r]
+        pv = prow[c]
+        for i in range(rows):
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                new = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    den = 1
+    for k, c in enumerate(pivots):
+        row = m[k]
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        if g != 1:
+            m[k] = [x // g for x in row]
+        den = lcm(den, m[k][c])
+    for k, c in enumerate(pivots):
+        s = den // m[k][c]
+        if s != 1:
+            m[k] = [x * s for x in m[k]]
+    return [x for row in m for x in row], den, pivots
 
 
 def charpoly_int(entries, n):
@@ -154,8 +172,4 @@ def charpoly_generic(entries, n, one):
 
 def entries_common_denominator(entries):
     """lcm of the denominators of a list of Fractions (ints allowed)."""
-    d = 1
-    for x in entries:
-        q = x.denominator if isinstance(x, Fraction) else 1
-        d = d * q // gcd(d, q)
-    return d
+    return lcm(*(x.denominator for x in entries))

@@ -2,15 +2,18 @@
 polynomials, exterior-power traces, and sparse multivariate polynomials.
 
 Scalars are ``fractions.Fraction`` (exported as :data:`Rat`); no floating
-point appears anywhere.  Matrix entries may also be :class:`MultiPoly`
-values for symbolic computations (e.g. characteristic polynomials of
-matrices with polynomial entries); operations that only make sense over
-the rationals check for that.
+point appears anywhere.  A rational matrix is stored as integer numerators
+over one denominator, and its arithmetic and row reduction run on ints;
+its entries are handed out as Fractions.  Matrix entries may also be
+:class:`MultiPoly` values for symbolic computations (e.g. characteristic
+polynomials of matrices with polynomial entries); operations that only
+make sense over the rationals check for that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -19,6 +22,8 @@ from . import kernel
 Rat = Fraction
 
 Scalar = Union[int, Fraction]
+
+_ZERO = Fraction(0)  # shared by every zero entry handed out
 
 
 def _frac(x) -> Fraction:
@@ -29,7 +34,10 @@ def _frac(x) -> Fraction:
 
 def _integer_vector(values):
     """``(numerators, d)`` with ``values[i] == numerators[i] / d``, where d is
-    the lcm of the denominators; None if a value is not an int or Fraction."""
+    the lcm of the denominators; None if a value is not an int or Fraction.
+
+    This form is canonical: d > 0 and no factor is common to d and every
+    numerator."""
     if not all(isinstance(x, (int, Fraction)) for x in values):
         return None
     d = kernel.entries_common_denominator(values)
@@ -38,36 +46,65 @@ def _integer_vector(values):
     return tuple(x.numerator * (d // x.denominator) for x in values), d
 
 
-def _fractions(numerators, d) -> list:
-    """The Fractions ``x / d``, one division each."""
+def _scalar_vector(values):
+    """:func:`_integer_vector` of ``values`` after reading strings and floats
+    as Fractions; None if a value is a :class:`MultiPoly`."""
+    form = _integer_vector(values)
+    if form is None and not any(isinstance(x, MultiPoly) for x in values):
+        form = _integer_vector([_frac(x) for x in values])
+    return form
+
+
+def _canonical(nums, d) -> tuple:
+    """``(numerators, d)`` divided by their common factor, with d > 0."""
     if d == 1:
-        return [Fraction(x) for x in numerators]
-    return [Fraction(x, d) for x in numerators]
+        return tuple(nums), 1
+    g = gcd(d, *nums)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), d
+    return tuple(x // g for x in nums), d // g
+
+
+def _from_ints(rows: int, cols: int, nums, d) -> "RatMatrix":
+    """The matrix ``nums / d`` (flat, row-major), brought to canonical form."""
+    m = object.__new__(RatMatrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "_ints", _canonical(nums, d))
+    object.__setattr__(m, "_entries", None)
+    return m
 
 
 class RatMatrix:
     """Immutable matrix with exact entries, stored row-major.
 
-    Entries are Fractions for ordinary matrices; :class:`MultiPoly` entries
-    are accepted for symbolic work (most methods are generic).
+    A rational matrix is stored as integer numerators over one denominator,
+    in canonical form: the denominator is positive and has no factor common
+    to every numerator, so equal matrices have equal storage.  Sums,
+    products, brackets, :meth:`apply`, row reduction, equality and hashing
+    run on these ints and bring each result to canonical form once.
+    ``entries``, :meth:`entry` and :meth:`row` hand out Fractions, built on
+    first use and cached.
 
-    Products, brackets and :meth:`apply` run in integers: a rational matrix
-    is read as integer numerators over one common denominator (its integer
-    form, computed on first use and cached; ``None`` when an entry is a
-    :class:`MultiPoly`), the kernels multiply the numerators, and each result
-    entry is divided once at the end.  ``entries`` stay Fractions, so
-    equality and hashing are unaffected.
+    :class:`MultiPoly` entries are accepted for symbolic work: such a matrix
+    keeps its entries as given (rational ones as Fractions) and takes the
+    generic path of each method; its integer form is ``None``.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_ints")
+    __slots__ = ("rows", "cols", "_ints", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        ent = tuple(x if isinstance(x, MultiPoly) else _frac(x) for x in entries)
+        ent = tuple(entries)
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
+        form = _scalar_vector(ent)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "_ints", form)
+        object.__setattr__(self, "_entries", None if form is not None else tuple(
+            x if isinstance(x, MultiPoly) else _frac(x) for x in ent))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -81,15 +118,25 @@ class RatMatrix:
         return RatMatrix(r, c, flat)
 
     @staticmethod
+    def from_integers(rows: int, cols: int, numerators: Sequence[int],
+                      denominator: int = 1) -> "RatMatrix":
+        """The matrix ``numerators / denominator`` from flat row-major ints."""
+        if len(numerators) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(numerators)}")
+        if not denominator:
+            raise ZeroDivisionError("zero denominator")
+        return _from_ints(rows, cols, numerators, denominator)
+
+    @staticmethod
     def identity(n: int) -> "RatMatrix":
-        ent = [Fraction(0)] * (n * n)
+        ent = [0] * (n * n)
         for i in range(n):
-            ent[i * n + i] = Fraction(1)
-        return RatMatrix(n, n, ent)
+            ent[i * n + i] = 1
+        return _from_ints(n, n, ent, 1)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols, [Fraction(0)] * (rows * cols))
+        return _from_ints(rows, cols, (0,) * (rows * cols), 1)
 
     @staticmethod
     def column(values: Sequence) -> "RatMatrix":
@@ -100,12 +147,22 @@ class RatMatrix:
     def diagonal(values: Sequence) -> "RatMatrix":
         vals = list(values)
         n = len(vals)
-        ent = [Fraction(0)] * (n * n)
+        ent = [0] * (n * n)
         for i, v in enumerate(vals):
-            ent[i * n + i] = _frac(v)
+            ent[i * n + i] = v
         return RatMatrix(n, n, ent)
 
     # -- basic access -----------------------------------------------------
+    @property
+    def entries(self) -> tuple:
+        """The entries, row-major: Fractions for a rational matrix."""
+        ent = self._entries
+        if ent is None:
+            nums, d = self._ints
+            ent = tuple(Fraction(x, d) if x else _ZERO for x in nums)
+            object.__setattr__(self, "_entries", ent)
+        return ent
+
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -123,112 +180,134 @@ class RatMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
+        if self._ints is not None:
+            return not any(self._ints[0])
         return all(x == 0 for x in self.entries)
+
+    def _integer_form(self):
+        """``(numerators, d)`` with ``entries == numerators / d`` in canonical
+        form, or None if an entry is a MultiPoly."""
+        return self._ints
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        """self + sign * other."""
         self._same_shape(other)
-        return RatMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
+        fa, fb = self._ints, other._ints
+        if fa is None or fb is None:
+            ent = zip(self.entries, other.entries)
+            return RatMatrix(self.rows, self.cols,
+                             [a + b for a, b in ent] if sign > 0 else [a - b for a, b in ent])
+        (a, da), (b, db) = fa, fb
+        if da == db:
+            nums = [x + y for x, y in zip(a, b)] if sign > 0 else [x - y for x, y in zip(a, b)]
+            return _from_ints(self.rows, self.cols, nums, da)
+        d = lcm(da, db)
+        ka, kb = d // da, sign * (d // db)
+        return _from_ints(self.rows, self.cols, [x * ka + y * kb for x, y in zip(a, b)], d)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def _integer_form(self):
-        """``(numerators, d)`` with ``entries == numerators / d``, or None if an
-        entry is a MultiPoly; computed once (the matrix is immutable)."""
-        try:
-            return self._ints
-        except AttributeError:
-            form = _integer_vector(self.entries)
-            object.__setattr__(self, "_ints", form)
-            return form
+        if self._ints is None:
+            return RatMatrix(self.rows, self.cols, [-a for a in self.entries])
+        nums, d = self._ints
+        return _from_ints(self.rows, self.cols, [-x for x in nums], d)
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
-            fa, fb = self._integer_form(), other._integer_form()
+            fa, fb = self._ints, other._ints
             if fa is None or fb is None:
                 ent = kernel.mat_mul(
                     list(self.entries), list(other.entries), self.rows, self.cols, other.cols
                 )
                 return RatMatrix(self.rows, other.cols, ent)
             ent = kernel.mat_mul(fa[0], fb[0], self.rows, self.cols, other.cols)
-            return RatMatrix(self.rows, other.cols, _fractions(ent, fa[1] * fb[1]))
+            return _from_ints(self.rows, other.cols, ent, fa[1] * fb[1])
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [x * c for x in self.entries])
+        if self._ints is None or isinstance(c, MultiPoly):
+            return RatMatrix(self.rows, self.cols, [x * c for x in self.entries])
+        c = _frac(c)
+        p = c.numerator
+        nums, d = self._ints
+        return _from_ints(self.rows, self.cols, [x * p for x in nums], d * c.denominator)
 
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector, returned as a tuple."""
+        """Matrix times column vector, returned as a tuple (of Fractions for
+        a rational matrix and vector)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        fm, fv = self._integer_form(), _integer_vector(vec)
+        fm, fv = self._ints, _integer_vector(vec)
         if fm is None or fv is None:
             return tuple(kernel.mat_vec(list(self.entries), list(vec), self.rows, self.cols))
         out = kernel.mat_vec(fm[0], fv[0], self.rows, self.cols)
-        return tuple(_fractions(out, fm[1] * fv[1]))
+        d = fm[1] * fv[1]
+        return tuple(Fraction(x, d) for x in out)
 
     def transpose(self) -> "RatMatrix":
-        ent = [self.entries[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)]
-        return RatMatrix(self.cols, self.rows, ent)
+        r, c = self.rows, self.cols
+        if self._ints is None:
+            ent = self.entries
+            return RatMatrix(c, r, [ent[j * c + i] for i in range(c) for j in range(r)])
+        nums, d = self._ints
+        return _from_ints(c, r, [nums[j * c + i] for i in range(c) for j in range(r)], d)
 
     def trace(self):
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
+        n = self.rows
+        if self._ints is not None:
+            nums, d = self._ints
+            return Fraction(sum(nums[i * n + i] for i in range(n)), d)
         acc = self.entries[0]
-        for i in range(1, self.rows):
-            acc = acc + self.entries[i * self.rows + i]
+        for i in range(1, n):
+            acc = acc + self.entries[i * n + i]
         return acc
 
     def bracket(self, other: "RatMatrix") -> "RatMatrix":
         """Commutator [self, other]; both products share one denominator."""
         n = self.rows
-        fa, fb = self._integer_form(), other._integer_form()
+        fa, fb = self._ints, other._ints
         if fa is None or fb is None or (self.cols, other.rows, other.cols) != (n, n, n):
             return self * other - other * self
         ab = kernel.mat_mul(fa[0], fb[0], n, n, n)
         ba = kernel.mat_mul(fb[0], fa[0], n, n, n)
-        return RatMatrix(n, n, _fractions([x - y for x, y in zip(ab, ba)], fa[1] * fb[1]))
+        return _from_ints(n, n, [x - y for x, y in zip(ab, ba)], fa[1] * fb[1])
 
     # -- linear algebra ----------------------------------------------------
+    def _rational_ints(self) -> tuple:
+        if self._ints is None:
+            raise TypeError("row reduction needs rational entries")
+        return self._ints
+
     def rref(self) -> tuple["RatMatrix", list]:
-        ent, pivots = kernel.rref(list(self.entries), self.rows, self.cols)
-        return RatMatrix(self.rows, self.cols, ent), pivots
+        nums, den, pivots = kernel.rref(self._rational_ints()[0], self.rows, self.cols)
+        return _from_ints(self.rows, self.cols, nums, den), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(kernel.rref(self._rational_ints()[0], self.rows, self.cols)[2])
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = RatMatrix(
-            n,
-            2 * n,
-            [
-                self.entries[i * n + j] if j < n else Fraction(1 if j - n == i else 0)
-                for i in range(n)
-                for j in range(2 * n)
-            ],
-        )
-        red, pivots = aug.rref()
+        nums, d = self._rational_ints()
+        # row-reducing [N | d I] to [I | X] gives X = d N^-1, the inverse of N / d
+        red, den, pivots = kernel.rref(_augment(nums, n, n, d), n, 2 * n)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        ent = [red.entry(i, n + j) for i in range(n) for j in range(n)]
-        return RatMatrix(n, n, ent)
+        return _from_ints(n, n, _right_block(red, n, n), den)
 
     def det(self):
         """(-1)^n times the constant coefficient of the characteristic
@@ -238,14 +317,15 @@ class RatMatrix:
 
     # -- dunder plumbing ----------------------------------------------------
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        if not isinstance(other, RatMatrix) or (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self._ints is not None and other._ints is not None:
+            return self._ints == other._ints
+        return self.entries == other.entries
 
     def __hash__(self) -> int:
+        if self._ints is not None:
+            return hash((self.rows, self.cols, self._ints))
         return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
@@ -255,6 +335,23 @@ class RatMatrix:
     def _same_shape(self, other: "RatMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+def _augment(nums, rows: int, cols: int, d: int) -> list:
+    """The flat rows x (cols + rows) integer matrix [nums | d I]."""
+    out = []
+    for i in range(rows):
+        out.extend(nums[i * cols:(i + 1) * cols])
+        tail = [0] * rows
+        tail[i] = d
+        out.extend(tail)
+    return out
+
+
+def _right_block(flat, rows: int, cols: int) -> list:
+    """The last ``rows`` columns of a flat rows x (cols + rows) matrix."""
+    width = cols + rows
+    return [x for i in range(rows) for x in flat[i * width + cols:(i + 1) * width]]
 
 
 class MultiPoly:
@@ -570,16 +667,19 @@ def _accumulate(terms: dict, items) -> None:
 
 def nullspace(m: RatMatrix) -> list[RatMatrix]:
     """Basis of ker(m) as column vectors; rank-nullity is verified."""
-    red, pivots = m.rref()
-    free = [j for j in range(m.cols) if j not in pivots]
+    cols = m.cols
+    red, den, pivots = kernel.rref(m._rational_ints()[0], m.rows, cols)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [0] * cols
+        v[f] = den
         for r, p in enumerate(pivots):
-            v[p] = -red.entry(r, f)
-        basis.append(RatMatrix.column(v))
-    if len(basis) + len(pivots) != m.cols:
+            v[p] = -red[r * cols + f]
+        basis.append(_from_ints(cols, 1, v, den))
+    if len(basis) + len(pivots) != cols:
         raise AssertionError("rank-nullity violated")
     for v in basis:
         if not (m * v).is_zero():
@@ -593,12 +693,13 @@ def char_poly_coefficients(m: RatMatrix) -> list:
     if not m.is_square:
         raise ValueError("char_poly of a non-square matrix")
     n = m.rows
-    if any(isinstance(x, MultiPoly) for x in m.entries):
+    form = m._integer_form()
+    if form is None:
         vs = next(x for x in m.entries if isinstance(x, MultiPoly)).variables
         one = MultiPoly.const(vs, 1)
         ent = [x if isinstance(x, MultiPoly) else one * x for x in m.entries]
         return kernel.charpoly_generic(ent, n, one)
-    ints, d = m._integer_form()
+    ints, d = form
     coeffs = kernel.charpoly_int(ints, n)
     return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
@@ -675,37 +776,48 @@ class SpanSolver:
     """Repeated exact coordinate extraction against a fixed basis.
 
     Precomputes a row-reduction operator so that each solve is a single
-    matrix-vector product plus a consistency check.
+    integer matrix-vector product plus a consistency check.  A vector is a
+    sequence of scalars or a :class:`RatMatrix`, read row-major.
     """
 
     def __init__(self, basis_vectors: Sequence[Sequence]):
-        cols = [tuple(_frac(x) for x in v) for v in basis_vectors]
+        cols = [_vector_form(v) for v in basis_vectors]
         if not cols:
             raise ValueError("empty basis")
-        m = len(cols[0])
+        m = len(cols[0][0])
         d = len(cols)
-        aug = RatMatrix(
-            m,
-            d + m,
-            [
-                (cols[j][i] if j < d else Fraction(1 if j - d == i else 0))
-                for i in range(m)
-                for j in range(d + m)
-            ],
-        )
-        red, pivots = aug.rref()
+        if any(len(nums) != m for nums, _ in cols):
+            raise ValueError("basis vectors differ in length")
+        # basis matrix B = N / D with one denominator D for all columns
+        D = lcm(*(den for _, den in cols))
+        scaled = [[x * (D // den) for x in nums] for nums, den in cols]
+        # row-reducing [N | D I] to [I_d ; 0 | X] gives X = D P, where P N is
+        # the reduced form of N: the coordinates of v are the first d entries
+        # of X v, and v is in the span when the others vanish
+        n_flat = [scaled[j][i] for i in range(m) for j in range(d)]
+        red, den, pivots = kernel.rref(_augment(n_flat, m, d, D), m, d + m)
         if pivots[:d] != list(range(d)):
             raise ValueError("basis vectors are linearly dependent")
         self.dim = d
         self.length = m
-        self._op = RatMatrix(m, m, [red.entry(i, d + j) for i in range(m) for j in range(m)])
+        self._op = _right_block(red, m, d)
+        self._den = den
 
-    def coordinates(self, vector: Sequence) -> tuple | None:
+    def coordinates(self, vector) -> tuple | None:
         """Coordinates of ``vector`` in the basis, or None if outside the span."""
-        v = tuple(_frac(x) for x in vector)
-        if len(v) != self.length:
+        nums, dv = _vector_form(vector)
+        if len(nums) != self.length:
             raise ValueError("vector length mismatch")
-        w = self._op.apply(v)
-        if any(x != 0 for x in w[self.dim :]):
+        w = kernel.mat_vec(self._op, nums, self.length, self.length)
+        if any(w[self.dim:]):
             return None
-        return w[: self.dim]
+        d = self._den * dv
+        return tuple(Fraction(x, d) for x in w[: self.dim])
+
+
+def _vector_form(vector) -> tuple:
+    """Integer numerators and denominator of a rational vector or matrix."""
+    form = vector._ints if isinstance(vector, RatMatrix) else _scalar_vector(list(vector))
+    if form is None:
+        raise TypeError("a span needs rational vectors")
+    return form

@@ -25,7 +25,7 @@ from itertools import combinations, permutations, product
 from math import isqrt
 
 from . import kernel
-from .exactalg import MultiPoly, RatMatrix, SpanSolver
+from .exactalg import MultiPoly, RatMatrix, SpanSolver, _integer_vector
 from .rootsys import DynkinType, FoldingDatum
 
 
@@ -199,7 +199,8 @@ def _pivot_columns(vectors) -> list[int]:
     if not vectors:
         return []
     n = len(vectors[0])
-    return kernel.rref([v[i] for i in range(n) for v in vectors], n, len(vectors))[1]
+    nums, _ = _integer_vector([v[i] for i in range(n) for v in vectors])
+    return kernel.rref(nums, n, len(vectors))[2]
 
 
 def reynolds_invariant_basis(group, names, degree: int) -> list:

@@ -15,10 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import factorial
+from functools import cache, cached_property
+from math import factorial, lcm
 
-from .exactalg import MultiPoly, RatMatrix, SpanSolver, exterior_traces
+from .exactalg import MultiPoly, RatMatrix, SpanSolver, _integer_vector, exterior_traces
 from .rootsys import DynkinType, FoldingDatum, GraphAut, RootSystem, build_root_system
 from .verify import Report
 
@@ -27,6 +27,28 @@ def _E(n: int, i: int, j: int) -> RatMatrix:
     ent = [Fraction(0)] * (n * n)
     ent[i * n + j] = Fraction(1)
     return RatMatrix(n, n, ent)
+
+
+def _integer_basis(matrices) -> tuple:
+    """Square rational matrices as sparse integer numerators over one common
+    denominator: ``(size, terms, d)`` with ``terms[k]`` the (position,
+    numerator) pairs of matrix k."""
+    forms = [m._integer_form() for m in matrices]
+    d = lcm(*(den for _, den in forms))
+    terms = [[(p, x * (d // den)) for p, x in enumerate(nums) if x] for nums, den in forms]
+    return matrices[0].rows, terms, d
+
+
+def _linear_combination(basis: tuple, numerators, d: int = 1) -> RatMatrix:
+    """sum_k (numerators[k] / d) B_k as one integer linear combination over a
+    basis from :func:`_integer_basis`."""
+    size, terms, den = basis
+    acc = [0] * (size * size)
+    for c, term in zip(numerators, terms):
+        if c:
+            for p, x in term:
+                acc[p] += c * x
+    return RatMatrix.from_integers(size, size, acc, d * den)
 
 
 class MatrixLieAlgebra:
@@ -66,6 +88,7 @@ class MatrixLieAlgebra:
         else:
             raise ValueError(f"unknown family {family!r}")
         self.basis, self.cartan_indices, self._pivots = self._build_basis()
+        self._int_basis = _integer_basis(self.basis)
         self.dim = len(self.basis)
         self._check_dimension()
 
@@ -135,41 +158,42 @@ class MatrixLieAlgebra:
 
     # -- coordinates ----------------------------------------------------------
     def coords(self, m: RatMatrix):
-        """Coordinates in the basis, or None if m is not in the algebra."""
+        """Coordinates in the basis, or None if m is not in the algebra.
+
+        The coordinates are read off the pivot entries and m is a member
+        exactly when the basis combination with them reconstructs m.  For a
+        rational m both steps run on its integer numerators."""
         if m.rows != self.size or m.cols != self.size:
             return None
+        form = m._integer_form()
+        ent, d = form if form is not None else (m.entries, 1)
+        n = self.size
         out = []
+        pivots = self._pivots
         if self.family == "sl":
             partial = 0
             for k in range(len(self.cartan_indices)):
-                partial = partial + m.entry(k, k)
+                partial = partial + ent[k * n + k]
                 out.append(partial)
-            for piv in self._pivots[len(self.cartan_indices):]:
-                out.append(m.entry(*piv))
-        else:
-            for piv in self._pivots:
-                out.append(m.entry(*piv))
-        recon = self.from_coords(out)
-        if recon == m:
-            return tuple(out)
-        return None
+            pivots = pivots[len(self.cartan_indices):]
+        out.extend(ent[i * n + j] for i, j in pivots)
+        if form is None:
+            return tuple(out) if self.from_coords(out) == m else None
+        if _linear_combination(self._int_basis, out, d) != m:
+            return None
+        return tuple(Fraction(x, d) for x in out)
 
     def contains(self, m: RatMatrix) -> bool:
         return self.coords(m) is not None
 
     def from_coords(self, coords) -> RatMatrix:
+        form = _integer_vector(coords)
+        if form is not None:
+            return _linear_combination(self._int_basis, *form)
         acc = RatMatrix.zeros(self.size, self.size)
         for c, b in zip(coords, self.basis):
             if isinstance(c, MultiPoly) or c != 0:
                 acc = acc + b.scale(c)
-        return acc
-
-    def cartan_element(self, values) -> RatMatrix:
-        """The Cartan element with the given coordinates in the simple-coroot
-        style basis h_i carried by ``cartan_indices``."""
-        acc = RatMatrix.zeros(self.size, self.size)
-        for v, idx in zip(values, self.cartan_indices):
-            acc = acc + self.basis[idx].scale(v)
         return acc
 
     def verify_closure(self):
@@ -269,11 +293,18 @@ class ChevalleyData:
         return self._chev_from_family.apply(fam)
 
     def from_chev_coords(self, coords) -> RatMatrix:
+        form = _integer_vector(coords)
+        if form is not None:
+            return _linear_combination(self._int_basis, *form)
         acc = RatMatrix.zeros(self.algebra.size, self.algebra.size)
         for c, b in zip(coords, self.basis_matrices):
             if c != 0:
                 acc = acc + b.scale(c)
         return acc
+
+    @cached_property
+    def _int_basis(self) -> tuple:
+        return _integer_basis(self.basis_matrices)
 
     def structure_table(self) -> dict:
         """(i, j) -> list of (k, coefficient) for the chosen basis order."""
@@ -559,10 +590,10 @@ def fixed_subalgebra(cd: ChevalleyData, aut: LieAut) -> FixedSubalgebra:
         else:
             e_orbit_reps.append((acc, orbit))
 
-    solver = SpanSolver([list(m.entries) for m in basis])
+    solver = SpanSolver(basis)
     for i, x in enumerate(basis):
         for y in basis[i:]:
-            if solver.coordinates(list(x.bracket(y).entries)) is None:
+            if solver.coordinates(x.bracket(y)) is None:
                 raise AssertionError("fixed subspace is not closed under bracket")
 
     # root-space decomposition relative to the fixed Cartan

@@ -110,7 +110,7 @@ class SlodowySlice:
         return acc
 
     def params_of(self, m: RatMatrix) -> tuple:
-        c = self._solver.coordinates(list((m - self.base_point).entries))
+        c = self._solver.coordinates(m - self.base_point)
         if c is None:
             raise ValueError("matrix is not on the slice")
         return c
@@ -124,7 +124,7 @@ def _slice_from_directions(triple: Sl2Triple, directions, caction) -> SlodowySli
         raise AssertionError(
             f"slice dimension {len(directions)} != dim ker ad_y {len(kernel_basis)}"
         )
-    kernel_solver = SpanSolver([list(v.col(0)) for v in kernel_basis])
+    kernel_solver = SpanSolver(kernel_basis)
     weights = []
     for d in directions:
         coords = alg.coords(d)
@@ -146,7 +146,7 @@ def _slice_from_directions(triple: Sl2Triple, directions, caction) -> SlodowySli
         directions=list(directions),
         cstar_weights=tuple(int(w) for w in weights),
         caction=caction,
-        _solver=SpanSolver([list(d.entries) for d in directions]),
+        _solver=SpanSolver(directions),
     )
     return sl
 

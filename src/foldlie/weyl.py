@@ -120,15 +120,13 @@ class WeylGroup:
         return len(self._flat)
 
     def index_of(self, matrix) -> int:
-        key = matrix.entries if isinstance(matrix, RatMatrix) else tuple(matrix)
-        idx = self._index.get(key)
+        idx = self._index.get(_flat_key(matrix))
         if idx is None:
             raise KeyError("matrix is not an element of this group")
         return idx
 
     def contains(self, matrix) -> bool:
-        key = matrix.entries if isinstance(matrix, RatMatrix) else tuple(matrix)
-        return key in self._index
+        return _flat_key(matrix) in self._index
 
     def multiply(self, i: int, j: int) -> int:
         key = (i, j)
@@ -205,32 +203,55 @@ class WeylGroup:
                         raise AssertionError("element does not permute the coroot set")
 
 
+def _flat_key(matrix):
+    """The flat integer tuple of a group element given as a RatMatrix or a
+    flat sequence; None for a RatMatrix with a non-integer entry."""
+    if not isinstance(matrix, RatMatrix):
+        return tuple(matrix)
+    form = matrix._integer_form()
+    return form[0] if form is not None and form[1] == 1 else None
+
+
 def _bfs_closure(gens, n, key, order):
     """The group generated by the involutions ``gens`` (flat n x n integer
     matrices) as (elements, words), breadth first by right multiplication.
 
     Elements are told apart by w^-1 key, which is injective when ``key`` is
     regular.  As (w g)^-1 key = g (w^-1 key), an edge updates only the rows
-    where g differs from the identity, and only a new element costs a matrix
-    product.  A closure of any size but ``order`` raises: ``key`` was not
-    regular, or ``gens`` do not generate a group of that order."""
-    moved = [[(i, [(j, g[i * n + j]) for j in range(n) if g[i * n + j]])
-              for i in range(n) if any(g[i * n + j] != (i == j) for j in range(n))]
-             for g in gens]
+    i where g differs from the identity.  A new element is w g = w + sum_i
+    (column i of w) (row i of g - e_i) over the same rows, so only the
+    columns where such a row is non-zero change: for a simple reflection,
+    its own column and its neighbours', not a full matrix product.  A
+    closure of any size but ``order`` raises: ``key`` was not regular, or
+    ``gens`` do not generate a group of that order."""
+    moved = []  # per generator: (i, row i of g - e_i as (j, entry) pairs)
+    for g in gens:
+        rows = [[(j, g[i * n + j] - (i == j)) for j in range(n)] for i in range(n)]
+        moved.append([(i, [(j, c) for j, c in row if c]) for i, row in enumerate(rows)
+                      if any(c for _, c in row)])
     flat, words, keys = [_flat_identity(n)], [()], [tuple(key)]
     seen = {keys[0]}
     idx = 0
     while idx < len(flat):
         k = keys[idx]
-        for gi, rows in enumerate(moved):
+        for gi, delta in enumerate(moved):
             nk = list(k)
-            for i, row in rows:
-                nk[i] = sum(c * k[j] for j, c in row)
+            for i, row in delta:
+                acc = k[i]
+                for j, c in row:
+                    acc += c * k[j]
+                nk[i] = acc
             nk = tuple(nk)
             if nk not in seen:
                 seen.add(nk)
                 keys.append(nk)
-                flat.append(tuple(kernel.mat_mul(flat[idx], gens[gi], n, n, n)))
+                w = flat[idx]
+                wg = list(w)
+                for i, row in delta:
+                    col = w[i::n]
+                    for j, c in row:
+                        wg[j::n] = [x + c * y for x, y in zip(wg[j::n], col)]
+                flat.append(tuple(wg))
                 words.append(words[idx] + (gi,))
         idx += 1
     if len(flat) != order:
@@ -671,7 +692,8 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
                                   fwd: FoldedWeylData | None = None) -> Report:
     """Exact sample-based check of t/W = (t_h/W_h)^C:
 
-    injectivity: for t, t' in the fixed Cartan, t' in W_h(t) iff t' in W(t);
+    injectivity: for t, t' in the fixed Cartan, t' in W_h(t) iff t' in W(t),
+    tested on t' = c t for a commutant element c and on independent t';
     surjectivity: a point t of t_h has a-class fixed in t_h/W_h (a t in
     W_h(t)) iff some W_h-translate of t lands in the fixed Cartan.
 
@@ -719,12 +741,22 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
             if not in_orbit(folded_flats, ti, t2):
                 report.fail(f"case {case}: t={t}, w_h index {u}", "t' in W(t)",
                             "t' only in W_h(t)")
-        # (b) independent second point: the two orbit memberships must agree
-        t3 = random_fixed_point(fwd, rng)
-        tj, t3j = _clear_denominators(t, t3)
+        # (b) a second point t'.  Even cases: t' = c t for a uniform
+        # commutant element c, drawn from the folded group through ``embed``
+        # and not from ``commutant``, so both memberships must hold.  Odd
+        # cases: an independent point, and the two memberships must agree.
+        if case % 2 == 0:
+            c = fwd.embed[rng.randrange(fwd.folded.order)]
+            tj, t3j = ti, apply(all_flats[c], ti)
+        else:
+            t3 = random_fixed_point(fwd, rng)
+            tj, t3j = _clear_denominators(t, t3)
         in_big = in_orbit(all_flats, tj, t3j)
         in_small = in_orbit(folded_flats, tj, t3j)
-        if in_big != in_small:
+        if case % 2 == 0 and not (in_big and in_small):
+            report.fail(f"case {case}: t={t}, t'=c t={wh.apply(c, t)}",
+                        "t' in W_h(t) and W(t)", f"W_h: {in_big}, W: {in_small}")
+        elif case % 2 and in_big != in_small:
             report.fail(f"case {case}: t={t}, t'={t3}", "memberships agree",
                         f"W_h: {in_big}, W: {in_small}")
         # (c) surjectivity: a C-fixed class in t_h/W_h comes from the fixed Cartan

@@ -338,6 +338,208 @@ class TestIntegerPath:
                 assert got == ref and _normalized([got])
 
 
+# -- integer numerators over one denominator, against plain Fraction lists -----
+
+scalars = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """(rows, cols, Fraction entries); about a third of them zero."""
+    r = draw(st.integers(0, 4)) if rows is None else rows
+    c = draw(st.integers(0, 4)) if cols is None else cols
+    ent = draw(st.lists(st.one_of(st.just(Q(0)), scalars), min_size=r * c, max_size=r * c))
+    return r, c, ent
+
+
+def _canonical_storage(m):
+    nums, d = m._integer_form()
+    return d > 0 and math.gcd(d, *nums) == 1 and type(nums) is tuple
+
+
+def _ref_rref(a, rows, cols):
+    """Gauss-Jordan over Fractions on row lists: (flat reduced form, pivots)."""
+    m = [list(a[i * cols:(i + 1) * cols]) for i in range(rows)]
+    pivots, r = [], 0
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [x for row in m for x in row], pivots
+
+
+class TestIntegerStorage:
+    """Every RatMatrix operation on integer numerators against the same
+    operation on plain Fraction lists."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(), st.data())
+    def test_entrywise_operations(self, mat, data):
+        r, c, a = mat
+        _, _, b = data.draw(matrices(r, c))
+        k = data.draw(scalars)
+        ma, mb = RatMatrix(r, c, a), RatMatrix(r, c, b)
+        assert list(ma.entries) == a and _normalized(ma.entries)
+        assert [ma.entry(i, j) for i in range(r) for j in range(c)] == a
+        assert [x for i in range(r) for x in ma.row(i)] == a
+        for got, ref in [(ma + mb, [x + y for x, y in zip(a, b)]),
+                         (ma - mb, [x - y for x, y in zip(a, b)]),
+                         (-ma, [-x for x in a]),
+                         (ma.scale(k), [x * k for x in a]),
+                         (ma * k, [x * k for x in a]),
+                         (ma.transpose(), [a[i * c + j] for j in range(c) for i in range(r)])]:
+            assert list(got.entries) == ref and _canonical_storage(got)
+        assert ma.is_zero() == all(x == 0 for x in a)
+        assert (ma == mb) == (a == b)
+        if a == b:
+            assert hash(ma) == hash(mb)
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(), st.data())
+    def test_products(self, mat, data):
+        r, k, a = mat
+        m = data.draw(st.integers(0, 4))
+        _, _, b = data.draw(matrices(k, m))
+        v = data.draw(st.lists(scalars, min_size=k, max_size=k))
+        prod = RatMatrix(r, k, a) * RatMatrix(k, m, b)
+        assert list(prod.entries) == _ref_mul(a, b, r, k, m) and _canonical_storage(prod)
+        assert list(RatMatrix(r, k, a).apply(v)) == _ref_mul(a, v, r, k, 1)
+        if r == k:
+            sq = RatMatrix(r, r, a)
+            assert sq.trace() == sum((a[i * r + i] for i in range(r)), Q(0))
+            if r:
+                _, _, b = data.draw(matrices(r, r))
+                br = sq.bracket(RatMatrix(r, r, b))
+                assert list(br.entries) == [x - y for x, y in zip(
+                    _ref_mul(a, b, r, r, r), _ref_mul(b, a, r, r, r))]
+                assert _canonical_storage(br)
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_rref_rank_and_nullspace(self, mat):
+        r, c, a = mat
+        m = RatMatrix(r, c, a)
+        red, pivots = m.rref()
+        assert (list(red.entries), pivots) == _ref_rref(a, r, c)
+        assert _canonical_storage(red) and m.rank() == len(pivots)
+        basis = nullspace(m)
+        ref_red, _ = _ref_rref(a, r, c)
+        expected = []
+        for f in (j for j in range(c) if j not in pivots):
+            v = [Q(0)] * c
+            v[f] = Q(1)
+            for row, p in enumerate(pivots):
+                v[p] = -ref_red[row * c + f]
+            expected.append(v)
+        assert [list(v.col(0)) for v in basis] == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(), st.data())
+    def test_inverse_and_span_solver(self, mat, data):
+        r, c, a = mat
+        if r == c and r:
+            m = RatMatrix(r, r, a)
+            aug = [x for i in range(r)
+                   for x in a[i * r:(i + 1) * r] + [Q(int(i == j)) for j in range(r)]]
+            red, pivots = _ref_rref(aug, r, 2 * r)
+            if pivots[:r] == list(range(r)):
+                inv = m.inverse()
+                assert list(inv.entries) == [red[i * 2 * r + r + j]
+                                             for i in range(r) for j in range(r)]
+                assert m * inv == RatMatrix.identity(r) and _canonical_storage(inv)
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+        # columns of a as a basis, when independent
+        if c and r and _ref_rank([a[i::c] for i in range(c)]) == c:
+            basis = [a[j::c] for j in range(c)]
+            solver = SpanSolver(basis)
+            coeffs = data.draw(st.lists(scalars, min_size=c, max_size=c))
+            v = [sum((x * b[i] for x, b in zip(coeffs, basis)), Q(0)) for i in range(r)]
+            got = solver.coordinates(v)
+            assert list(got) == coeffs and _normalized(got)
+            assert solver.coordinates(RatMatrix(r, 1, v)) == got
+            w = data.draw(st.lists(scalars, min_size=r, max_size=r))
+            inside = _ref_rank(basis + [w]) == c
+            assert (solver.coordinates(w) is not None) == inside
+
+    def test_zero_matrices(self):
+        for r, c in [(0, 0), (0, 3), (3, 0), (2, 3)]:
+            z = RatMatrix(r, c, [Q(0)] * (r * c))
+            assert z._integer_form() == ((0,) * (r * c), 1)
+            assert z == RatMatrix.zeros(r, c) and hash(z) == hash(RatMatrix.zeros(r, c))
+            assert z.is_zero() and z.rref() == (z, []) and len(nullspace(z)) == c
+        m = RatMatrix(2, 2, [Q(1, 3), Q(-1, 6), 2, 0])
+        assert (m - m)._integer_form() == ((0, 0, 0, 0), 1)
+        assert m.scale(0) == RatMatrix.zeros(2, 2)
+
+    def test_negative_and_mixed_denominators(self):
+        m = RatMatrix(2, 2, [Q(1, -2), Q(-3, 4), Q(5, 6), Q(-7, -9)])
+        assert m._integer_form() == ((-18, -27, 30, 28), 36)
+        assert m.entries == (Q(-1, 2), Q(-3, 4), Q(5, 6), Q(7, 9))
+        # the common factor of a result is divided out once
+        half = RatMatrix(1, 2, [Q(1, 2), Q(3, 2)])
+        assert (half + half)._integer_form() == ((1, 3), 1)
+        assert half.scale(Q(2, 3))._integer_form() == ((1, 3), 3)
+        assert RatMatrix.from_integers(1, 2, [-4, 6], -8)._integer_form() == ((2, -3), 4)
+
+    def test_float_and_string_inputs(self):
+        m = RatMatrix(1, 4, [0.5, "2/3", "-1.25", 3])
+        assert m.entries == (Q(1, 2), Q(2, 3), Q(-5, 4), Q(3))
+        assert m._integer_form() == ((6, 8, -15, 36), 12)
+        assert RatMatrix.diagonal(["1/2", 0.25]) == RatMatrix(2, 2, [Q(1, 2), 0, 0, Q(1, 4)])
+        assert SpanSolver([["1/2", 0], [0, 1.5]]).coordinates(["1/4", 3]) == (Q(1, 2), Q(2))
+
+    def test_canonical_form_is_independent_of_the_chain(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            a = RatMatrix(n, n, _entries(rng, n, n, "mixed"))
+            b = RatMatrix(n, n, _entries(rng, n, n, "mixed"))
+            k = Q(rng.randint(1, 9), rng.randint(1, 9))
+            chains = [
+                a.scale(k) + b,
+                b + a * k,
+                (a + b.scale(1 / k)).scale(k),
+                -((-b) - a.scale(k)),
+                RatMatrix(n, n, [x * k + y for x, y in zip(a.entries, b.entries)]),
+                (a.scale(k).transpose() + b.transpose()).transpose(),
+                RatMatrix.identity(n) * (a.scale(2 * k) + b.scale(2)) * RatMatrix.identity(n).scale(
+                    Q(1, 2)),
+            ]
+            forms = {c._integer_form() for c in chains}
+            assert len(forms) == 1 and _canonical_storage(chains[0])
+            assert len({hash(c) for c in chains}) == 1 and len(set(chains)) == 1
+
+    def test_multipoly_entries_keep_the_generic_path(self):
+        x, y = MultiPoly.variables_of(("x", "y"))
+        m = RatMatrix(2, 2, [x, Q(1, 2), 0, y])
+        assert m._integer_form() is None
+        assert m.entries == (x, Q(1, 2), Q(0), y)
+        q = RatMatrix(2, 2, [Q(1, 3), 0, 2, Q(-1)])
+        for got, ref in [(m + q, [x + Q(1, 3), Q(1, 2), Q(2), y - 1]),
+                         (m - q, [x - Q(1, 3), Q(1, 2), Q(-2), y + 1]),
+                         (-m, [-x, Q(-1, 2), Q(0), -y]),
+                         (q.scale(x), [x * Q(1, 3), MultiPoly.zero(("x", "y")), x * 2, -x]),
+                         (m.transpose(), [x, Q(0), Q(1, 2), y]),
+                         (m * q, [x * Q(1, 3) + 1, -Q(1, 2), y * 2, -y])]:
+            assert got._integer_form() is None and list(got.entries) == ref
+        assert m.trace() == x + y
+        assert not m.is_zero() and (m - m).is_zero()
+        assert m == RatMatrix(2, 2, [x, Q(1, 2), Q(0), y]) and m != q
+        with pytest.raises(TypeError):
+            m.rref()
+        with pytest.raises(TypeError):
+            SpanSolver([m])
+
+
 # -- MultiPoly ring operations against the validating constructor --------------
 
 VARS = ("x", "y", "z")

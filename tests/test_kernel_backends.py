@@ -85,11 +85,21 @@ class TestAgreement:
             assert _kernel_py.mat_vec(list(a), v, n, k) == ref_mat_mul(a, v, n, k, 1)
 
     def test_rref(self):
+        """The integer rref of the numerators over their lcm denominator is the
+        Fraction reduced form, divided once, in canonical form."""
         rng = random.Random(2)
-        for _ in range(20):
-            n, m = rng.randint(1, 5), rng.randint(1, 5)
+        for _ in range(200):
+            n, m = rng.randint(0, 6), rng.randint(0, 7)
             a = rand_entries(rng, n, m)
-            assert _kernel_py.rref(list(a), n, m) == ref_rref(a, n, m)
+            if n > 1 and rng.random() < 0.4:  # rank deficiency
+                k = rng.randrange(1, n)
+                a[k * m:(k + 1) * m] = [Q(rng.randint(-3, 3), 2) * x for x in a[:m]]
+            d = math.lcm(*(x.denominator for x in a))
+            ints = [int(x * d) for x in a]
+            nums, den, pivots = _kernel_py.rref(ints, n, m)
+            assert all(type(x) is int for x in nums) and den > 0
+            assert math.gcd(den, *nums) == 1
+            assert ([Q(x, den) for x in nums], pivots) == ref_rref(a, n, m)
 
     def test_charpoly_int(self):
         rng = random.Random(3)

@@ -74,6 +74,82 @@ def _generator_flats(group):
     return [group._flat[group.index_of(g)] for g in group.generators]
 
 
+def _matmul_keyed_closure(gens, n, key):
+    """The keyed closure with each new element built as one full
+    ``kernel.mat_mul`` of its parent and the generator: the reference for
+    the column update of ``_bfs_closure``."""
+    moved = [[(i, [(j, g[i * n + j]) for j in range(n) if g[i * n + j]])
+              for i in range(n) if any(g[i * n + j] != (i == j) for j in range(n))]
+             for g in gens]
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    flat, words, keys = [ident], [()], [tuple(key)]
+    seen = {keys[0]}
+    idx = 0
+    while idx < len(flat):
+        k = keys[idx]
+        for gi, rows in enumerate(moved):
+            nk = list(k)
+            for i, row in rows:
+                nk[i] = sum(c * k[j] for j, c in row)
+            nk = tuple(nk)
+            if nk not in seen:
+                seen.add(nk)
+                keys.append(nk)
+                flat.append(tuple(kernel.mat_mul(flat[idx], gens[gi], n, n, n)))
+                words.append(words[idx] + (gi,))
+        idx += 1
+    return flat, words
+
+
+def _types_under_budget():
+    from foldlie.rootsys import _SERIES_MIN_RANK, DynkinType
+
+    out = []
+    for series, low in _SERIES_MIN_RANK.items():
+        for rank in range(low, 10):
+            try:
+                t = DynkinType(series, rank)
+            except ValueError:
+                continue
+            if t.weyl_order() <= ENUMERATION_BUDGET:
+                out.append(str(t))
+    return out
+
+
+class TestColumnUpdateClosure:
+    """The column-update closure against full products, on every type whose
+    group fits the enumeration budget."""
+
+    def test_type_list_covers_the_budget(self):
+        names = _types_under_budget()
+        assert {"A7", "B6", "C6", "D6", "E6", "F4", "G2"} <= set(names)
+        assert not {"A8", "B7", "D7", "E7"} & set(names)
+
+    @pytest.mark.parametrize("name", _types_under_budget())
+    def test_matches_matmul_closure(self, name):
+        from foldlie.weyl import _coroot_vectors, _weyl_vector
+
+        rs = build_root_system(name)
+        w = WeylGroup.generate(rs)
+        flat, words = _matmul_keyed_closure(_generator_flats(w), w.dim,
+                                            _weyl_vector(_coroot_vectors(rs)))
+        assert w._flat == flat
+        assert [el.word for el in w.elements] == words
+
+    def test_multi_row_generators(self):
+        """Orbit products differ from the identity in several rows."""
+        from foldlie.weyl import _weyl_vector, commutant_fixed_subgroup
+
+        fwd = folding_weyl_data(folding_datum("D4", 3))
+        sub = commutant_fixed_subgroup(fwd.wh, fwd.a_matrix)
+        gens = _generator_flats(sub)
+        moved_rows = [sum(any(g[i * 4 + j] != (i == j) for j in range(4)) for i in range(4))
+                      for g in gens]
+        assert max(moved_rows) > 1
+        key = _weyl_vector(fwd.wh.invariant_vectors)
+        assert _bfs_closure(gens, 4, key, 12) == _matmul_keyed_closure(gens, 4, key)
+
+
 class TestKeyedClosure:
     """The closure keyed on 2 rho^vee against the product closure."""
 
@@ -320,10 +396,17 @@ def _reference_quotient_check(fwd, sample_count, seed):
         if fixed(t2) and not any(m.apply(t) == t2 for m in folded_mats):
             failures.append({"input": f"case {case}: t={t}, w_h index {u}",
                              "expected": "t' in W(t)", "got": "t' only in W_h(t)"})
-        t3 = random_fixed_point(fwd, rng)
+        if case % 2 == 0:
+            t3 = all_mats[fwd.embed[rng.randrange(fwd.folded.order)]].apply(t)
+        else:
+            t3 = random_fixed_point(fwd, rng)
         in_big = any(m.apply(t) == t3 for m in all_mats)
         in_small = any(m.apply(t) == t3 for m in folded_mats)
-        if in_big != in_small:
+        if case % 2 == 0 and not (in_big and in_small):
+            failures.append({"input": f"case {case}: t={t}, t'=c t={t3}",
+                             "expected": "t' in W_h(t) and W(t)",
+                             "got": f"W_h: {in_big}, W: {in_small}"})
+        elif case % 2 and in_big != in_small:
             failures.append({"input": f"case {case}: t={t}, t'={t3}",
                              "expected": "memberships agree",
                              "got": f"W_h: {in_big}, W: {in_small}"})
@@ -350,6 +433,16 @@ class TestQuotientIsoInteger:
         rep = quotient_invariants_iso_check(fwd_a3.fd, 12, 5, fwd=cut)
         assert not rep.passed and rep.cases_run == 48
         assert {f["got"] for f in rep.failures} >= {"t' only in W_h(t)"}
+
+    def test_cut_commutant_fails_for_d4_triality_at_every_seed(self, fwd_d4_triality):
+        """Check (b) sets t' = c t on even cases, so a commutant cut to the
+        identity is caught even where check (a) draws no commutant element."""
+        fwd = fwd_d4_triality
+        cut = dataclasses.replace(fwd, commutant=[fwd.wh.identity_index()])
+        for seed in range(1, 11):
+            rep = quotient_invariants_iso_check(fwd.fd, 4, seed, fwd=cut)
+            assert not rep.passed and rep.cases_run == 16, seed
+        assert quotient_invariants_iso_check(fwd.fd, 4, 1, fwd=fwd).passed
 
     @pytest.mark.parametrize("cut", [False, True])
     @pytest.mark.parametrize("fixture", ["fwd_a3", "fwd_d4_triality"])
