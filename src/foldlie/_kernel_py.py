@@ -4,11 +4,12 @@ All routines operate on flat, row-major sequences.  Rational matrices
 arrive as integer numerators over one denominator (see
 :class:`foldlie.exactalg.RatMatrix`), so products, row reduction and
 characteristic polynomials run on ints; ``rref`` and ``charpoly_int`` take
-ints only.  ``mat_mul``, ``mat_vec`` and ``charpoly_generic`` also accept
-any commutative ring element supporting ``+``, ``-``, ``*`` (and ``/`` by
-small integers for the characteristic polynomial), which is how matrices
-with polynomial entries are handled.  Callers import them through
-``foldlie.kernel``.
+ints only.  ``rref`` is fraction-free elimination and ``charpoly_int`` one
+Bareiss determinant read off in a large integer base.  ``mat_mul``,
+``mat_vec`` and ``charpoly_generic`` also accept any commutative ring
+element supporting ``+``, ``-``, ``*`` (and ``/`` by small integers for the
+characteristic polynomial), which is how matrices with polynomial entries
+are handled.  Callers import them through ``foldlie.kernel``.
 """
 
 from __future__ import annotations
@@ -100,39 +101,46 @@ def rref(entries, rows, cols):
 
 
 def charpoly_int(entries, n):
-    """Characteristic polynomial of an integer matrix, coefficients of
-    x^n .. x^0, via the division-exact Faddeev-LeVerrier recursion.
+    """Characteristic polynomial of an integer matrix A, coefficients
+    ``[1, c_1, ..., c_n]`` of x^n .. x^0, from one integer determinant.
 
-    All intermediate divisions are exact over the integers.
+    det(X I - A) = sum_k c_k X^(n-k) is evaluated at one integer X and the
+    c_k are read off as its balanced base-X digits.  c_k is (-1)^k times the
+    sum of the k x k principal minors, so by Hadamard's inequality
+    sum_k |c_k| <= B = prod_i (1 + ||row_i||_1), and X = 2B + 1 keeps every
+    digit in [-B, B].  X I - A is strictly diagonally dominant, so its
+    leading minors are non-zero and fraction-free Bareiss elimination needs
+    no pivoting: O(n^3) integer operations.
     """
     if n == 0:
         return [1]
-    a = list(entries)
-    coeffs = [1]
-    m = [0] * (n * n)
-    for i in range(n):
-        m[i * n + i] = 1
-    for k in range(1, n + 1):
-        am = [0] * (n * n)
-        for i in range(n):
-            arow = i * n
-            for j in range(n):
-                acc = 0
-                for t in range(n):
-                    acc += a[arow + t] * m[t * n + j]
-                am[i * n + j] = acc
-        tr = 0
-        for i in range(n):
-            tr += am[i * n + i]
-        c = -tr // k
-        if c * k != -tr:
-            raise ArithmeticError("non-exact division in integer Faddeev-LeVerrier")
+    rows = [[-x for x in entries[i * n:(i + 1) * n]] for i in range(n)]
+    bound = 1
+    for row in rows:
+        bound *= 1 + sum(map(abs, row))
+    base = 2 * bound + 1
+    for i, row in enumerate(rows):
+        row[i] += base
+    # after step k, rows[i][j] (i, j > k) is the minor on rows 0..k, i and
+    # columns 0..k, j; the division by the previous pivot is exact
+    prev = 1
+    for k in range(n - 1):
+        prow, p = rows[k], rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * prow[j]) // prev
+        prev = p
+    det, coeffs = rows[-1][-1], []
+    for _ in range(n):
+        det, c = divmod(det, base)
+        if c > bound:
+            c -= base
+            det += 1
         coeffs.append(c)
-        if k < n:
-            m = am
-            for i in range(n):
-                m[i * n + i] += c
-    return coeffs
+    if det != 1:
+        raise ArithmeticError("characteristic polynomial is not monic: digit bound violated")
+    return [1] + coeffs[::-1]
 
 
 def charpoly_generic(entries, n, one):

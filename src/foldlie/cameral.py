@@ -295,17 +295,6 @@ class FiberModel:
         return out
 
 
-def equivariant_section_space(fiber: FiberModel, lattice_action: dict):
-    """Basis data of Hom_group(fiber, Lambda): per orbit, a base point and a
-    basis of the stabilizer-fixed subspace; the rank is the sum."""
-    out = []
-    for orbit, base, stab in fiber.orbits_with_stabilizers():
-        mats = [lattice_action[g] for g in stab]
-        basis = _fixed_space_basis(mats)
-        out.append({"orbit": orbit, "base": base, "stabilizer": stab, "basis": basis})
-    return out
-
-
 def section_value_tables(fiber: FiberModel, lattice_action: dict) -> list[dict]:
     """Explicit bases of Hom_group(fiber, Lambda) as full value tables
     point -> lattice vector.  A section supported on one orbit is determined

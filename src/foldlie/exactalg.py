@@ -276,14 +276,24 @@ class RatMatrix:
         return acc
 
     def bracket(self, other: "RatMatrix") -> "RatMatrix":
-        """Commutator [self, other]; both products share one denominator."""
+        """Commutator [self, other]; both products share one denominator and
+        run over the non-zero numerators of each row only (basis matrices of
+        a Lie algebra have one or two)."""
         n = self.rows
         fa, fb = self._ints, other._ints
         if fa is None or fb is None or (self.cols, other.rows, other.cols) != (n, n, n):
             return self * other - other * self
-        ab = kernel.mat_mul(fa[0], fb[0], n, n, n)
-        ba = kernel.mat_mul(fb[0], fa[0], n, n, n)
-        return _from_ints(n, n, [x - y for x, y in zip(ab, ba)], fa[1] * fb[1])
+        ra, rb = _sparse_rows(fa[0], n), _sparse_rows(fb[0], n)
+        out = [0] * (n * n)
+        for i in range(n):
+            base = i * n
+            for t, x in ra[i]:
+                for j, y in rb[t]:
+                    out[base + j] += x * y
+            for t, x in rb[i]:
+                for j, y in ra[t]:
+                    out[base + j] -= x * y
+        return _from_ints(n, n, out, fa[1] * fb[1])
 
     # -- linear algebra ----------------------------------------------------
     def _rational_ints(self) -> tuple:
@@ -335,6 +345,12 @@ class RatMatrix:
     def _same_shape(self, other: "RatMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+def _sparse_rows(nums, n: int) -> list:
+    """Per row of a flat n x n matrix, its (column, value) pairs with a
+    non-zero value."""
+    return [[(j, x) for j, x in enumerate(nums[i * n:(i + 1) * n]) if x] for i in range(n)]
 
 
 def _augment(nums, rows: int, cols: int, d: int) -> list:
@@ -707,11 +723,11 @@ def char_poly_coefficients(m: RatMatrix) -> list:
 def char_poly(m: RatMatrix, variable: str = "x") -> MultiPoly:
     """Monic characteristic polynomial det(x*I - m), exact.
 
-    Rational matrices are scaled to integers and run through the
-    division-exact integer Faddeev-LeVerrier recursion; matrices with
-    polynomial entries use the generic recursion (the indeterminate is
-    renamed with trailing underscores if it collides with an entry
-    variable).
+    A rational matrix N/d goes to the integer kernel as N, which reads the
+    coefficients of N off one integer determinant, and c_k is divided by
+    d^k; matrices with polynomial entries use the generic recursion (the
+    indeterminate is renamed with trailing underscores if it collides with
+    an entry variable).
     """
     n = m.rows if m.is_square else None
     coeffs = char_poly_coefficients(m)
@@ -755,21 +771,6 @@ def exterior_trace(m: RatMatrix, k: int):
 def poly_eval(p: MultiPoly, point: Mapping[str, Scalar]) -> Fraction:
     """Exact evaluation of ``p`` at a rational point covering all variables."""
     return p.evaluate(point)
-
-
-def principal_minor_sum(m: RatMatrix, k: int) -> Fraction:
-    """Brute-force sum of k x k principal minors (independent oracle for
-    exterior_trace). Exponential in n; for tests only."""
-    from itertools import combinations
-
-    n = m.rows
-    total = Fraction(0)
-    for subset in combinations(range(n), k):
-        sub = RatMatrix(
-            k, k, [m.entry(i, j) for i in subset for j in subset]
-        )
-        total += sub.det()
-    return total
 
 
 class SpanSolver:

@@ -306,15 +306,6 @@ class ChevalleyData:
     def _int_basis(self) -> tuple:
         return _integer_basis(self.basis_matrices)
 
-    def structure_table(self) -> dict:
-        """(i, j) -> list of (k, coefficient) for the chosen basis order."""
-        table = {}
-        for i, a in enumerate(self.basis_matrices):
-            for j, b in enumerate(self.basis_matrices):
-                coords = self.chev_coords(a.bracket(b))
-                table[(i, j)] = [(k, c) for k, c in enumerate(coords) if c != 0]
-        return table
-
     def to_json(self) -> dict:
         rs = self.root_system
         return {

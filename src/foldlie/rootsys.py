@@ -162,7 +162,8 @@ class RootSystem:
 
     ``simple_roots`` and ``all_roots`` are tuples of coordinate tuples in a
     common ambient space; the ambient dimension may exceed the rank (folded
-    systems live inside the homogeneous ambient space).
+    systems live inside the homogeneous ambient space).  Each root's integer
+    form and the Cartan matrix are computed once, at construction.
     """
 
     def __init__(self, ambient_dim, gram: RatMatrix, simple_roots, all_roots,
@@ -171,14 +172,21 @@ class RootSystem:
         self.gram = gram
         self.simple_roots = [tuple(Fraction(x) for x in v) for v in simple_roots]
         self.all_roots = [tuple(Fraction(x) for x in v) for v in all_roots]
+        # each stored root's integer form, keyed by the identity of its tuple:
+        # hashing a tuple of Fractions costs about as much as re-deriving the
+        # form.  An entry holds its root, so no other object can share the id.
+        self._root_ints = {id(r): (r, _integer_vector(r))
+                           for r in (*self.all_roots, *self.simple_roots)}
+        self._cartan = tuple(tuple(self.cartan_integer(a, b) for b in self.simple_roots)
+                             for a in self.simple_roots)
         if dtype is None:
-            dtype, perm = classify_with_perm(self.cartan_matrix())
+            dtype, perm = classify_with_perm(self._cartan)
             if perm != tuple(range(len(perm))):
-                # reorder the simple roots to the canonical labeling
-                reordered = [None] * len(self.simple_roots)
-                for i, s in enumerate(self.simple_roots):
-                    reordered[perm[i]] = s
-                self.simple_roots = reordered
+                # relabel the simple roots canonically: old root i becomes
+                # root perm[i], so the Cartan matrix permutes along with it
+                inv = sorted(range(len(perm)), key=perm.__getitem__)
+                self.simple_roots = [self.simple_roots[i] for i in inv]
+                self._cartan = tuple(tuple(self._cartan[i][j] for j in inv) for i in inv)
         self.dtype = dtype
         self._simple_coords = None
         if validate:
@@ -186,10 +194,11 @@ class RootSystem:
 
     # -- geometry -----------------------------------------------------------
     def inner(self, u, v) -> Fraction:
-        """(u, v) under the Gram matrix, summed in integers and divided once."""
+        """(u, v) under the Gram matrix, summed in integers and divided once;
+        a root's integer form is looked up, not re-derived."""
         g, dg = self.gram._integer_form()
-        iu, du = _integer_vector(u)
-        iv, dv = _integer_vector(v)
+        iu, du = self._int_form(u)
+        iv, dv = self._int_form(v)
         n = self.gram.cols
         acc = 0
         for i, ui in enumerate(iu):
@@ -200,15 +209,18 @@ class RootSystem:
                         acc += ui * g[row + j] * vj
         return Fraction(acc, dg * du * dv)
 
+    def _int_form(self, v) -> tuple:
+        entry = self._root_ints.get(id(v))
+        return entry[1] if entry is not None and entry[0] is v else _integer_vector(v)
+
     def cartan_integer(self, alpha, beta) -> Fraction:
         """2(alpha, beta)/(beta, beta)."""
         return 2 * self.inner(alpha, beta) / self.inner(beta, beta)
 
-    def cartan_matrix(self) -> list[list[Fraction]]:
-        return [
-            [self.cartan_integer(a, b) for b in self.simple_roots]
-            for a in self.simple_roots
-        ]
+    def cartan_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Cartan integers 2(a_i, a_j)/(a_j, a_j) of the simple roots, in
+        their canonical order; one shared, immutable matrix."""
+        return self._cartan
 
     @property
     def rank(self) -> int:
@@ -246,15 +258,9 @@ class RootSystem:
         for r in self.all_roots:
             if tuple(-x for x in r) not in root_set:
                 raise AssertionError("root set not closed under negation")
-        C = self.cartan_matrix()
-        for i, row in enumerate(C):
-            for j, x in enumerate(row):
-                if x.denominator != 1:
-                    raise AssertionError("non-integral Cartan integer")
-                if i == j and x != 2:
-                    raise AssertionError("diagonal Cartan entry != 2")
-        expected = [[Fraction(x) for x in row] for row in self.dtype.cartan_rows()]
-        if C != expected:
+        # the declared type's Cartan matrix is integral with 2 on the diagonal
+        expected = tuple(tuple(Fraction(x) for x in row) for row in self.dtype.cartan_rows())
+        if self.cartan_matrix() != expected:
             raise AssertionError(
                 f"Cartan matrix does not match declared type {self.dtype}"
             )

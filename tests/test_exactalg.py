@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -15,8 +16,22 @@ from foldlie.exactalg import (
     exterior_traces,
     nullspace,
     poly_eval,
-    principal_minor_sum,
 )
+
+
+def principal_minor_sum(m, k):
+    """Sum of the k x k principal minors by the Leibniz formula: an oracle
+    for exterior_trace independent of the characteristic-polynomial kernels.
+    Exponential in n."""
+    total = Q(0)
+    for subset in itertools.combinations(range(m.rows), k):
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+            term = Q((-1) ** inversions)
+            for a, b in enumerate(perm):
+                term = term * m.entry(subset[a], subset[b])
+            total = total + term
+    return total
 
 
 def rand_matrix(rng, rows, cols):

@@ -194,26 +194,47 @@ class TestMolienIntegerPath:
 
 class TestTwistedMolien:
     """Springer: (1/|W|) sum_w 1/det(1 - q w a) = prod_d 1/(1 - eps_d q^d),
-    where a acts on the degree-d generator by eps_d.  The enumeration of W_h
-    makes this independent of the -w0 and Pfaffian routes it checks.  E6/2
-    and A7/2 are left out: enumerating their W_h takes about 10 s each."""
+    where a acts on the degree-d generator by the root of unity eps_d.  For
+    a folding of prime order p the generators a moves come in Galois orbits
+    eps = z, ..., z^(p-1), whose factors multiply to 1 + q^d + ... +
+    q^((p-1)d): 1 + q^d for order 2, and 1 + q^4 + q^8 for the two degree-4
+    generators of D4 under triality (eps = omega, omega^2).  The enumeration of W_h
+    makes this independent of the -w0, Pfaffian and Reynolds routes it
+    checks.  E6/2 and A7/2 are left out to keep the suite short: enumerating
+    their W_h takes about 1 s each, and one characteristic polynomial per
+    element about 2 s more."""
 
-    @pytest.mark.parametrize("th", ["A3", "A5", "D4", "D5"])
-    def test_matches_survivors(self, th):
-        from foldlie.weyl import aut_matrix_on_corootspace, folding_weyl_data
+    @pytest.mark.parametrize("name", ["A3", "A5", "D4", "D5", "D4/3"])
+    def test_matches_survivors(self, name):
+        from foldlie.weyl import folding_weyl_data
 
-        fd = folding_datum(th, 2)
-        a = aut_matrix_on_corootspace(fd.aut)
-        twisted = [el.matrix * a for el in folding_weyl_data(fd).wh.elements]
+        th, _, order = name.partition("/")
+        fd = folding_datum(th, int(order or 2))
+        # a permutes the simple coroots, a e_c = e_perm[c], so column c of
+        # w a is column perm[c] of w
+        perm = fd.aut.permutation
+        n = len(perm)
+        twisted = [tuple(el.flat[r * n + perm[c]] for r in range(n) for c in range(n))
+                   for el in folding_weyl_data(fd).wh.elements]
         sd = surviving_invariant_degrees(fd)
         kmax = max(sd.degrees_h) + 2
+        p = fd.aut.order
+        denominator = [1] + [0] * kmax
+        for d in set(sd.degrees_h):
+            kept = sd.survivors.get(d, 0)
+            orbits, rest = divmod(sd.degrees_h.count(d) - kept, p - 1)
+            assert rest == 0
+            factors = [{0: 1, d: -1}] * kept + [{i * d: 1 for i in range(p)}] * orbits
+            for f in factors:
+                denominator = [sum(c * denominator[k - e] for e, c in f.items() if e <= k)
+                               for k in range(kmax + 1)]
         series = [1] + [0] * kmax
-        signed = [(d, 1 if i < sd.survivors.get(d, 0) else -1)
-                  for d in set(sd.degrees_h) for i in range(sd.degrees_h.count(d))]
-        for d, eps in signed:
-            for k in range(d, kmax + 1):
-                series[k] += eps * series[k - d]
+        for k in range(1, kmax + 1):
+            series[k] = -sum(denominator[j] * series[k - j] for j in range(1, k + 1))
         assert molien_dimensions(twisted, kmax) == series
+        if name == "D4/3":
+            # 1/((1 - q^2)(1 - q^6)(1 + q^4 + q^8)) up to q^8
+            assert series == [1, 0, 1, 0, 0, 0, 1, 0, 1]
 
 
 # -- the greedy eliminations replaced by pivot columns, kept as references --------------

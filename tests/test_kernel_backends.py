@@ -53,6 +53,27 @@ def ref_det(a, n):
     return det
 
 
+def ref_charpoly_faddeev_leverrier(entries, n):
+    """Characteristic polynomial of an integer matrix, coefficients of
+    x^n .. x^0, by the division-exact Faddeev-LeVerrier recursion:
+    M_1 = I, c_k = -tr(A M_k) / k, M_(k+1) = A M_k + c_k I."""
+    if n == 0:
+        return [1]
+    a = list(entries)
+    coeffs = [1]
+    m = [1 if i == j else 0 for i in range(n) for j in range(n)]
+    for k in range(1, n + 1):
+        am = [sum(a[i * n + t] * m[t * n + j] for t in range(n))
+              for i in range(n) for j in range(n)]
+        tr = -sum(am[i * n + i] for i in range(n))
+        assert tr % k == 0, "non-exact division in Faddeev-LeVerrier"
+        coeffs.append(tr // k)
+        m = am
+        for i in range(n):
+            m[i * n + i] += coeffs[-1]
+    return coeffs
+
+
 def charpoly_matches_det(coeffs, a, n):
     """coeffs (x^n .. x^0) agree with det(x I - a) at n + 1 points."""
     for x in range(n + 1):
@@ -127,7 +148,10 @@ class TestAgreement:
                 *(x.denominator for x in vals))
 
 
-class TestIntegerFaddeevLeVerrier:
+class TestKroneckerCharpoly:
+    """``charpoly_int`` reads the coefficients off one determinant
+    det(X I - A) in base X; Faddeev-LeVerrier is the independent reference."""
+
     def test_matches_eigenvalue_expansion(self):
         # diag(1, 2, -1, -2): x^4 - 5 x^2 + 4
         a = [0] * 16
@@ -135,11 +159,35 @@ class TestIntegerFaddeevLeVerrier:
             a[i * 4 + i] = v
         assert _kernel_py.charpoly_int(a, 4) == [1, 0, -5, 0, 4]
 
-    def test_division_exactness_guard(self):
-        # FL divisions are exact for any integer matrix; spot-check many
+    def test_weyl_group_d5(self):
+        from foldlie.rootsys import build_root_system
+        from foldlie.weyl import WeylGroup
+
+        wg = WeylGroup.generate(build_root_system("D5"))
+        assert wg.order == 1920
+        for w in (el.flat for el in wg.elements):
+            assert _kernel_py.charpoly_int(w, 5) == ref_charpoly_faddeev_leverrier(w, 5)
+
+    def test_random_matrices_match_reference(self):
         rng = random.Random(5)
-        for _ in range(50):
-            n = rng.randint(1, 6)
-            a = [rng.randint(-20, 20) for _ in range(n * n)]
+        for _ in range(150):
+            n = rng.randint(0, 8)
+            bound = rng.choice((1, 10, 10**6))
+            a = [rng.randint(-bound, bound) for _ in range(n * n)]
             coeffs = _kernel_py.charpoly_int(a, n)
-            assert len(coeffs) == n + 1 and coeffs[0] == 1
+            assert all(type(c) is int for c in coeffs)
+            assert coeffs == ref_charpoly_faddeev_leverrier(a, n)
+
+    def test_zero_identity_nilpotent(self):
+        for n in range(0, 9):
+            zero = [0] * (n * n)
+            assert _kernel_py.charpoly_int(zero, n) == [1] + [0] * n
+            eye = [1 if i == j else 0 for i in range(n) for j in range(n)]
+            assert _kernel_py.charpoly_int(eye, n) == [math.comb(n, k) * (-1) ** k
+                                                       for k in range(n + 1)]
+            # strictly upper triangular with large entries: x^n
+            rng = random.Random(n)
+            nil = [rng.randint(-10**6, 10**6) if j > i else 0
+                   for i in range(n) for j in range(n)]
+            assert _kernel_py.charpoly_int(nil, n) == [1] + [0] * n
+            assert ref_charpoly_faddeev_leverrier(nil, n) == [1] + [0] * n

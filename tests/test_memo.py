@@ -32,7 +32,7 @@ def _stdout_of(argv) -> str:
 
 
 def _snapshot(rs) -> tuple:
-    return tuple(rs.all_roots), tuple(rs.simple_roots), rs.gram
+    return tuple(rs.all_roots), tuple(rs.simple_roots), rs.gram, rs.cartan_matrix()
 
 
 class TestSharedResults:

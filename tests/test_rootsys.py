@@ -191,6 +191,32 @@ class TestFoldingTable:
             assert str(fold_invariants(fd).dtype) == "G2"
 
 
+class TestCartanMatrix:
+    @pytest.mark.parametrize("th,order", [(r[0], r[1]) for r in FOLD_TABLE])
+    def test_computed_once_after_relabeling(self, th, order):
+        """The folded systems are classified and relabeled (G2 and F4 by a
+        non-identity permutation); the stored Cartan matrix is the one of the
+        relabeled simple roots, shared and immutable."""
+        fd = folding_datum(th, order)
+        co = fold_coinvariants(fd)
+        for rs in (fd.homogeneous, co, fold_invariants(fd), dualize_root_system(co)):
+            C = rs.cartan_matrix()
+            assert C is rs.cartan_matrix()
+            assert isinstance(C, tuple) and all(isinstance(row, tuple) for row in C)
+            assert C == tuple(tuple(rs.cartan_integer(a, b) for b in rs.simple_roots)
+                              for a in rs.simple_roots)
+            assert C == tuple(tuple(Q(x) for x in row) for row in rs.dtype.cartan_rows())
+
+    def test_inner_of_non_roots(self):
+        rs = build_root_system("G2")
+        g = rs.gram.to_rows()
+        # neither a non-root nor a copy of a root is the stored tuple
+        copies = tuple(x for x in rs.all_roots[0]), list(rs.all_roots[1])
+        for u, v in (((Q(1, 2), Q(-3)), [Q(2), Q(1, 3)]), copies):
+            assert rs.inner(u, v) == sum(u[i] * g[i][j] * v[j]
+                                         for i in range(2) for j in range(2))
+
+
 class TestDuality:
     def test_dualize_classical(self):
         assert str(dualize_root_system(build_root_system("C3")).dtype) == "B3"
