@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .exactalg import RatMatrix, nullspace
+from .rootsys import permutation_cycles
 from .verify import Report
 from .weyl import FoldedWeylData, WeylGroup
 
@@ -35,21 +36,25 @@ class CoverMonodromy:
         return list(self.handle_images) + list(self.branch_images)
 
 
+def _relation_product(g: WeylGroup, handles, branches) -> int:
+    """prod_i [a_i, b_i] prod_k c_k for handles a_1, b_1, ..., a_g, b_g."""
+    acc = g.identity_index()
+    for a, b in zip(handles[::2], handles[1::2]):
+        acc = g.multiply(acc, a)
+        acc = g.multiply(acc, b)
+        acc = g.multiply(acc, g.inverse(a))
+        acc = g.multiply(acc, g.inverse(b))
+    for c in branches:
+        acc = g.multiply(acc, c)
+    return acc
+
+
 def validate_monodromy(cm: CoverMonodromy) -> CoverMonodromy:
     """Check the surface-group relation prod [a_i, b_i] prod c_k = 1 exactly;
     on failure the residual group element is reported.  For transversal
     covers every branch image must be a reflection."""
     g = cm.group
-    acc = g.identity_index()
-    for i in range(cm.base_genus):
-        a = cm.handle_images[2 * i]
-        b = cm.handle_images[2 * i + 1]
-        acc = g.multiply(acc, a)
-        acc = g.multiply(acc, b)
-        acc = g.multiply(acc, g.inverse(a))
-        acc = g.multiply(acc, g.inverse(b))
-    for c in cm.branch_images:
-        acc = g.multiply(acc, c)
+    acc = _relation_product(g, cm.handle_images, cm.branch_images)
     if acc != g.identity_index():
         raise ValueError(
             f"surface-group relation violated; residual element index {acc}: "
@@ -125,20 +130,9 @@ def cover_geometry(cm: CoverMonodromy) -> CoverGeometry:
     profile = []
     defects = [0] * len(roots)
     for p in branch_perms:
-        cycles = []
-        seen = set()
-        for i in range(n):
-            if i in seen:
-                continue
-            cyc = [i]
-            j = p[i]
-            while j != i:
-                seen.add(j)
-                cyc.append(j)
-                j = p[j]
-            seen.add(i)
-            cycles.append(cyc)
-            defects[comp_of[find(i)]] += len(cyc) - 1
+        cycles = permutation_cycles(p)
+        for cyc in cycles:
+            defects[comp_of[find(cyc[0])]] += len(cyc) - 1
         profile.append(sorted(len(c) for c in cycles))
 
     genera = []
@@ -248,22 +242,9 @@ class FiberModel:
 
     @staticmethod
     def at(group: WeylGroup, local_monodromy: int | None) -> "FiberModel":
-        n = group.order
-        if local_monodromy is None:
-            pts = [frozenset([i]) for i in range(n)]
-        else:
-            perm = group.right_multiplication_permutation(local_monodromy)
-            seen, pts = set(), []
-            for i in range(n):
-                if i in seen:
-                    continue
-                cyc = {i}
-                j = perm[i]
-                while j != i:
-                    cyc.add(j)
-                    j = perm[j]
-                seen |= cyc
-                pts.append(frozenset(cyc))
+        perm = (range(group.order) if local_monodromy is None
+                else group.right_multiplication_permutation(local_monodromy))
+        pts = [frozenset(c) for c in permutation_cycles(perm)]
         return FiberModel(group, pts, {p: k for k, p in enumerate(pts)})
 
     def act(self, g_idx: int, point_idx: int) -> int:
@@ -455,16 +436,7 @@ def random_transversal_monodromy(fwd: FoldedWeylData, genus: int,
     for _ in range(10_000):
         handles = [rng.randrange(folded.order) for _ in range(2 * genus)]
         branches = [rng.choice(classes[cls]) for cls in pools[:-1]]
-        acc = folded.identity_index()
-        for i in range(genus):
-            a, b = handles[2 * i], handles[2 * i + 1]
-            acc = folded.multiply(acc, a)
-            acc = folded.multiply(acc, b)
-            acc = folded.multiply(acc, folded.inverse(a))
-            acc = folded.multiply(acc, folded.inverse(b))
-        for c in branches:
-            acc = folded.multiply(acc, c)
-        last = folded.inverse(acc)
+        last = folded.inverse(_relation_product(folded, handles, branches))
         if last not in classes[pools[-1]]:
             continue
         cm = CoverMonodromy(folded, genus, handles, branches + [last])

@@ -287,6 +287,23 @@ class RootSystem:
         }
 
 
+def permutation_cycles(perm) -> list[tuple]:
+    """The cycles of a permutation of range(len(perm)), ordered by their
+    first point, each read from that point on: (i, perm[i], ...)."""
+    seen = [False] * len(perm)
+    out = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        cyc, j = [], i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = perm[j]
+        out.append(tuple(cyc))
+    return out
+
+
 @dataclass(frozen=True)
 class GraphAut:
     """A Dynkin-diagram automorphism, given as a permutation of the simple
@@ -340,20 +357,6 @@ class GraphAut:
                 raise ValueError(
                     "not a Dynkin graph automorphism: (a(alpha), alpha) outside {0, |alpha|^2}"
                 )
-
-    def orbits(self, n: int) -> list[tuple]:
-        """Orbits on simple-root indices, ordered by smallest member."""
-        seen, out = set(), []
-        for i in range(n):
-            if i in seen:
-                continue
-            orb, j = [], i
-            while j not in seen:
-                seen.add(j)
-                orb.append(j)
-                j = self.permutation[j]
-            out.append(tuple(orb))
-        return out
 
 
 @dataclass(frozen=True)
@@ -597,7 +600,7 @@ def folded_lattices(fd: FoldingDatum) -> tuple[Lattice, Lattice]:
     coinvariants of the root lattice and invariants of the coweight lattice."""
     rs, a = fd.homogeneous, fd.aut
     project, _ = _aut_projector_images(fd)
-    orbits = a.orbits(rs.rank)
+    orbits = permutation_cycles(a.permutation)
     char_basis = tuple(project(rs.simple_roots[o[0]]) for o in orbits)
 
     C = RatMatrix.from_rows(rs.dtype.cartan_rows())

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from . import kernel
 from .exactalg import RatMatrix
@@ -25,6 +26,7 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     classify,
+    permutation_cycles,
 )
 from .verify import Report
 
@@ -65,7 +67,15 @@ class WeylElement:
 
 
 class WeylGroup:
-    """A fully enumerated reflection group of exact matrices.
+    """A fully enumerated reflection group of exact integer matrices.
+
+    Element w is indexed by its key w^T rho, with rho = (1, ..., 1) in the
+    basis dual to the acting one: the column sums of w.  rho is regular, so
+    the key is injective (checked at construction), and (w g)^T rho =
+    g^T (w^T rho) makes a product, an inverse or a right-multiplication
+    permutation one transposed matrix-vector product and one lookup.
+    :meth:`index_of` and :meth:`contains` confirm the stored matrix entry by
+    entry, so a non-element sharing a key is rejected.
 
     ``invariant_vectors`` is the coroot set in the acting coordinates; every
     element must permute it (checked by :meth:`verify`).
@@ -76,15 +86,17 @@ class WeylGroup:
         self.dim = dim
         self.generators = generators
         self._flat = flat_elements
-        self._index = {m: i for i, m in enumerate(flat_elements)}
+        self._keys = [_key(m, dim) for m in flat_elements]
+        self._index = {k: i for i, k in enumerate(self._keys)}
+        if len(self._index) != len(flat_elements):
+            raise AssertionError("two elements share a key: rho is not regular")
         self.elements = [WeylElement(m, dim, w) for m, w in zip(flat_elements, words)]
         self.dtype = dtype
         self.root_system = root_system
         self.invariant_vectors = invariant_vectors
         self._mult_cache: dict = {}
-        self._inv_cache: dict = {}
         self._rightmul_cache: dict = {}
-        self._identity = self._index[_flat_identity(dim)]
+        self._identity = self.index_of(_flat_identity(dim))
 
     # -- construction ---------------------------------------------------------
     @staticmethod
@@ -108,53 +120,49 @@ class WeylGroup:
             for j in range(n):
                 m[i][j] -= C[i][j]
             gens.append(tuple(x for row in m for x in row))
-        inv_vecs = _coroot_vectors(rs)
-        flat, words = _bfs_closure(gens, n, _weyl_vector(inv_vecs), expected)
+        flat, words, _ = _bfs_closure(gens, n, expected)
         gen_mats = [RatMatrix(n, n, g) for g in gens]
         return WeylGroup(n, gen_mats, flat, words, dtype=t, root_system=rs,
-                         invariant_vectors=inv_vecs)
+                         invariant_vectors=_coroot_vectors(rs))
 
     # -- group structure ----------------------------------------------------
     @property
     def order(self) -> int:
         return len(self._flat)
 
+    def _find(self, matrix):
+        """Index of ``matrix`` (a RatMatrix or flat sequence), or None."""
+        flat = _flat_key(matrix)
+        if flat is None:
+            return None
+        idx = self._index.get(_key(flat, self.dim))
+        return idx if idx is not None and self._flat[idx] == flat else None
+
     def index_of(self, matrix) -> int:
-        idx = self._index.get(_flat_key(matrix))
+        idx = self._find(matrix)
         if idx is None:
             raise KeyError("matrix is not an element of this group")
         return idx
 
     def contains(self, matrix) -> bool:
-        return _flat_key(matrix) in self._index
+        return self._find(matrix) is not None
 
     def multiply(self, i: int, j: int) -> int:
         key = (i, j)
         out = self._mult_cache.get(key)
         if out is None:
-            prod = kernel.mat_mul(
-                list(self._flat[i]), list(self._flat[j]), self.dim, self.dim, self.dim
-            )
-            out = self._index[tuple(prod)]
+            out = self._index[_transpose_apply(self._flat[j], self._keys[i], self.dim)]
             self._mult_cache[key] = out
         return out
 
     def inverse(self, i: int) -> int:
-        """w^-1 = w^(k-1) for w of order k, by integer products."""
-        out = self._inv_cache.get(i)
-        if out is None:
-            n, w = self.dim, list(self._flat[i])
-            prev, power = self._flat[i], w
-            while True:
-                power = kernel.mat_mul(power, w, n, n, n)
-                idx = self._index[tuple(power)]
-                if idx == self._identity:
-                    break
-                prev = power
-            out = self._index[tuple(prev)]
-            self._inv_cache[i] = out
-            self._inv_cache[out] = i
-        return out
+        """w^-1 = w^(k-1) for w of order k: the last key before rho's key
+        returns to rho under repeated w^T."""
+        rho, w, n = self._keys[self._identity], self._flat[i], self.dim
+        prev, key = rho, self._keys[i]
+        while key != rho:
+            prev, key = key, _transpose_apply(w, key, n)
+        return self._index[prev]
 
     def identity_index(self) -> int:
         return self._identity
@@ -169,7 +177,10 @@ class WeylGroup:
         on a fiber identified with the group)."""
         out = self._rightmul_cache.get(j)
         if out is None:
-            out = tuple(self.multiply(i, j) for i in range(self.order))
+            n, index = self.dim, self._index
+            cols = [self._flat[j][c::n] for c in range(n)]
+            out = tuple([index[tuple([sum(map(mul, col, k)) for col in cols])]
+                         for k in self._keys])
             self._rightmul_cache[j] = out
         return out
 
@@ -212,24 +223,37 @@ def _flat_key(matrix):
     return form[0] if form is not None and form[1] == 1 else None
 
 
-def _bfs_closure(gens, n, key, order):
-    """The group generated by the involutions ``gens`` (flat n x n integer
-    matrices) as (elements, words), breadth first by right multiplication.
+def _key(flat, n) -> tuple:
+    """w^T rho for rho = (1, ..., 1): the column sums of the flat matrix w."""
+    return tuple([sum(flat[j::n]) for j in range(n)])
 
-    Elements are told apart by w^-1 key, which is injective when ``key`` is
-    regular.  As (w g)^-1 key = g (w^-1 key), an edge updates only the rows
-    i where g differs from the identity.  A new element is w g = w + sum_i
-    (column i of w) (row i of g - e_i) over the same rows, so only the
-    columns where such a row is non-zero change: for a simple reflection,
-    its own column and its neighbours', not a full matrix product.  A
-    closure of any size but ``order`` raises: ``key`` was not regular, or
-    ``gens`` do not generate a group of that order."""
+
+def _transpose_apply(flat, vec, n) -> tuple:
+    """w^T vec for the flat n x n matrix w: vec dotted with each column."""
+    return tuple([sum(map(mul, flat[j::n], vec)) for j in range(n)])
+
+
+def _bfs_closure(gens, n, order):
+    """The group generated by the involutions ``gens`` (flat n x n integer
+    matrices) as (elements, words, keys), breadth first by right
+    multiplication.
+
+    Elements are told apart by their key w^T rho, rho = (1, ..., 1), which is
+    injective when rho is regular for the dual action: so it is when the
+    basis consists of simple coroots or of orbit sums of them.  As (w g)^T rho = g^T (w^T rho),
+    an edge adds (row i of g - e_i) times key[i] over the rows i where g
+    differs from the identity.  A new element is w g = w + sum_i (column i
+    of w) (row i of g - e_i) over the same rows, so only the columns where
+    such a row is non-zero change: for a simple reflection, its own column
+    and its neighbours', not a full matrix product.  A closure of any size
+    but ``order`` raises: rho was not regular, or ``gens`` do not generate a
+    group of that order."""
     moved = []  # per generator: (i, row i of g - e_i as (j, entry) pairs)
     for g in gens:
         rows = [[(j, g[i * n + j] - (i == j)) for j in range(n)] for i in range(n)]
         moved.append([(i, [(j, c) for j, c in row if c]) for i, row in enumerate(rows)
                       if any(c for _, c in row)])
-    flat, words, keys = [_flat_identity(n)], [()], [tuple(key)]
+    flat, words, keys = [_flat_identity(n)], [()], [(1,) * n]
     seen = {keys[0]}
     idx = 0
     while idx < len(flat):
@@ -237,10 +261,9 @@ def _bfs_closure(gens, n, key, order):
         for gi, delta in enumerate(moved):
             nk = list(k)
             for i, row in delta:
-                acc = k[i]
+                ki = k[i]
                 for j, c in row:
-                    acc += c * k[j]
-                nk[i] = acc
+                    nk[j] += c * ki
             nk = tuple(nk)
             if nk not in seen:
                 seen.add(nk)
@@ -256,12 +279,7 @@ def _bfs_closure(gens, n, key, order):
         idx += 1
     if len(flat) != order:
         raise AssertionError(f"closure has {len(flat)} elements, expected {order}")
-    return flat, words
-
-
-def _weyl_vector(coroots) -> tuple:
-    """2 rho^vee, the sum of the positive coroots: a regular vector."""
-    return tuple(map(sum, zip(*(v for v in coroots if min(v) >= 0))))
+    return flat, words, keys
 
 
 def _as_int(x) -> int:
@@ -374,18 +392,16 @@ def commutant_fixed_subgroup(wh: WeylGroup, a_matrix: RatMatrix) -> WeylGroup:
     by the products of commuting reflections over the automorphism's orbits
     of simple roots."""
     indices = _commutant_indices(wh, a_matrix)
-    perm = _permutation_of_matrix(a_matrix)
-    orbits = _orbits_of_permutation(perm)
+    orbits = permutation_cycles(_permutation_of_matrix(a_matrix))
     gens = [wh.elements[_orbit_product_index(wh, list(o))] for o in orbits]
     flat = [wh._flat[i] for i in indices]
     # Words over the subgroup's own generators; the closure must be exactly
-    # the commutant.
-    closure, closure_words = _bfs_closure([g.flat for g in gens], wh.dim,
-                                          _weyl_vector(wh.invariant_vectors), len(flat))
-    word_of = dict(zip(closure, closure_words))
-    if word_of.keys() != set(flat):
+    # the commutant, whose keys are those of W_h.
+    _, closure_words, keys = _bfs_closure([g.flat for g in gens], wh.dim, len(flat))
+    word_of = dict(zip(keys, closure_words))
+    if word_of.keys() != {wh._keys[i] for i in indices}:
         raise AssertionError("orbit products do not generate the commutant")
-    words = [word_of[m] for m in flat]
+    words = [word_of[wh._keys[i]] for i in indices]
     sub = WeylGroup(wh.dim, [g.matrix for g in gens], flat, words, dtype=None,
                     root_system=wh.root_system,
                     invariant_vectors=wh.invariant_vectors)
@@ -401,20 +417,6 @@ def _permutation_of_matrix(a_matrix: RatMatrix) -> tuple:
             raise ValueError("automorphism matrix is not a basis permutation")
         perm.append(col[0])
     return tuple(perm)
-
-
-def _orbits_of_permutation(perm) -> list[tuple]:
-    seen, out = set(), []
-    for i in range(len(perm)):
-        if i in seen:
-            continue
-        orb, j = [], i
-        while j not in seen:
-            seen.add(j)
-            orb.append(j)
-            j = perm[j]
-        out.append(tuple(orb))
-    return out
 
 
 def folded_reflection(wh: WeylGroup, orbit) -> WeylElement:
@@ -465,7 +467,7 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
     wh = WeylGroup.generate(rs)
     a_matrix = aut_matrix_on_corootspace(aut)
     comm = _commutant_indices(wh, a_matrix)
-    orbits = aut.orbits(rs.rank)
+    orbits = permutation_cycles(aut.permutation)
     r = len(orbits)
 
     # restriction of every commutant element
@@ -485,8 +487,7 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
         gen_flats.append(restricted[idx])
     folded_type = classify(fd_folded_cartan(fd))
     inv_vecs = _folded_coroot_vectors(fd, orbits)
-    flat, words = _bfs_closure(gen_flats, r, _weyl_vector(inv_vecs),
-                               folded_type.weyl_order())
+    flat, words, _ = _bfs_closure(gen_flats, r, folded_type.weyl_order())
     folded = WeylGroup(
         r,
         [RatMatrix(r, r, g) for g in gen_flats],
@@ -653,8 +654,8 @@ def orbit_regular_membership(fwd: FoldedWeylData, t_point, w: WeylElement) -> Me
     w_in = None
     restriction = None
     if regular:
-        w_idx = wh._index.get(w.flat)
-        w_in = w_idx in fwd.restrict if w_idx is not None else False
+        w_idx = wh.index_of(w.flat) if wh.contains(w.flat) else None
+        w_in = w_idx in fwd.restrict
         if w_in:
             fidx = fwd.restrict[w_idx]
             restriction = fwd.folded.elements[fidx].matrix

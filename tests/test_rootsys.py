@@ -151,6 +151,11 @@ class TestGraphAut:
         with pytest.raises(ValueError):
             GraphAut((1, 0, 2), 2).validate_on(rs)
 
+    def test_permutation_cycles_in_first_seen_order(self):
+        assert rootsys.permutation_cycles((2, 0, 1, 3, 5, 4)) == [(0, 2, 1), (3,), (4, 5)]
+        assert rootsys.permutation_cycles(range(3)) == [(0,), (1,), (2,)]
+        assert rootsys.permutation_cycles(()) == []
+
 
 class TestFoldingTable:
     @pytest.mark.parametrize("th,order,co_t,inv_t", FOLD_TABLE)

@@ -49,35 +49,19 @@ class TestGenerate:
             assert len(w.reflections()) == len(rs.all_roots) // 2
 
 
-def _product_closure(gens, n):
-    """Breadth-first closure with one matrix product per edge, deduplicated
-    on the product itself: the enumeration the keyed closure replaced, kept
-    as its reference."""
-    ident = tuple(int(i == j) for i in range(n) for j in range(n))
-    flat, words, index = [ident], [()], {ident}
-    frontier = [0]
-    while frontier:
-        new = []
-        for idx in frontier:
-            for gi, g in enumerate(gens):
-                prod = tuple(kernel.mat_mul(flat[idx], g, n, n, n))
-                if prod not in index:
-                    index.add(prod)
-                    flat.append(prod)
-                    words.append(words[idx] + (gi,))
-                    new.append(len(flat) - 1)
-        frontier = new
-    return flat, words
-
-
 def _generator_flats(group):
     return [group._flat[group.index_of(g)] for g in group.generators]
 
 
+def _two_rho_vee(coroots) -> tuple:
+    """2 rho^vee, the sum of the positive coroots: a regular vector."""
+    return tuple(map(sum, zip(*(v for v in coroots if min(v) >= 0))))
+
+
 def _matmul_keyed_closure(gens, n, key):
-    """The keyed closure with each new element built as one full
-    ``kernel.mat_mul`` of its parent and the generator: the reference for
-    the column update of ``_bfs_closure``."""
+    """Breadth-first closure keyed by w^-1 key, with each new element built
+    as one full ``kernel.mat_mul`` of its parent and the generator: the
+    reference for the key and column updates of ``_bfs_closure``."""
     moved = [[(i, [(j, g[i * n + j]) for j in range(n) if g[i * n + j]])
               for i in range(n) if any(g[i * n + j] != (i == j) for j in range(n))]
              for g in gens]
@@ -127,18 +111,18 @@ class TestColumnUpdateClosure:
 
     @pytest.mark.parametrize("name", _types_under_budget())
     def test_matches_matmul_closure(self, name):
-        from foldlie.weyl import _coroot_vectors, _weyl_vector
+        from foldlie.weyl import _coroot_vectors
 
         rs = build_root_system(name)
         w = WeylGroup.generate(rs)
         flat, words = _matmul_keyed_closure(_generator_flats(w), w.dim,
-                                            _weyl_vector(_coroot_vectors(rs)))
+                                            _two_rho_vee(_coroot_vectors(rs)))
         assert w._flat == flat
         assert [el.word for el in w.elements] == words
 
     def test_multi_row_generators(self):
         """Orbit products differ from the identity in several rows."""
-        from foldlie.weyl import _weyl_vector, commutant_fixed_subgroup
+        from foldlie.weyl import commutant_fixed_subgroup
 
         fwd = folding_weyl_data(folding_datum("D4", 3))
         sub = commutant_fixed_subgroup(fwd.wh, fwd.a_matrix)
@@ -146,17 +130,21 @@ class TestColumnUpdateClosure:
         moved_rows = [sum(any(g[i * 4 + j] != (i == j) for j in range(4)) for i in range(4))
                       for g in gens]
         assert max(moved_rows) > 1
-        key = _weyl_vector(fwd.wh.invariant_vectors)
-        assert _bfs_closure(gens, 4, key, 12) == _matmul_keyed_closure(gens, 4, key)
+        key = _two_rho_vee(fwd.wh.invariant_vectors)
+        assert _bfs_closure(gens, 4, 12)[:2] == _matmul_keyed_closure(gens, 4, key)
+        flat, _, keys = _bfs_closure(gens, 4, 12)
+        assert keys == [tuple(sum(f[j::4]) for j in range(4)) for f in flat]
 
 
 class TestKeyedClosure:
-    """The closure keyed on 2 rho^vee against the product closure."""
+    """The closure keyed on w^T rho against the reference keyed on
+    w^-1 2 rho^vee, for generated, folded and commutant groups."""
 
     @pytest.mark.parametrize("name", ["A3", "C2", "G2", "B3", "D4", "D5"])
     def test_generate_matches_reference(self, name):
         w = WeylGroup.generate(build_root_system(name))
-        flat, words = _product_closure(_generator_flats(w), w.dim)
+        flat, words = _matmul_keyed_closure(_generator_flats(w), w.dim,
+                                            _two_rho_vee(w.invariant_vectors))
         assert w._flat == flat
         assert [el.word for el in w.elements] == words
 
@@ -165,20 +153,86 @@ class TestKeyedClosure:
         from foldlie.weyl import commutant_fixed_subgroup
 
         fwd = folding_weyl_data(folding_datum(th, order))
-        flat, words = _product_closure(_generator_flats(fwd.folded), fwd.folded.dim)
+        flat, words = _matmul_keyed_closure(_generator_flats(fwd.folded), fwd.folded.dim,
+                                            _two_rho_vee(fwd.folded.invariant_vectors))
         assert fwd.folded._flat == flat
         assert [el.word for el in fwd.folded.elements] == words
 
         sub = commutant_fixed_subgroup(fwd.wh, fwd.a_matrix)
-        flat, words = _product_closure(_generator_flats(sub), sub.dim)
+        flat, words = _matmul_keyed_closure(_generator_flats(sub), sub.dim,
+                                            _two_rho_vee(sub.invariant_vectors))
         word_of = dict(zip(flat, words))
         assert sub._flat == [fwd.wh._flat[i] for i in fwd.commutant]
         assert [el.word for el in sub.elements] == [word_of[m] for m in sub._flat]
 
     def test_non_regular_key_rejected(self):
-        w = WeylGroup.generate(build_root_system("A3"))
-        with pytest.raises(AssertionError, match="closure has 1 elements, expected 24"):
-            _bfs_closure(_generator_flats(w), w.dim, (0, 0, 0), w.order)
+        """S_3 permuting the coordinates of Q^3 fixes rho = (1, 1, 1): every
+        element has the identity's column sums."""
+        swaps = [(0, 1, 0, 1, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1, 0, 1, 0)]
+        with pytest.raises(AssertionError, match="closure has 1 elements, expected 6"):
+            _bfs_closure(swaps, 3, 6)
+
+
+def _key_index_groups(th, order):
+    from foldlie.weyl import commutant_fixed_subgroup
+
+    fwd = folding_weyl_data(folding_datum(th, order))
+    return {"W_h": fwd.wh, "commutant": commutant_fixed_subgroup(fwd.wh, fwd.a_matrix),
+            "folded": fwd.folded}
+
+
+class TestKeyIndex:
+    """Products, inverses and right-multiplication permutations read through
+    the key index, against full ``kernel.mat_mul`` products."""
+
+    @pytest.fixture(scope="class", params=FOLDINGS, ids=lambda p: f"{p[0]}/{p[1]}")
+    def groups(self, request):
+        return _key_index_groups(*request.param)
+
+    @staticmethod
+    def _product(group, i, j):
+        n = group.dim
+        return tuple(kernel.mat_mul(group._flat[i], group._flat[j], n, n, n))
+
+    def test_multiply_matches_products(self, groups):
+        rng = random.Random(12)
+        for group in groups.values():
+            for _ in range(200):
+                i, j = rng.randrange(group.order), rng.randrange(group.order)
+                assert group._flat[group.multiply(i, j)] == self._product(group, i, j)
+
+    def test_inverse_of_every_element(self, groups):
+        for group in groups.values():
+            ident = group._flat[group.identity_index()]
+            for i in range(group.order):
+                assert self._product(group, i, group.inverse(i)) == ident
+
+    def test_right_multiplication_permutations(self, groups):
+        rng = random.Random(13)
+        for group in groups.values():
+            for j in [group.identity_index()] + rng.sample(range(group.order), 3):
+                perm = group.right_multiplication_permutation(j)
+                assert [group._flat[p] for p in perm] == \
+                    [self._product(group, i, j) for i in range(group.order)]
+
+    def test_non_element_with_same_key_rejected(self, groups):
+        """w + E with E = e_0 e_c^T - e_1 e_c^T keeps every column sum, so
+        only the entry-by-entry confirmation tells it from w."""
+        rng = random.Random(14)
+        for group in groups.values():
+            n = group.dim
+            for _ in range(5):
+                i, c = rng.randrange(group.order), rng.randrange(n)
+                bad = list(group._flat[i])
+                bad[c] += 1
+                bad[n + c] -= 1
+                assert [sum(bad[j::n]) for j in range(n)] == \
+                    [sum(group._flat[i][j::n]) for j in range(n)]
+                assert not group.contains(bad)
+                assert not group.contains(RatMatrix(n, n, bad))
+                with pytest.raises(KeyError):
+                    group.index_of(bad)
+                assert group.index_of(group._flat[i]) == i
 
 
 class TestFoldingIsomorphism:
