@@ -19,7 +19,15 @@ from functools import cache, cached_property
 from math import factorial, lcm
 
 from .exactalg import MultiPoly, RatMatrix, SpanSolver, _integer_vector, exterior_traces
-from .rootsys import DynkinType, FoldingDatum, GraphAut, RootSystem, build_root_system
+from .rootsys import (
+    DynkinType,
+    FoldingDatum,
+    GraphAut,
+    RootSystem,
+    build_root_system,
+    permutation_cycles,
+    permutation_order,
+)
 from .verify import Report
 
 
@@ -485,13 +493,7 @@ def lift_graph_aut(cd: ChevalleyData, a: GraphAut) -> LieAut:
             perm[i] = key_index[("e", img)]
     perm = tuple(perm)
 
-    # order
-    k, q = 1, perm
-    ident = tuple(range(len(perm)))
-    while q != ident:
-        q = tuple(perm[i] for i in q)
-        k += 1
-    if k != a.order:
+    if permutation_order(perm) != a.order:
         raise AssertionError("lift order differs from the automorphism order")
 
     # bracket preservation on all basis pairs reduces to invariance of the
@@ -556,27 +558,15 @@ def fixed_subalgebra(cd: ChevalleyData, aut: LieAut) -> FixedSubalgebra:
     Cartan has the folded rank and every root space is one-dimensional with
     a distinct weight functional."""
     keys = cd.basis_keys
-    perm = aut.perm
-    n = len(keys)
-    seen = set()
     basis = []
     cartan_basis = []
     e_orbit_reps = []
-    for i in range(n):
-        if i in seen:
-            continue
-        orbit = [i]
-        j = perm[i]
-        while j != i:
-            seen.add(j)
-            orbit.append(j)
-            j = perm[j]
-        seen.add(i)
+    for orbit in permutation_cycles(aut.perm):
         acc = cd.basis_matrices[orbit[0]]
         for k in orbit[1:]:
             acc = acc + cd.basis_matrices[k]
         basis.append(acc)
-        if keys[i][0] == "h":
+        if keys[orbit[0]][0] == "h":
             cartan_basis.append(acc)
         else:
             e_orbit_reps.append((acc, orbit))

@@ -304,6 +304,11 @@ def permutation_cycles(perm) -> list[tuple]:
     return out
 
 
+def permutation_order(perm) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    return math.lcm(*map(len, permutation_cycles(perm)))
+
+
 @dataclass(frozen=True)
 class GraphAut:
     """A Dynkin-diagram automorphism, given as a permutation of the simple
@@ -316,13 +321,7 @@ class GraphAut:
         p = self.permutation
         if sorted(p) != list(range(len(p))):
             raise ValueError("not a permutation")
-        k, q = 1, p
-        ident = tuple(range(len(p)))
-        while q != ident:
-            q = tuple(p[i] for i in q)
-            k += 1
-            if k > len(p) + 2:
-                raise ValueError("permutation order overflow")
+        k = permutation_order(p)
         if k != self.order:
             raise ValueError(f"declared order {self.order} but actual order {k}")
 
@@ -337,6 +336,15 @@ class GraphAut:
         for i, x in enumerate(w):
             out[p[i]] = x
         return tuple(out)
+
+    def orbit(self, w) -> list[tuple]:
+        """The distinct images w, a w, a^2 w, ... in first-seen order."""
+        out = [tuple(w)]
+        img = self.apply_to_weight_coords(w)
+        while img != out[0]:
+            out.append(img)
+            img = self.apply_to_weight_coords(img)
+        return out
 
     def validate_on(self, rs: RootSystem):
         """Cartan-matrix preservation and the Dynkin graph-automorphism
@@ -484,31 +492,24 @@ def _folding_datum(t: DynkinType, order: int) -> FoldingDatum:
 # -- the two foldings ---------------------------------------------------------
 
 
-def _aut_projector_images(fd: FoldingDatum):
-    rs, a = fd.homogeneous, fd.aut
-    ord_ = a.order
+def _orbit_image(a: GraphAut, w, average: bool) -> tuple:
+    """The sum of the distinct images of w under a, divided by their number
+    when ``average``: the orthogonal projection onto the fixed subspace,
+    which equals the average over all |a| images counted with multiplicity."""
+    orbit = a.orbit(w)
+    size = len(orbit) if average else 1
+    return tuple(Fraction(sum(c), size) for c in zip(*orbit))
 
-    def project(w):
-        acc = list(w)
-        img = w
-        for _ in range(ord_ - 1):
-            img = a.apply_to_weight_coords(img)
-            acc = [x + y for x, y in zip(acc, img)]
-        return tuple(Fraction(x, ord_) for x in acc)
 
-    def orbit_sum(w):
-        # the sum runs over the *distinct* orbit members (no multiplicities)
-        orbit = {w}
-        img = w
-        for _ in range(ord_ - 1):
-            img = a.apply_to_weight_coords(img)
-            orbit.add(img)
-        acc = [Fraction(0)] * len(w)
-        for v in orbit:
-            acc = [x + y for x, y in zip(acc, v)]
-        return tuple(acc)
+def _fold(fd: FoldingDatum, average: bool) -> RootSystem:
+    """The images of the roots and the simple roots under ``_orbit_image``,
+    each deduplicated in first-seen order."""
+    rs = fd.homogeneous
 
-    return project, orbit_sum
+    def images(vectors):
+        return list(dict.fromkeys(_orbit_image(fd.aut, v, average) for v in vectors))
+
+    return RootSystem(rs.ambient_dim, rs.gram, images(rs.simple_roots), images(rs.all_roots))
 
 
 def fold_coinvariants(fd: FoldingDatum) -> RootSystem:
@@ -521,23 +522,7 @@ def fold_coinvariants(fd: FoldingDatum) -> RootSystem:
 
 @cache
 def _fold_coinvariants(fd: FoldingDatum) -> RootSystem:
-    rs = fd.homogeneous
-    project, _ = _aut_projector_images(fd)
-    images = []
-    seen = set()
-    for r in rs.all_roots:
-        p = project(r)
-        if p not in seen:
-            seen.add(p)
-            images.append(p)
-    simple = []
-    simple_seen = set()
-    for s in rs.simple_roots:
-        p = project(s)
-        if p not in simple_seen:
-            simple_seen.add(p)
-            simple.append(p)
-    return RootSystem(rs.ambient_dim, rs.gram, simple, images)
+    return _fold(fd, average=True)
 
 
 def fold_invariants(fd: FoldingDatum) -> RootSystem:
@@ -549,23 +534,7 @@ def fold_invariants(fd: FoldingDatum) -> RootSystem:
 
 @cache
 def _fold_invariants(fd: FoldingDatum) -> RootSystem:
-    rs = fd.homogeneous
-    _, orbit_sum = _aut_projector_images(fd)
-    images = []
-    seen = set()
-    for r in rs.all_roots:
-        p = orbit_sum(r)
-        if p not in seen:
-            seen.add(p)
-            images.append(p)
-    simple = []
-    simple_seen = set()
-    for s in rs.simple_roots:
-        p = orbit_sum(s)
-        if p not in simple_seen:
-            simple_seen.add(p)
-            simple.append(p)
-    return RootSystem(rs.ambient_dim, rs.gram, simple, images)
+    return _fold(fd, average=False)
 
 
 def dualize_root_system(r: RootSystem) -> RootSystem:
@@ -599,9 +568,8 @@ def folded_lattices(fd: FoldingDatum) -> tuple[Lattice, Lattice]:
     """Character and cocharacter lattices of the folded adjoint group:
     coinvariants of the root lattice and invariants of the coweight lattice."""
     rs, a = fd.homogeneous, fd.aut
-    project, _ = _aut_projector_images(fd)
     orbits = permutation_cycles(a.permutation)
-    char_basis = tuple(project(rs.simple_roots[o[0]]) for o in orbits)
+    char_basis = tuple(_orbit_image(a, rs.simple_roots[o[0]], True) for o in orbits)
 
     C = RatMatrix.from_rows(rs.dtype.cartan_rows())
     Ci = C.inverse()

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from .exactalg import MultiPoly, RatMatrix, SpanSolver, nullspace
-from .liealg import MatrixLieAlgebra, adjoint_quotient, build_algebra
+from .liealg import MatrixLieAlgebra, _E, adjoint_quotient, build_algebra
 from .verify import Report
 
 
@@ -226,10 +226,10 @@ def _build_subregular_slice(alg: MatrixLieAlgebra) -> SlodowySlice:
         m = n - 1  # big Jordan block
         x = RatMatrix.zeros(n, n)
         for i in range(m - 1):
-            x = x + _unit(n, i, i + 1)
+            x = x + _E(n, i, i + 1)
         y = RatMatrix.zeros(n, n)
         for i in range(1, m):
-            y = y + _unit(n, i, i - 1).scale(i * (m - i))
+            y = y + _E(n, i, i - 1).scale(i * (m - i))
         h = RatMatrix.diagonal([m - 1 - 2 * i for i in range(m)] + [0])
         triple = Sl2Triple(alg, x, y, h)
         triple.verify()
@@ -241,12 +241,6 @@ def _build_subregular_slice(alg: MatrixLieAlgebra) -> SlodowySlice:
     raise ValueError(
         f"no subregular slice construction for {alg.family}_{alg.size}"
     )
-
-
-def _unit(n, i, j):
-    ent = [Fraction(0)] * (n * n)
-    ent[i * n + j] = Fraction(1)
-    return RatMatrix(n, n, ent)
 
 
 # -- slice operations ---------------------------------------------------------------

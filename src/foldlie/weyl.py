@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -22,10 +21,10 @@ from .exactalg import RatMatrix
 from .rootsys import (
     DynkinType,
     FoldingDatum,
-    GraphAut,
     RootSystem,
     build_root_system,
     classify,
+    fold_coinvariants,
     permutation_cycles,
 )
 from .verify import Report
@@ -288,36 +287,33 @@ def _as_int(x) -> int:
     return int(x)
 
 
-def _coroot_vectors(rs: RootSystem) -> list[tuple]:
-    """Coroots of rs in simple-coroot coordinates: for alpha = sum m_i alpha_i,
-    alpha^vee = sum m_i (len_i^2/len_alpha^2) alpha_i^vee."""
+def _coroot_map(rs: RootSystem):
+    """The map alpha -> alpha^vee in simple-coroot coordinates: for
+    alpha = sum m_i alpha_i, alpha^vee = sum m_i (len_i^2/len_alpha^2) alpha_i^vee."""
     coords = rs.simple_coordinates()
     lengths = [rs.inner(s, s) for s in rs.simple_roots]
-    out = []
-    for r in rs.all_roots:
-        m = coords[r]
-        L = rs.inner(r, r)
-        out.append(tuple(_as_int(mi * li / L) for mi, li in zip(m, lengths)))
-    return out
+
+    def coroot(root) -> tuple:
+        L = rs.inner(root, root)
+        return tuple(_as_int(mi * li / L) for mi, li in zip(coords[root], lengths))
+
+    return coroot
+
+
+def _coroot_vectors(rs: RootSystem) -> list[tuple]:
+    """Coroots of rs in simple-coroot coordinates."""
+    return list(map(_coroot_map(rs), rs.all_roots))
 
 
 # -- folding -------------------------------------------------------------------
-
-
-def aut_matrix_on_corootspace(a: GraphAut) -> RatMatrix:
-    """The lift of a graph automorphism to V*: permutes the coroot basis."""
-    n = len(a.permutation)
-    ent = [Fraction(0)] * (n * n)
-    for i in range(n):
-        ent[a.permutation[i] * n + i] = Fraction(1)
-    return RatMatrix(n, n, ent)
 
 
 @dataclass
 class FoldedWeylData:
     """Everything the folding isomorphism W_h^C = W produces.
 
-    ``folded`` acts on the orbit-sum basis of the fixed subspace (V_h^*)^C;
+    ``folded`` acts on the orbit-sum basis of the fixed subspace (V_h^*)^C,
+    and a acts on V_h^* by the basis permutation ``fd.aut.permutation``;
     ``embed``/``restrict`` are inverse index maps between the folded group
     and the commutant subgroup of W_h; ``reflection_products`` maps each
     folded reflection index to (h-side root orbit, index in W_h of the
@@ -325,18 +321,12 @@ class FoldedWeylData:
 
     fd: FoldingDatum
     wh: WeylGroup
-    a_matrix: RatMatrix
     commutant: list[int]
     orbits: list[tuple]
     folded: WeylGroup
     embed: dict
     restrict: dict
     reflection_products: dict
-
-    @cached_property
-    def a_perm(self) -> tuple:
-        """The basis permutation of ``a_matrix``: a e_i = e_perm(i)."""
-        return _permutation_of_matrix(self.a_matrix)
 
     def simple_folded_reflection(self, orbit_index: int) -> int:
         """Folded-group index of the restricted product over the given
@@ -360,12 +350,11 @@ def _root_reflections(rs: RootSystem):
     n = rs.rank
     C = rs.cartan_matrix()
     coords = rs.simple_coordinates()
-    lengths = [rs.inner(s, s) for s in rs.simple_roots]
+    coroot = _coroot_map(rs)
 
     def reflection(root) -> list:
         m = coords[root]
-        L = rs.inner(root, root)
-        corv = [m[i] * lengths[i] / L for i in range(n)]
+        corv = coroot(root)
         pair_row = [sum(m[i] * C[i][j] for i in range(n)) for j in range(n)]
         return [_as_int((1 if i == j else 0) - corv[i] * pair_row[j])
                 for i in range(n) for j in range(n)]
@@ -373,26 +362,30 @@ def _root_reflections(rs: RootSystem):
     return reflection
 
 
-def _commutant_indices(wh: WeylGroup, a_matrix: RatMatrix) -> list[int]:
-    """Indices of W_h^C = {w : aw = wa}.  Raises if a does not normalize W_h.
+def _commutant_indices(wh: WeylGroup, perm) -> list[int]:
+    """Indices of W_h^C = {w : aw = wa} for a acting by the basis permutation
+    a e_i = e_perm(i).  Raises if a does not normalize W_h.
 
-    a permutes the basis (a e_i = e_perm(i)), so aw = wa exactly when
-    w[perm i, perm j] = w[i, j] for all i, j: an entry compare, no products."""
+    (a g a^-1)[perm i, perm j] = g[i, j], so conjugating a generator relabels
+    its entries, and aw = wa exactly when w[perm i, perm j] = w[i, j] for all
+    i, j: entry moves and compares, no products."""
+    n = wh.dim
+    src = [perm[i] * n + perm[j] for i in range(n) for j in range(n)]
     for g in wh.generators:
-        conj = a_matrix * g * a_matrix.inverse()
+        conj = [0] * (n * n)
+        for s, x in zip(src, _flat_key(g)):
+            conj[s] = x
         if not wh.contains(conj):
             raise ValueError("automorphism does not normalize the Weyl group")
-    perm, n = _permutation_of_matrix(a_matrix), wh.dim
-    src = [perm[i] * n + perm[j] for i in range(n) for j in range(n)]
     return [i for i, f in enumerate(wh._flat) if all(f[s] == x for s, x in zip(src, f))]
 
 
-def commutant_fixed_subgroup(wh: WeylGroup, a_matrix: RatMatrix) -> WeylGroup:
+def commutant_fixed_subgroup(wh: WeylGroup, perm) -> WeylGroup:
     """W_h^C = {w : aw = wa} as a subgroup (still acting on V_h^*), generated
-    by the products of commuting reflections over the automorphism's orbits
-    of simple roots."""
-    indices = _commutant_indices(wh, a_matrix)
-    orbits = permutation_cycles(_permutation_of_matrix(a_matrix))
+    by the products of commuting reflections over the orbits of the basis
+    permutation a e_i = e_perm(i)."""
+    indices = _commutant_indices(wh, perm)
+    orbits = permutation_cycles(perm)
     gens = [wh.elements[_orbit_product_index(wh, list(o))] for o in orbits]
     flat = [wh._flat[i] for i in indices]
     # Words over the subgroup's own generators; the closure must be exactly
@@ -406,17 +399,6 @@ def commutant_fixed_subgroup(wh: WeylGroup, a_matrix: RatMatrix) -> WeylGroup:
                     root_system=wh.root_system,
                     invariant_vectors=wh.invariant_vectors)
     return sub
-
-
-def _permutation_of_matrix(a_matrix: RatMatrix) -> tuple:
-    n = a_matrix.rows
-    perm = []
-    for j in range(n):
-        col = [i for i in range(n) if a_matrix.entry(i, j) == 1]
-        if len(col) != 1:
-            raise ValueError("automorphism matrix is not a basis permutation")
-        perm.append(col[0])
-    return tuple(perm)
 
 
 def folded_reflection(wh: WeylGroup, orbit) -> WeylElement:
@@ -465,8 +447,7 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
     """
     rs, aut = fd.homogeneous, fd.aut
     wh = WeylGroup.generate(rs)
-    a_matrix = aut_matrix_on_corootspace(aut)
-    comm = _commutant_indices(wh, a_matrix)
+    comm = _commutant_indices(wh, aut.permutation)
     orbits = permutation_cycles(aut.permutation)
     r = len(orbits)
 
@@ -485,7 +466,7 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
     for o in orbits:
         idx = _orbit_product_index(wh, list(o))
         gen_flats.append(restricted[idx])
-    folded_type = classify(fd_folded_cartan(fd))
+    folded_type = classify(fold_coinvariants(fd).cartan_matrix())
     inv_vecs = _folded_coroot_vectors(fd, orbits)
     flat, words, _ = _bfs_closure(gen_flats, r, folded_type.weyl_order())
     folded = WeylGroup(
@@ -516,7 +497,6 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
     return FoldedWeylData(
         fd=fd,
         wh=wh,
-        a_matrix=a_matrix,
         commutant=comm,
         orbits=orbits,
         folded=folded,
@@ -526,12 +506,6 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
     )
 
 
-def fd_folded_cartan(fd: FoldingDatum):
-    from .rootsys import fold_coinvariants
-
-    return fold_coinvariants(fd).cartan_matrix()
-
-
 def _folded_coroot_vectors(fd: FoldingDatum, orbits) -> list[tuple]:
     """Folded coroots (orbit sums of h-coroots) in orbit-basis coordinates."""
     rs = fd.homogeneous
@@ -539,17 +513,11 @@ def _folded_coroot_vectors(fd: FoldingDatum, orbits) -> list[tuple]:
     seen = set()
     out = []
     for root in rs.all_roots:
-        m = list(coords[root])  # ADE: coroot coords = root coords
-        orbit = {tuple(m)}
-        cur = root
-        for _ in range(fd.aut.order - 1):
-            cur = fd.aut.apply_to_weight_coords(cur)
-            orbit.add(tuple(coords[cur]))
-        s = [sum(v[i] for v in orbit) for i in range(rs.rank)]
-        key = tuple(s)
-        if key in seen:
+        # ADE: coroot coords = root coords
+        s = tuple(map(sum, zip(*(coords[r] for r in fd.aut.orbit(root)))))
+        if s in seen:
             continue
-        seen.add(key)
+        seen.add(s)
         out.append(tuple(_as_int(s[o[0]]) for o in orbits))
     return out
 
@@ -563,12 +531,7 @@ def _reflection_orbit_products(fd, wh, orbits, restrict) -> dict:
     out = {}
     seen_orbits = set()
     for root in rs.all_roots:
-        orbit = [root]
-        cur = root
-        for _ in range(fd.aut.order - 1):
-            cur = fd.aut.apply_to_weight_coords(cur)
-            if cur not in orbit:
-                orbit.append(cur)
+        orbit = fd.aut.orbit(root)
         key = frozenset(orbit) | frozenset(tuple(-x for x in r) for r in orbit)
         if key in seen_orbits:
             continue
@@ -621,7 +584,7 @@ def embed_fixed_point(fwd: FoldedWeylData, folded_coords) -> tuple:
 
 
 def is_fixed_point(fwd: FoldedWeylData, v) -> bool:
-    return _is_fixed(fwd.a_perm, v)
+    return _is_fixed(fwd.fd.aut.permutation, v)
 
 
 def _is_fixed(perm, v) -> bool:
@@ -707,7 +670,7 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
     rng = random.Random(seed)
     wh = fwd.wh
     n = wh.dim
-    perm = fwd.a_perm
+    perm = fwd.fd.aut.permutation
     report = Report("quotient-invariants-iso")
     all_flats = wh._flat
     folded_flats = [wh._flat[i] for i in fwd.commutant]

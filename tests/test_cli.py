@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -309,3 +310,43 @@ class TestParserReuse:
         assert "error:" in captured.err and captured.out == ""
         assert main([*argv, "3"]) == 0
         assert json.loads(capsys.readouterr().out)["fixed_locus_genus"] == 13
+
+
+# sha256 of the ``--format json`` stdout of each command: the folded root
+# systems, the Weyl folding data and the Chevalley-basis lifts as printed.
+GOLDEN_SHA256 = [
+    (("fold", "A3", "2", "--roots"),
+     "9831b26109568d344ac9c7f6a2e2bda760ae25e6c6c1475ba8a36c6c1a7e2ee2"),
+    (("fold", "A5", "2", "--roots"),
+     "1ec852a65c30857b6eb6b1d52f9daee95252ac9544029ff027ad43d73262c73c"),
+    (("fold", "A7", "2", "--roots"),
+     "1ed3379a63bfcf4fa733a4e25ee810111cc54762947d41c388e1b13f6f1b2dfd"),
+    (("fold", "D4", "2", "--roots"),
+     "92f09d20166d4cb9d4709b4c053ffb0b4a0e7757abc44763ebad1c564ce04ba8"),
+    (("fold", "D5", "2", "--roots"),
+     "5fab60d1a3825a38b84c4a6c70421b10a7abbbe55fc35777de585ee2c3d5a48a"),
+    (("fold", "D4", "3", "--roots"),
+     "bf1420f3f67912be1a845af401ea02e3e9cb50b46f2874cb305f794ba5fac8b4"),
+    (("fold", "E6", "2", "--roots"),
+     "6b147d2ed758dbc6b76f212897e8b9c305cef7457ed82457287c683bafb79c1d"),
+    (("weyl", "A3", "2"),
+     "cb7e23f2bcb7a11818e6966101a2d79c552885af0e2e5997c6f67a88c54de907"),
+    (("weyl", "D4", "3"),
+     "224d98c0096a490c82525b6962e76744434d9bec08df666a497f1c5381f564b8"),
+    (("weyl", "D5", "2"),
+     "ae66cce31ed61feeecf1bd19b75e90cd2f84fcb15c75f592ed0d042412883179"),
+    (("weyl", "E6", "2"),
+     "d3f93a19435badea9cbb56c2689f407eaef0d082e1475c649b9336381c99026b"),
+    (("liealg", "so8", "--dump", "--order", "3"),
+     "6319ce4c3328154760e57189a409f587a82f658bfd25b6371403707c7e79e7e4"),
+    (("liealg", "sl4", "--dump", "--order", "2"),
+     "c7f2bfb55a622ed5f55c3a32ae133b556a36b0ecd2e734a24a80fbb808aeb714"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=[" ".join(a) for a, _ in GOLDEN_SHA256])
+def test_golden_stdout(argv, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--format", "json", *argv]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -156,6 +156,25 @@ class TestGraphAut:
         assert rootsys.permutation_cycles(range(3)) == [(0,), (1,), (2,)]
         assert rootsys.permutation_cycles(()) == []
 
+    def test_orbit_in_first_seen_order(self):
+        flip = standard_automorphism("A3", 2)  # (2, 1, 0)
+        assert flip.orbit((-1, 2, -1)) == [(-1, 2, -1)]
+        assert flip.orbit((1, 2, 3)) == [(1, 2, 3), (3, 2, 1)]
+        triality = standard_automorphism("D4", 3)  # (2, 1, 3, 0)
+        assert triality.orbit([0, 5, 0, 0]) == [(0, 5, 0, 0)]
+        assert triality.orbit((1, 2, 3, 4)) == [(1, 2, 3, 4), (4, 2, 1, 3), (3, 2, 4, 1)]
+        assert triality.orbit((1, 0, 1, 0)) == [(1, 0, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]
+
+    @pytest.mark.parametrize("th,order", [("A3", 1), ("A5", 2), ("D5", 2), ("D4", 3),
+                                          ("E6", 2), ("A7", 2)])
+    def test_permutation_order_is_the_declared_order(self, th, order):
+        a = standard_automorphism(th, order)
+        assert rootsys.permutation_order(a.permutation) == a.order == order
+
+    def test_permutation_order_is_the_lcm_of_cycle_lengths(self):
+        assert rootsys.permutation_order((1, 0, 3, 4, 2)) == 6
+        assert rootsys.permutation_order(()) == 1
+
 
 class TestFoldingTable:
     @pytest.mark.parametrize("th,order,co_t,inv_t", FOLD_TABLE)
@@ -194,6 +213,56 @@ class TestFoldingTable:
             fd = FoldingDatum(rs, aut)
             assert str(fold_coinvariants(fd).dtype) == "G2"
             assert str(fold_invariants(fd).dtype) == "G2"
+
+
+def _images(perm, w, count) -> list[tuple]:
+    """w, a w, ..., a^(count-1) w with repeats, for a moving coordinate i
+    to perm[i]."""
+    out = [tuple(w)]
+    for _ in range(count - 1):
+        img = [None] * len(w)
+        for i, x in enumerate(out[-1]):
+            img[perm[i]] = x
+        out.append(tuple(img))
+    return out
+
+
+def _distinct(vectors) -> list[tuple]:
+    out = []
+    for v in vectors:
+        if v not in out:
+            out.append(v)
+    return out
+
+
+class TestFoldReference:
+    """Both foldings against references built from the permutation alone."""
+
+    @pytest.mark.parametrize("th,order", [(r[0], r[1]) for r in FOLD_TABLE])
+    def test_coinvariants_average_all_images(self, th, order):
+        fd = folding_datum(th, order)
+        perm = fd.aut.permutation
+
+        def average(w):
+            return tuple(Q(sum(c), order) for c in zip(*_images(perm, w, order)))
+
+        co = fold_coinvariants(fd)
+        assert co.all_roots == _distinct(average(r) for r in fd.homogeneous.all_roots)
+        # RootSystem relabels the simple roots canonically
+        assert sorted(co.simple_roots) == sorted({average(r) for r in fd.homogeneous.simple_roots})
+
+    @pytest.mark.parametrize("th,order", [(r[0], r[1]) for r in FOLD_TABLE])
+    def test_invariants_sum_distinct_images(self, th, order):
+        fd = folding_datum(th, order)
+        perm = fd.aut.permutation
+
+        def orbit_sum(w):
+            return tuple(map(sum, zip(*set(_images(perm, w, order)))))
+
+        inv = fold_invariants(fd)
+        assert inv.all_roots == _distinct(orbit_sum(r) for r in fd.homogeneous.all_roots)
+        assert sorted(inv.simple_roots) == sorted({orbit_sum(r)
+                                                   for r in fd.homogeneous.simple_roots})
 
 
 class TestCartanMatrix:

@@ -49,6 +49,13 @@ class TestGenerate:
             assert len(w.reflections()) == len(rs.all_roots) // 2
 
 
+def _perm_matrix(perm) -> RatMatrix:
+    """The matrix of a e_j = e_perm(j), built here so the matrix checks do
+    not go through the permutation code they check."""
+    n = len(perm)
+    return RatMatrix.from_rows([[int(perm[j] == i) for j in range(n)] for i in range(n)])
+
+
 def _generator_flats(group):
     return [group._flat[group.index_of(g)] for g in group.generators]
 
@@ -125,7 +132,7 @@ class TestColumnUpdateClosure:
         from foldlie.weyl import commutant_fixed_subgroup
 
         fwd = folding_weyl_data(folding_datum("D4", 3))
-        sub = commutant_fixed_subgroup(fwd.wh, fwd.a_matrix)
+        sub = commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation)
         gens = _generator_flats(sub)
         moved_rows = [sum(any(g[i * 4 + j] != (i == j) for j in range(4)) for i in range(4))
                       for g in gens]
@@ -158,7 +165,7 @@ class TestKeyedClosure:
         assert fwd.folded._flat == flat
         assert [el.word for el in fwd.folded.elements] == words
 
-        sub = commutant_fixed_subgroup(fwd.wh, fwd.a_matrix)
+        sub = commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation)
         flat, words = _matmul_keyed_closure(_generator_flats(sub), sub.dim,
                                             _two_rho_vee(sub.invariant_vectors))
         word_of = dict(zip(flat, words))
@@ -177,7 +184,7 @@ def _key_index_groups(th, order):
     from foldlie.weyl import commutant_fixed_subgroup
 
     fwd = folding_weyl_data(folding_datum(th, order))
-    return {"W_h": fwd.wh, "commutant": commutant_fixed_subgroup(fwd.wh, fwd.a_matrix),
+    return {"W_h": fwd.wh, "commutant": commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation),
             "folded": fwd.folded}
 
 
@@ -257,7 +264,7 @@ class TestFoldingIsomorphism:
     def test_commutant_subgroup_operation(self, fwd_a3):
         from foldlie.weyl import commutant_fixed_subgroup
 
-        sub = commutant_fixed_subgroup(fwd_a3.wh, fwd_a3.a_matrix)
+        sub = commutant_fixed_subgroup(fwd_a3.wh, fwd_a3.fd.aut.permutation)
         assert sub.order == 8
         assert len(sub.generators) == 2
         sub.verify(check_coroots=True)
@@ -267,12 +274,11 @@ class TestFoldingIsomorphism:
                 assert sub.multiply(i, j) < sub.order
 
     def test_non_normalizing_matrix_rejected(self, fwd_a3):
-        from foldlie.exactalg import RatMatrix
         from foldlie.weyl import commutant_fixed_subgroup
 
-        bad = RatMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        with pytest.raises(ValueError):
-            commutant_fixed_subgroup(fwd_a3.wh, bad)
+        # swapping the adjacent nodes 1 and 2 of A3 is no graph automorphism
+        with pytest.raises(ValueError, match="does not normalize"):
+            commutant_fixed_subgroup(fwd_a3.wh, (1, 0, 2))
 
     def test_folded_permutes_coroots(self, fwd_a3):
         fwd_a3.folded.verify()
@@ -297,7 +303,8 @@ class TestFoldedReflections:
         wh = fwd_a3.wh
         el = folded_reflection(wh, (0, 2))
         # commutes with a
-        assert el.matrix * fwd_a3.a_matrix == fwd_a3.a_matrix * el.matrix
+        a = _perm_matrix(fwd_a3.fd.aut.permutation)
+        assert el.matrix * a == a * el.matrix
         # restriction in the orbit basis (u_13, u_2) is (u, v) -> (v, u):
         # on coordinates (c13, c2) = (u, u+v) that is [[-1, 1], [0, 1]]
         idx = fwd_a3.restrict[wh.index_of(el.matrix)]
@@ -394,7 +401,7 @@ class TestIntegerPath:
         return folding_weyl_data(folding_datum(*request.param))
 
     def test_commutant_is_matrix_commutant(self, fwd):
-        a = fwd.a_matrix
+        a = _perm_matrix(fwd.fd.aut.permutation)
         assert fwd.commutant == [i for i, el in enumerate(fwd.wh.elements)
                                  if el.matrix * a == a * el.matrix]
 
@@ -419,7 +426,7 @@ class TestIntegerPath:
     def test_commutant_subgroup_words(self, fwd):
         from foldlie.weyl import commutant_fixed_subgroup
 
-        sub = commutant_fixed_subgroup(fwd.wh, fwd.a_matrix)
+        sub = commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation)
         assert sub.order == len(fwd.commutant)
         for el in sub.elements:
             assert all(g < len(sub.generators) for g in el.word)
@@ -435,7 +442,7 @@ def _reference_quotient_check(fwd, sample_count, seed):
     """The quotient check with RatMatrix products over Fractions, as the
     integer path must reproduce it failure for failure."""
     rng = random.Random(seed)
-    wh, a = fwd.wh, fwd.a_matrix
+    wh, a = fwd.wh, _perm_matrix(fwd.fd.aut.permutation)
     all_mats = [e.matrix for e in wh.elements]
     folded_mats = [wh.elements[i].matrix for i in fwd.commutant]
 
