@@ -275,7 +275,7 @@ class _EpsilonForm:
     def sign(self, m, k) -> int:
         parity = 0
         for (i, j) in self.neg_pairs:
-            parity += int(m[i]) * int(k[j])
+            parity += m[i] * k[j]
         return -1 if parity % 2 else 1
 
 
@@ -318,13 +318,19 @@ class ChevalleyData:
         rs = self.root_system
         return {
             "type": str(rs.dtype),
-            "basis": [str(k) for k in self.basis_keys],
+            "basis": [str((k[0], _dump_key(k[1]))) for k in self.basis_keys],
             "constants": {
                 f"{a}|{b}": str(c) for (a, b), c in sorted(
-                    ((str(a), str(b)), c) for (a, b), c in self.constants.items()
+                    ((_dump_key(a), _dump_key(b)), c) for (a, b), c in self.constants.items()
                 )
             },
         }
+
+
+def _dump_key(key):
+    """A root key as the dump writes it, a tuple of Fractions; other keys
+    (the index of a Cartan basis element) as they are."""
+    return tuple(map(Fraction, key)) if isinstance(key, tuple) else key
 
 
 def _simple_triples(alg: MatrixLieAlgebra):

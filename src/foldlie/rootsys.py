@@ -4,11 +4,14 @@ lattices of the folded adjoint groups.
 
 Roots are stored in weight-space coordinates: the j-th coordinate of a root
 is its pairing with the j-th simple coroot, so the i-th simple root is the
-i-th row of the Cartan matrix.  The inner product is carried explicitly as
-a Gram matrix on these coordinates.  Folded systems live inside the ambient
-space of the homogeneous system: the quotient V/(1-a)V is realized as the
-fixed subspace of a (the orthogonal complement of im(1-a) for the invariant
-inner product), so coinvariants and invariants can be compared directly.
+i-th row of the Cartan matrix.  A coordinate is an int when integral and a
+Fraction otherwise; only the averages of the coinvariant folding are not
+integral.  The inner product is carried explicitly as a Gram matrix on these
+coordinates.  Folded systems live inside the ambient space of the
+homogeneous system: the quotient V/(1-a)V is realized as the fixed subspace
+of a (the orthogonal complement of im(1-a) for the invariant inner
+product), so coinvariants and invariants can be compared directly.  Every
+system takes its roots' simple-root coordinates from one integer closure.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations
 
-from .exactalg import RatMatrix, _integer_vector
+from .exactalg import RatMatrix
 from .verify import Report
 
 
@@ -162,22 +165,19 @@ class RootSystem:
 
     ``simple_roots`` and ``all_roots`` are tuples of coordinate tuples in a
     common ambient space; the ambient dimension may exceed the rank (folded
-    systems live inside the homogeneous ambient space).  Each root's integer
-    form and the Cartan matrix are computed once, at construction.
+    systems live inside the homogeneous ambient space).  The Cartan matrix
+    and each root's simple-root coordinates are computed once, at
+    construction, from the closure of the simple roots under the simple
+    reflections; the roots must be exactly that closure.
     """
 
     def __init__(self, ambient_dim, gram: RatMatrix, simple_roots, all_roots,
-                 dtype: DynkinType | None = None, validate: bool = True):
+                 dtype: DynkinType | None = None):
         self.ambient_dim = ambient_dim
         self.gram = gram
-        self.simple_roots = [tuple(Fraction(x) for x in v) for v in simple_roots]
-        self.all_roots = [tuple(Fraction(x) for x in v) for v in all_roots]
-        # each stored root's integer form, keyed by the identity of its tuple:
-        # hashing a tuple of Fractions costs about as much as re-deriving the
-        # form.  An entry holds its root, so no other object can share the id.
-        self._root_ints = {id(r): (r, _integer_vector(r))
-                           for r in (*self.all_roots, *self.simple_roots)}
-        self._cartan = tuple(tuple(self.cartan_integer(a, b) for b in self.simple_roots)
+        self.simple_roots = [tuple(map(_exact, v)) for v in simple_roots]
+        self.all_roots = [tuple(map(_exact, v)) for v in all_roots]
+        self._cartan = tuple(tuple(_exact(self.cartan_integer(a, b)) for b in self.simple_roots)
                              for a in self.simple_roots)
         if dtype is None:
             dtype, perm = classify_with_perm(self._cartan)
@@ -187,37 +187,44 @@ class RootSystem:
                 inv = sorted(range(len(perm)), key=perm.__getitem__)
                 self.simple_roots = [self.simple_roots[i] for i in inv]
                 self._cartan = tuple(tuple(self._cartan[i][j] for j in inv) for i in inv)
+        elif self._cartan != tuple(map(tuple, dtype.cartan_rows())):
+            raise AssertionError(f"Cartan matrix does not match declared type {dtype}")
         self.dtype = dtype
-        self._simple_coords = None
-        if validate:
-            self.verify()
+        # the closure of the simple roots, in simple-root coordinates, mapped
+        # into the ambient space; it must be the given root set
+        self._coords = {}
+        for c in _positive_root_coords(self._cartan):
+            r = tuple(map(_exact, combine_rows(c, self.simple_roots)))
+            self._coords[r] = c
+            self._coords[tuple(-x for x in r)] = tuple(-x for x in c)
+        if self._coords.keys() != set(self.all_roots):
+            raise AssertionError("roots differ from the closure of the simple roots")
+        if len(self.all_roots) != dtype.root_count():
+            raise AssertionError(
+                f"root count {len(self.all_roots)} != classical count "
+                f"{dtype.root_count()} for {dtype}"
+            )
 
     # -- geometry -----------------------------------------------------------
     def inner(self, u, v) -> Fraction:
-        """(u, v) under the Gram matrix, summed in integers and divided once;
-        a root's integer form is looked up, not re-derived."""
+        """(u, v) under the Gram matrix, summed over its integer numerators
+        and divided once."""
         g, dg = self.gram._integer_form()
-        iu, du = self._int_form(u)
-        iv, dv = self._int_form(v)
         n = self.gram.cols
         acc = 0
-        for i, ui in enumerate(iu):
+        for i, ui in enumerate(u):
             if ui:
                 row = i * n
-                for j, vj in enumerate(iv):
+                for j, vj in enumerate(v):
                     if vj:
                         acc += ui * g[row + j] * vj
-        return Fraction(acc, dg * du * dv)
-
-    def _int_form(self, v) -> tuple:
-        entry = self._root_ints.get(id(v))
-        return entry[1] if entry is not None and entry[0] is v else _integer_vector(v)
+        return Fraction(acc, dg)
 
     def cartan_integer(self, alpha, beta) -> Fraction:
         """2(alpha, beta)/(beta, beta)."""
         return 2 * self.inner(alpha, beta) / self.inner(beta, beta)
 
-    def cartan_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The Cartan integers 2(a_i, a_j)/(a_j, a_j) of the simple roots, in
         their canonical order; one shared, immutable matrix."""
         return self._cartan
@@ -231,50 +238,11 @@ class RootSystem:
         return tuple(2 * x / n for x in alpha)
 
     def simple_coordinates(self) -> dict:
-        """Each root expressed in the simple-root basis (exact)."""
-        if self._simple_coords is None:
-            from .exactalg import SpanSolver
-
-            solver = SpanSolver(self.simple_roots)
-            coords = {}
-            for r in self.all_roots:
-                c = solver.coordinates(r)
-                if c is None:
-                    raise AssertionError("root outside the simple-root span")
-                coords[r] = c
-            self._simple_coords = coords
-        return self._simple_coords
+        """Each root's integer coordinates in the simple-root basis."""
+        return self._coords
 
     def positive_roots(self) -> list[tuple]:
-        coords = self.simple_coordinates()
-        return [r for r in self.all_roots if all(c >= 0 for c in coords[r])]
-
-    # -- invariants -----------------------------------------------------------
-    def verify(self):
-        root_set = set(self.all_roots)
-        for s in self.simple_roots:
-            if s not in root_set:
-                raise AssertionError("simple root missing from all_roots")
-        for r in self.all_roots:
-            if tuple(-x for x in r) not in root_set:
-                raise AssertionError("root set not closed under negation")
-        # the declared type's Cartan matrix is integral with 2 on the diagonal
-        expected = tuple(tuple(Fraction(x) for x in row) for row in self.dtype.cartan_rows())
-        if self.cartan_matrix() != expected:
-            raise AssertionError(
-                f"Cartan matrix does not match declared type {self.dtype}"
-            )
-        if len(self.all_roots) != self.dtype.root_count():
-            raise AssertionError(
-                f"root count {len(self.all_roots)} != classical count "
-                f"{self.dtype.root_count()} for {self.dtype}"
-            )
-        # pairwise Cartan integers of arbitrary roots are integers
-        coords = self.simple_coordinates()
-        for r in self.all_roots:
-            for c in coords[r]:
-                if c.denominator != 1:
-                    raise AssertionError("root is not an integral combination of simples")
+        return [r for r in self.all_roots if all(c >= 0 for c in self._coords[r])]
 
     def to_json(self) -> dict:
         return {
@@ -285,6 +253,11 @@ class RootSystem:
             "simple_roots": [[str(x) for x in r] for r in self.simple_roots],
             "all_roots": [[str(x) for x in r] for r in self.all_roots],
         }
+
+
+def _exact(x):
+    """An int or a Fraction x as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def permutation_cycles(perm) -> list[tuple]:
@@ -408,6 +381,17 @@ class Lattice:
 # -- construction -----------------------------------------------------------
 
 
+def combine_rows(c, rows) -> tuple:
+    """c^T M, the combination sum_i c_i rows[i] of the rows of M.  For M the
+    Cartan matrix and c the simple-root coordinates of a root, these are the
+    root's pairings with the simple coroots: its weight coordinates."""
+    acc = [0] * len(rows[0])
+    for ci, row in zip(c, rows):
+        if ci:
+            acc = [a + ci * x for a, x in zip(acc, row)]
+    return tuple(acc)
+
+
 def _positive_root_coords(C) -> list[tuple]:
     """Positive roots in simple-root coordinates, for the Cartan matrix C
     with C[i][j] = <alpha_i, alpha_j^vee>: the simple roots closed under
@@ -418,8 +402,7 @@ def _positive_root_coords(C) -> list[tuple]:
     roots = [tuple(int(i == k) for k in range(n)) for i in range(n)]
     seen = set(roots)
     for c in roots:
-        for j in range(n):
-            p = sum(c[i] * C[i][j] for i in range(n))
+        for j, p in enumerate(combine_rows(c, C)):
             if p < 0:
                 img = c[:j] + (c[j] - p,) + c[j + 1:]
                 if img not in seen:
@@ -447,12 +430,10 @@ def _build_root_system(t: DynkinType) -> RootSystem:
     Ci = Cm.inverse()
     # weight coords w = C^T m  =>  gram_w = C^{-1} G C^{-T}
     gram_w = Ci * RatMatrix.from_rows(G_simple) * Ci.transpose()
-    simple = [tuple(Fraction(x) for x in C[i]) for i in range(n)]
-    # root sum_i c_i alpha_i has weight coordinates C^T c
-    positive = [tuple(sum(c[i] * C[i][j] for i in range(n)) for j in range(n))
-                for c in _positive_root_coords(C)]
+    # root sum_i c_i alpha_i has weight coordinates c^T C
+    positive = [combine_rows(c, C) for c in _positive_root_coords(C)]
     all_roots = sorted(positive + [tuple(-x for x in w) for w in positive])
-    return RootSystem(n, gram_w, simple, all_roots, dtype=t)
+    return RootSystem(n, gram_w, C, all_roots, dtype=t)
 
 
 def standard_automorphism(t: DynkinType | str, order: int) -> GraphAut:
@@ -637,7 +618,7 @@ def classify_with_perm(cartan) -> tuple[DynkinType, tuple]:
     of the simple roots as ordered.  Returns the type and the permutation p
     with canonical[p[i]][p[j]] == cartan[i][j].
     """
-    C = [[int(x) for x in row] for row in cartan]
+    C = [list(row) for row in cartan]
     rank = len(C)
     cands = _candidate_types(rank)
     for t in cands:
@@ -659,6 +640,4 @@ def isomorphic(rs1: RootSystem, rs2: RootSystem) -> bool:
     isomorphic, only labeled differently)."""
     if rs1.rank != rs2.rank or len(rs1.all_roots) != len(rs2.all_roots):
         return False
-    C1 = [[int(x) for x in row] for row in rs1.cartan_matrix()]
-    C2 = [[int(x) for x in row] for row in rs2.cartan_matrix()]
-    return _match_perm(C1, C2) is not None
+    return _match_perm(rs1.cartan_matrix(), rs2.cartan_matrix()) is not None

@@ -24,6 +24,7 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     classify,
+    combine_rows,
     fold_coinvariants,
     permutation_cycles,
 )
@@ -112,7 +113,7 @@ class WeylGroup:
                 f"{ENUMERATION_BUDGET} elements"
             )
         n = rs.rank
-        C = [[int(x) for x in row] for row in rs.cartan_matrix()]
+        C = rs.cartan_matrix()
         gens = []
         for i in range(n):
             m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
@@ -353,10 +354,9 @@ def _root_reflections(rs: RootSystem):
     coroot = _coroot_map(rs)
 
     def reflection(root) -> list:
-        m = coords[root]
         corv = coroot(root)
-        pair_row = [sum(m[i] * C[i][j] for i in range(n)) for j in range(n)]
-        return [_as_int((1 if i == j else 0) - corv[i] * pair_row[j])
+        pair_row = combine_rows(coords[root], C)
+        return [(1 if i == j else 0) - corv[i] * pair_row[j]
                 for i in range(n) for j in range(n)]
 
     return reflection
@@ -518,7 +518,7 @@ def _folded_coroot_vectors(fd: FoldingDatum, orbits) -> list[tuple]:
         if s in seen:
             continue
         seen.add(s)
-        out.append(tuple(_as_int(s[o[0]]) for o in orbits))
+        out.append(tuple(s[o[0]] for o in orbits))
     return out
 
 
@@ -553,11 +553,7 @@ def root_pairing_rows(rs: RootSystem) -> list[tuple]:
     """<alpha, -> as a row vector on coroot coordinates, per positive root."""
     C = rs.cartan_matrix()
     coords = rs.simple_coordinates()
-    rows = []
-    for r in rs.positive_roots():
-        m = coords[r]
-        rows.append(tuple(sum(m[i] * C[i][j] for i in range(rs.rank)) for j in range(rs.rank)))
-    return rows
+    return [combine_rows(coords[r], C) for r in rs.positive_roots()]
 
 
 def is_regular(rs: RootSystem, v, pairing_rows=None) -> bool:

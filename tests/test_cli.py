@@ -341,6 +341,12 @@ GOLDEN_SHA256 = [
      "6319ce4c3328154760e57189a409f587a82f658bfd25b6371403707c7e79e7e4"),
     (("liealg", "sl4", "--dump", "--order", "2"),
      "c7f2bfb55a622ed5f55c3a32ae133b556a36b0ecd2e734a24a80fbb808aeb714"),
+    (("fold", "E8", "1", "--roots"),
+     "762266e06f4c69768ccbf5f95dd04d0eb625a54f055b8d1999a698fd09892ba8"),
+    (("fold", "A3", "1", "--roots"),
+     "1660980ae8becf30cf69628722e6e87318f83577c6fe8826d813cfcbda4b99d4"),
+    (("liealg", "sl4", "--dump"),
+     "0f150274f9a7fd869550154069c7aec670c3504f05930155cbe45bb1c118fc60"),
 ]
 
 

@@ -7,6 +7,7 @@ from foldlie.rootsys import (
     DynkinType,
     FoldingDatum,
     GraphAut,
+    RootSystem,
     build_root_system,
     check_folding_duality,
     classify,
@@ -109,6 +110,71 @@ class TestClosure:
         monkeypatch.setattr(rootsys, "_positive_root_coords", lambda C: closure(C)[:-1])
         with pytest.raises(AssertionError, match="root count"):
             build_root_system("A3")
+
+
+def _reference_coordinates(rs) -> dict:
+    """Each root's coordinates in the simple roots by Gauss-Jordan
+    elimination in Fractions: [S^T | I] reduces to [I; 0 | L] with L a left
+    inverse of S^T, and c = L r must give back r = sum c_i s_i."""
+    n, m = rs.rank, rs.ambient_dim
+    rows = [[Q(s[k]) for s in rs.simple_roots] + [Q(int(i == k)) for i in range(m)]
+            for k in range(m)]
+    for col in range(n):
+        p = next(i for i in range(col, m) if rows[i][col] != 0)
+        rows[col], rows[p] = rows[p], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(m):
+            if i != col and rows[i][col] != 0:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[col])]
+    left_inverse = [row[n:] for row in rows[:n]]
+    out = {}
+    for r in rs.all_roots:
+        c = tuple(sum(x * y for x, y in zip(row, r)) for row in left_inverse)
+        assert tuple(sum(ci * s[k] for ci, s in zip(c, rs.simple_roots))
+                     for k in range(m)) == r
+        out[r] = c
+    return out
+
+
+# each FOLD_TABLE row's four systems, by kind
+FOLDED_SYSTEMS = {
+    "homogeneous": lambda fd: fd.homogeneous,
+    "coinvariant": fold_coinvariants,
+    "invariant": fold_invariants,
+    "dual coinvariant": lambda fd: dualize_root_system(fold_coinvariants(fd)),
+}
+CLOSURE_CASES = [(f"{th}/{order}", kind) for th, order, _, _ in FOLD_TABLE
+                 for kind in FOLDED_SYSTEMS] + [(name, "homogeneous") for name in WEYL_ORDERS]
+
+
+class TestClosureCoordinates:
+    @pytest.mark.parametrize("system,kind", CLOSURE_CASES)
+    def test_matches_reference_solve(self, system, kind):
+        if "/" in system:
+            th, order = system.split("/")
+            rs = FOLDED_SYSTEMS[kind](folding_datum(th, int(order)))
+        else:
+            rs = build_root_system(system)
+        coords = rs.simple_coordinates()
+        assert coords == _reference_coordinates(rs)
+        assert all(type(x) is int for c in coords.values() for x in c)
+        assert all(type(x) is int for row in rs.cartan_matrix() for x in row)
+        stored = [x for r in (*rs.all_roots, *rs.simple_roots) for x in r]
+        assert not any(isinstance(x, Q) and x.denominator == 1 for x in stored)
+        if kind in ("homogeneous", "invariant"):
+            assert all(type(x) is int for x in stored)
+
+    def test_rejects_a_scaled_root(self):
+        """B3 with the roots +-r replaced by +-2r keeps negation closure, the
+        root count and integral simple-root coordinates; only the comparison
+        with the closure of the simple roots rejects it."""
+        rs = build_root_system("B3")
+        r = next(r for r in rs.positive_roots() if r not in rs.simple_roots)
+        scaled = {r: tuple(2 * x for x in r), tuple(-x for x in r): tuple(-2 * x for x in r)}
+        roots = [scaled.get(v, v) for v in rs.all_roots]
+        assert len(set(roots)) == len(roots) == rs.dtype.root_count()
+        with pytest.raises(AssertionError, match="closure"):
+            RootSystem(rs.ambient_dim, rs.gram, rs.simple_roots, roots, dtype=rs.dtype)
 
 
 class TestBuild:
@@ -284,7 +350,8 @@ class TestCartanMatrix:
     def test_inner_of_non_roots(self):
         rs = build_root_system("G2")
         g = rs.gram.to_rows()
-        # neither a non-root nor a copy of a root is the stored tuple
+        # any vector pairs, not only a stored root: a non-root with Fraction
+        # coordinates, and copies of roots as a tuple and as a list
         copies = tuple(x for x in rs.all_roots[0]), list(rs.all_roots[1])
         for u, v in (((Q(1, 2), Q(-3)), [Q(2), Q(1, 3)]), copies):
             assert rs.inner(u, v) == sum(u[i] * g[i][j] * v[j]
