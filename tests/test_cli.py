@@ -347,6 +347,23 @@ GOLDEN_SHA256 = [
      "1660980ae8becf30cf69628722e6e87318f83577c6fe8826d813cfcbda4b99d4"),
     (("liealg", "sl4", "--dump"),
      "0f150274f9a7fd869550154069c7aec670c3504f05930155cbe45bb1c118fc60"),
+    # the symbolic layer: MultiPoly arithmetic, polynomial membership and
+    # the appendix's commuting square and normal form
+    (("verify", "all", "--samples", "10", "--seed", "42"),
+     "830a5ce1289ed481399310b10379124294bcb94e4bbc35cb192c7f42b3d1f049"),
+    (("slice", "--verify-appendix", "--samples", "10", "--seed", "7"),
+     "1c4f9a0b52c0e4f1d31addc75a03a7e8aa551644a2b28468ac2ad008208c5b68"),
+    (("slice", "--eval=1/2,-3,2/5,7"),
+     "5225a72bde920ecbbcbed0de8d55f20b63340b7f8837c2d703d805be64441cb0"),
+    (("deform", "--type", "A5", "--fold", "--order", "2"),
+     "b35876864c160d484b5faa8a061ad70b5cc5c79cc2527b73a185808f8301df2d"),
+    (("deform", "--type", "D4", "--fold", "--order", "3"),
+     "761f4e153849884a0d9debd0a3b32d42bd01295a6e2ebe35e99e23a380a52e07"),
+    (("dims", "--type", "G2", "--genus", "2", "--fold-from", "D4", "--order", "3",
+      "--isogeny"),
+     "3e34346c4157d8c481e6e052931780637bfb1588ce94145280bad9b5dbab7656"),
+    (("threefold", "--type", "C2", "--genus", "3"),
+     "b693e4683780beca4c51f3b3016554181a27b2e60268da65680a1a0309f3d54d"),
 ]
 
 
