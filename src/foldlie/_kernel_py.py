@@ -147,34 +147,37 @@ def charpoly_generic(entries, n, one):
     """Characteristic polynomial over any commutative Q-algebra.
 
     ``one`` is the multiplicative identity of the coefficient ring; the
-    recursion divides only by the integers 1..n (as exact scalars).
+    recursion divides only by the integers 1..n (as exact scalars).  The
+    products A M_k run over the non-zero entries of each row of A; the first
+    is A itself (M_1 = I), and the last forms only the diagonal its trace
+    needs.
     """
     if n == 0:
         return [one]
     zero = one - one
     a = list(entries)
+    rows = [[(t, x) for t, x in enumerate(a[i * n:(i + 1) * n]) if x != zero]
+            for i in range(n)]
     coeffs = [one]
-    m = [zero] * (n * n)
-    for i in range(n):
-        m[i * n + i] = one
+    am = a[:]
     for k in range(1, n + 1):
-        am = [zero] * (n * n)
-        for i in range(n):
-            arow = i * n
-            for j in range(n):
-                acc = zero
-                for t in range(n):
-                    acc = acc + a[arow + t] * m[t * n + j]
-                am[i * n + j] = acc
         tr = zero
         for i in range(n):
             tr = tr + am[i * n + i]
         c = (-tr) / k if k > 1 else -tr
         coeffs.append(c)
-        if k < n:
-            m = am
-            for i in range(n):
-                m[i * n + i] = m[i * n + i] + c
+        if k == n:
+            break
+        m = am
+        for i in range(n):
+            m[i * n + i] = m[i * n + i] + c
+        am = [zero] * (n * n)
+        for i in range(n):
+            for j in (range(n) if k + 1 < n else (i,)):
+                acc = zero
+                for t, x in rows[i]:
+                    acc = acc + x * m[t * n + j]
+                am[i * n + j] = acc
     return coeffs
 
 

@@ -1,11 +1,12 @@
 """Exact rational arithmetic kernel: matrices, nullspaces, characteristic
 polynomials, exterior-power traces, and sparse multivariate polynomials.
 
-Scalars are ``fractions.Fraction`` (exported as :data:`Rat`); no floating
-point appears anywhere.  A rational matrix is stored as integer numerators
-over one denominator, and its arithmetic and row reduction run on ints;
-its entries are handed out as Fractions.  Matrix entries may also be
-:class:`MultiPoly` values for symbolic computations (e.g. characteristic
+No floating point appears anywhere.  Rational matrices and polynomials are
+both stored as integer numerators over one positive denominator, in
+canonical form, so their arithmetic runs on ints and equal values have
+equal storage; scalars are handed out at the boundary as
+``fractions.Fraction`` (exported as :data:`Rat`).  Matrix entries may also
+be :class:`MultiPoly` values for symbolic computations (e.g. characteristic
 polynomials of matrices with polynomial entries); operations that only
 make sense over the rationals check for that.
 """
@@ -371,55 +372,66 @@ def _right_block(flat, rows: int, cols: int) -> list:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    A polynomial is stored as integer numerators keyed by exponent tuple
+    over one positive denominator, in canonical form: no numerator is zero,
+    the zero polynomial has denominator 1, and no factor is common to the
+    denominator and every numerator, so equal polynomials have equal
+    storage (the form :class:`RatMatrix` uses).  Ring operations, ``diff``,
+    ``with_variables``, ``reduce_square`` and ``substitute`` run on these
+    ints and bring each result to canonical form once; ``terms``,
+    :meth:`coefficient`, :meth:`constant_value` and :meth:`evaluate` hand
+    out Fractions.
 
     The variable order is fixed at construction; mixing polynomials with
     different variable tuples raises instead of silently merging symbol
     sets.  Use :meth:`with_variables` for deliberate embeddings.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_nums", "_den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Scalar]):
         vs = tuple(variables)
-        clean = {}
+        pairs = []
         for exps, coeff in terms.items():
-            c = _frac(coeff)
-            if c == 0:
+            p, q = _ratio(coeff)
+            if not p:
                 continue
             e = tuple(int(x) for x in exps)
             if len(e) != len(vs):
                 raise ValueError("exponent vector length mismatch")
             if any(x < 0 for x in e):
                 raise ValueError("negative exponent")
-            clean[e] = clean.get(e, Fraction(0)) + c
-        clean = {e: c for e, c in clean.items() if c != 0}
-        object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
-        """Wrap terms that are already canonical: non-zero Fraction
-        coefficients keyed by int exponent tuples of the right length.
-
-        Ring operations build their results this way instead of through the
-        validating constructor, which is kept for outside input."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "variables", variables)
-        object.__setattr__(p, "terms", terms)
-        return p
+            pairs.append((e, p, q))
+        d = lcm(*(q for _, _, q in pairs))
+        nums: dict = {}
+        _accumulate(nums, ((e, p * (d // q)) for e, p, q in pairs))
+        _init_poly(self, vs, nums, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors ----------------------------------------------------
     @staticmethod
+    def from_integers(variables: Sequence[str], numerators: Mapping[tuple, int],
+                      denominator: int = 1) -> "MultiPoly":
+        """The polynomial ``numerators / denominator``; ``numerators`` maps
+        int exponent tuples of the ring's length to ints (zeros are
+        dropped)."""
+        if not denominator:
+            raise ZeroDivisionError("zero denominator")
+        return _poly(tuple(variables), {e: c for e, c in numerators.items() if c}, denominator)
+
+    @staticmethod
     def zero(variables: Sequence[str]) -> "MultiPoly":
-        return MultiPoly(variables, {})
+        return _poly(tuple(variables), {})
 
     @staticmethod
     def const(variables: Sequence[str], c) -> "MultiPoly":
-        return MultiPoly(variables, {(0,) * len(tuple(variables)): _frac(c)})
+        vs = tuple(variables)
+        p, q = _ratio(c)
+        return _poly(vs, {(0,) * len(vs): p} if p else {}, q)
 
     @staticmethod
     def var(variables: Sequence[str], name: str) -> "MultiPoly":
@@ -428,34 +440,46 @@ class MultiPoly:
             raise KeyError(f"unknown variable {name!r}")
         e = [0] * len(vs)
         e[vs.index(name)] = 1
-        return MultiPoly(vs, {tuple(e): Fraction(1)})
+        return _poly(vs, {tuple(e): 1})
 
     @staticmethod
     def variables_of(names: Sequence[str]) -> list["MultiPoly"]:
         vs = tuple(names)
         return [MultiPoly.var(vs, n) for n in vs]
 
+    # -- access -------------------------------------------------------------
+    @property
+    def terms(self) -> dict:
+        """The non-zero coefficients as Fractions, keyed by exponent tuple."""
+        d = self._den
+        return {e: Fraction(c, d) for e, c in self._nums.items()}
+
+    def _integer_form(self) -> tuple:
+        """``(numerators, d)``: the exponent-to-numerator dict (shared, not
+        to be mutated) and the denominator, in canonical form."""
+        return self._nums, self._den
+
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        return all(not any(e) for e in self._nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return self.coefficient((0,) * len(self.variables))
 
     def coefficient(self, exps: tuple) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._nums.get(tuple(exps), 0), self._den)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._nums), default=0)
 
     def depends_on(self, name: str) -> bool:
         i = self.variables.index(name)
-        return any(e[i] > 0 for e in self.terms)
+        return any(e[i] > 0 for e in self._nums)
 
     # -- ring operations ----------------------------------------------------
     def _check(self, other: "MultiPoly"):
@@ -465,88 +489,88 @@ class MultiPoly:
             )
 
     def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.variables, other)
-        self._check(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms.items())
-        return MultiPoly._trusted(self.variables, terms)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.variables, other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _combine(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other, over the lcm of the two denominators."""
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.const(self.variables, other)
+        self._check(other)
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other if sign > 0 else -other
+        (a, da), (b, db) = (self._nums, self._den), (other._nums, other._den)
+        if da == db:
+            d, terms, kb = da, dict(a), sign
+        else:
+            d = lcm(da, db)
+            ka, kb = d // da, sign * (d // db)
+            terms = {e: c * ka for e, c in a.items()} if ka != 1 else dict(a)
+        _accumulate(terms, b.items(), kb)
+        return _poly(self.variables, terms, d)
+
     def __neg__(self):
-        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
+        return _poly(self.variables, {e: -c for e, c in self._nums.items()}, self._den)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = _frac(other)
-            if not c:
-                return MultiPoly._trusted(self.variables, {})
-            return MultiPoly._trusted(self.variables, {e: k * c for e, k in self.terms.items()})
+            p, q = _ratio(other)
+            if p == q:
+                return self
+            return _poly(self.variables, {e: c * p for e, c in self._nums.items()} if p else {},
+                         self._den * q)
         self._check(other)
-        terms: dict = {}
-        get = terms.get
-        others = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in others:
-                # _accumulate, inlined: this is the hottest loop of the symbolic checks
-                e = tuple(map(add, e1, e2))
-                s = get(e)
-                if s is None:
-                    terms[e] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-        return MultiPoly._trusted(self.variables, terms)
+        return _poly(self.variables, _mul_terms(self._nums, other._nums),
+                     self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MultiPoly":
-        c = _frac(other)
-        if c == 0:
+        p, q = _ratio(other)
+        if not p:
             raise ZeroDivisionError("division of MultiPoly by zero scalar")
-        return self * (1 / c)
+        return _poly(self.variables, {e: c * q for e, c in self._nums.items()}, self._den * p)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of MultiPoly")
-        result = MultiPoly.const(self.variables, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return MultiPoly.const(self.variables, 1) if result is None else result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.variables == other.variables and self.terms == other.terms
+            return (self.variables == other.variables and self._den == other._den
+                    and self._nums == other._nums)
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
+            if not self.is_constant():
+                return False
+            p, q = _ratio(other)
+            return self._nums.get((0,) * len(self.variables), 0) * q == p * self._den
         return NotImplemented
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._nums:
             return "0"
+        terms = self.terms
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, key=lambda t: (sum(t), t), reverse=True):
+            c = terms[e]
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v for v, k in zip(self.variables, e) if k
             )
@@ -557,35 +581,41 @@ class MultiPoly:
     def diff(self, name: str) -> "MultiPoly":
         i = self.variables.index(name)
         terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            terms[tuple(e2)] = c * e[i]
-        return MultiPoly._trusted(self.variables, terms)
+        for e, c in self._nums.items():
+            k = e[i]
+            if k:
+                terms[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return _poly(self.variables, terms, self._den)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact evaluation; every variable must be assigned."""
+        """Exact evaluation; every variable must be assigned.
+
+        With x_i = p_i / q_i and m_i the top degree in x_i, the value is
+        sum_e c_e prod_i p_i^e_i q_i^(m_i - e_i) over d prod_i q_i^m_i: one
+        integer sum and one Fraction."""
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise KeyError(f"missing variables in evaluation point: {missing}")
-        vals = [_frac(point[v]) for v in self.variables]
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(vals, e):
-                if k:
-                    t *= x**k
-            acc += t
-        return acc
+        vals = [_ratio(point[v]) for v in self.variables]
+        top = [max((e[i] for e in self._nums), default=0) for i in range(len(vals))]
+        num = 0
+        for e, c in self._nums.items():
+            for (p, q), k, m in zip(vals, e, top):
+                if m:
+                    c *= p**k * q**(m - k)
+            num += c
+        den = self._den
+        for (_, q), m in zip(vals, top):
+            den *= q**m
+        return Fraction(num, den)
 
     def substitute(self, mapping: Mapping[str, "MultiPoly | Scalar"],
                    target_variables: Sequence[str] | None = None) -> "MultiPoly":
         """Substitute polynomials (or scalars) for variables.
 
         Unmapped variables must exist in the target variable tuple and are
-        carried across unchanged.
+        carried across unchanged.  Each power of an image is computed once;
+        the terms are summed over one common denominator.
         """
         if target_variables is None:
             polys = [v for v in mapping.values() if isinstance(v, MultiPoly)]
@@ -605,14 +635,24 @@ class MultiPoly:
             else:
                 img = MultiPoly.var(tvs, v)
             images.append(img)
-        acc = MultiPoly.zero(tvs)
-        for e, c in self.terms.items():
-            t = MultiPoly.const(tvs, c)
-            for img, k in zip(images, e):
+        powers: dict = {}
+        one = (0,) * len(tvs)
+        acc, acc_den = {}, 1
+        for e, c in self._nums.items():
+            nums, den = {one: c}, 1
+            for i, k in enumerate(e):
                 if k:
-                    t = t * (img**k)
-            acc = acc + t
-        return acc
+                    pw = powers.get((i, k))
+                    if pw is None:
+                        pw = powers[(i, k)] = images[i] ** k
+                    nums = _mul_terms(nums, pw._nums)
+                    den *= pw._den
+            d = lcm(acc_den, den)
+            if d != acc_den:
+                acc = {x: y * (d // acc_den) for x, y in acc.items()}
+                acc_den = d
+            _accumulate(acc, nums.items(), acc_den // den)
+        return _poly(tvs, acc, acc_den * self._den)
 
     def with_variables(self, variables: Sequence[str]) -> "MultiPoly":
         """Embed into a ring with a larger (or reordered) variable tuple."""
@@ -623,18 +663,21 @@ class MultiPoly:
                 raise ValueError(f"variable {v!r} missing from target tuple")
             idx.append(vs.index(v))
         terms = {}
-        for e, c in self.terms.items():
+        for e, c in self._nums.items():
             e2 = [0] * len(vs)
             for i, k in zip(idx, e):
                 e2[i] = k
             terms[tuple(e2)] = c
-        return MultiPoly._trusted(vs, terms)
+        return _poly(vs, terms, self._den)
 
     def reduce_square(self, name: str, square: "MultiPoly | Scalar") -> "MultiPoly":
         """Rewrite ``name**2 -> square`` until the degree in ``name`` is < 2.
 
         This is how algebraic constants (i with i^2 = -1, r with r^2 = 2/3,
         a primitive cube root mu with mu^2 = -1 - mu) are handled exactly.
+        Each pass splits off the terms of degree >= 2 in ``name`` by their
+        power q of ``name**2`` and multiplies each group by ``square**q``
+        once.
         """
         i = self.variables.index(name)
         if not isinstance(square, MultiPoly):
@@ -644,38 +687,88 @@ class MultiPoly:
         powers = {}
         cur = self
         while True:
-            high = [e for e in cur.terms if e[i] >= 2]
-            if not high:
+            kept, groups = {}, {}
+            for e, c in cur._nums.items():
+                if e[i] < 2:
+                    kept[e] = c
+                    continue
+                q, r = divmod(e[i], 2)
+                groups.setdefault(q, {})[e[:i] + (r,) + e[i + 1:]] = c
+            if not groups:
                 return cur
-            terms = {e: c for e, c in cur.terms.items() if e[i] < 2}
-            for e in high:
-                e2 = list(e)
-                q, e2[i] = divmod(e2[i], 2)
+            acc = _poly(vs, kept, cur._den)
+            for q, low in groups.items():
                 if q not in powers:
                     powers[q] = square**q
-                low = MultiPoly._trusted(vs, {tuple(e2): cur.terms[e]})
-                _accumulate(terms, (low * powers[q]).terms.items())
-            cur = MultiPoly._trusted(vs, terms)
+                acc = acc + _poly(vs, low, cur._den) * powers[q]
+            cur = acc
 
     def weighted_degrees(self, weights: Mapping[str, int]) -> set:
         """Set of weighted degrees of the monomials (empty for 0)."""
         ws = [weights[v] for v in self.variables]
-        return {sum(w * k for w, k in zip(ws, e)) for e in self.terms}
+        return {sum(w * k for w, k in zip(ws, e)) for e in self._nums}
 
 
-def _accumulate(terms: dict, items) -> None:
-    """Add ``(exponents, coefficient)`` pairs into ``terms`` in place,
-    dropping every term that cancels to zero."""
-    for e, c in items:
-        s = terms.get(e)
-        if s is None:
-            terms[e] = c
-        else:
-            s += c
+def _ratio(x) -> tuple:
+    """``(numerator, denominator)`` of an exact scalar, the denominator
+    positive; an int or a Fraction is read without building a Fraction."""
+    if isinstance(x, int):
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _init_poly(p: "MultiPoly", variables: tuple, nums: dict, den: int) -> None:
+    """Fill the slots of ``p`` with ``nums / den`` brought to canonical form:
+    ``nums`` maps int exponent tuples to non-zero ints."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "_nums", nums)
+    object.__setattr__(p, "_den", den)
+
+
+def _poly(variables: tuple, nums: dict, den: int = 1) -> MultiPoly:
+    """The polynomial ``nums / den`` (see :func:`_init_poly`); ``nums`` is
+    taken over, not copied."""
+    p = object.__new__(MultiPoly)
+    _init_poly(p, variables, nums, den)
+    return p
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two exponent-to-numerator dicts, without zero terms."""
+    terms: dict = {}
+    get = terms.get
+    items = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in items:
+            # _accumulate, inlined: this is the hottest loop of the symbolic checks
+            e = tuple(map(add, e1, e2))
+            s = get(e, 0) + c1 * c2
             if s:
                 terms[e] = s
             else:
                 del terms[e]
+    return terms
+
+
+def _accumulate(terms: dict, items, scale: int = 1) -> None:
+    """Add ``scale`` times the ``(exponents, numerator)`` pairs into
+    ``terms`` in place, dropping every term that cancels to zero."""
+    get = terms.get
+    for e, c in items:
+        s = get(e, 0) + c * scale
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
 
 
 # -- spec operations ------------------------------------------------------
@@ -738,15 +831,12 @@ def char_poly(m: RatMatrix, variable: str = "x") -> MultiPoly:
     while lam in base:
         lam += "_"
     vs = base + (lam,)
-    xi = len(vs) - 1
-    terms: dict = {}
+    x = MultiPoly.var(vs, lam)
+    acc = MultiPoly.zero(vs)
     for k, c in enumerate(coeffs):
-        cp = c if isinstance(c, MultiPoly) else MultiPoly.const(base, c)
-        for e, q in cp.with_variables(vs).terms.items():
-            e2 = list(e)
-            e2[xi] += n - k
-            terms[tuple(e2)] = terms.get(tuple(e2), Fraction(0)) + q
-    return MultiPoly(vs, terms)
+        cp = c.with_variables(vs) if isinstance(c, MultiPoly) else MultiPoly.const(vs, c)
+        acc = acc + cp * x ** (n - k)
+    return acc
 
 
 def exterior_traces(m: RatMatrix, ks: Sequence[int]) -> tuple:

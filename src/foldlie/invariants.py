@@ -42,8 +42,8 @@ def esym(names, k: int) -> MultiPoly:
         e = [0] * n
         for i in subset:
             e[i] = 1
-        terms[tuple(e)] = Fraction(1)
-    return MultiPoly(names, terms)
+        terms[tuple(e)] = 1
+    return MultiPoly.from_integers(names, terms)
 
 
 def esym_squares(names, k: int) -> MultiPoly:
@@ -55,13 +55,13 @@ def esym_squares(names, k: int) -> MultiPoly:
         e = [0] * n
         for i in subset:
             e[i] = 2
-        terms[tuple(e)] = Fraction(1)
-    return MultiPoly(names, terms)
+        terms[tuple(e)] = 1
+    return MultiPoly.from_integers(names, terms)
 
 
 def product_of_vars(names) -> MultiPoly:
     names = tuple(names)
-    return MultiPoly(names, {(1,) * len(names): Fraction(1)})
+    return MultiPoly.from_integers(names, {(1,) * len(names): 1})
 
 
 def _signed_perm_monomial(e, perm, signs) -> tuple:
@@ -79,26 +79,22 @@ def _signed_perm_monomial(e, perm, signs) -> tuple:
 
 def signed_perm_apply(poly: MultiPoly, perm, signs) -> MultiPoly:
     """Substitute t_i -> signs[i] * t_{perm[i]} (a monomial-to-monomial map)."""
+    nums, d = poly._integer_form()
     terms = {}
-    for e, c in poly.terms.items():
+    for e, c in nums.items():
         key, sgn = _signed_perm_monomial(e, perm, signs)
-        terms[key] = terms.get(key, Fraction(0)) + sgn * c
-    return MultiPoly(poly.variables, terms)
+        terms[key] = terms.get(key, 0) + sgn * c
+    return MultiPoly.from_integers(poly.variables, terms, d)
 
 
 def compose_linear(poly: MultiPoly, matrix: RatMatrix, new_names) -> MultiPoly:
     """Substitute variable i by the linear form sum_j matrix[i][j] * s_j."""
     new_names = tuple(new_names)
-    images = []
-    for i in range(len(poly.variables)):
-        terms = {}
-        for j in range(len(new_names)):
-            coeff = matrix.entry(i, j)
-            if coeff != 0:
-                e = [0] * len(new_names)
-                e[j] = 1
-                terms[tuple(e)] = coeff
-        images.append(MultiPoly(new_names, terms))
+    n = len(new_names)
+    nums, d = matrix._integer_form()
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    images = [MultiPoly.from_integers(new_names, dict(zip(units, nums[i * n:(i + 1) * n])), d)
+              for i in range(len(poly.variables))]
     return poly.substitute(dict(zip(poly.variables, images)), target_variables=new_names)
 
 
@@ -187,9 +183,13 @@ def monomials_of_degree(nvars: int, degree: int) -> list:
 
 
 def _vector_of(poly: MultiPoly, monos_index) -> list:
-    v = [Fraction(0)] * len(monos_index)
-    for e, c in poly.terms.items():
-        v[monos_index[e]] = c
+    """The coefficients of ``poly`` on the monomials of ``monos_index``:
+    ints for an integral polynomial, Fractions only for its non-zero
+    coefficients otherwise."""
+    v = [0] * len(monos_index)
+    nums, d = poly._integer_form()
+    for e, c in nums.items():
+        v[monos_index[e]] = c if d == 1 else Fraction(c, d)
     return v
 
 
@@ -220,8 +220,8 @@ def reynolds_invariant_basis(group, names, degree: int) -> list:
         for perm, signs in group:
             key, sgn = _signed_perm_monomial(mono, perm, signs)
             counts[key] = counts.get(key, 0) + sgn
-        avg = MultiPoly(names, {e: Fraction(c, order) for e, c in counts.items() if c})
-        seen_exps.update(avg.terms.keys())
+        avg = MultiPoly.from_integers(names, counts, order)
+        seen_exps.update(avg._integer_form()[0])
         if avg.is_zero():
             continue
         vectors.append(_vector_of(avg, monos_index))

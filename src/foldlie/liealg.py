@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, lcm
 
-from .exactalg import MultiPoly, RatMatrix, SpanSolver, _integer_vector, exterior_traces
+from .exactalg import MultiPoly, RatMatrix, SpanSolver, _scalar_vector, exterior_traces
 from .rootsys import (
     DynkinType,
     FoldingDatum,
@@ -47,16 +47,35 @@ def _integer_basis(matrices) -> tuple:
     return matrices[0].rows, terms, d
 
 
-def _linear_combination(basis: tuple, numerators, d: int = 1) -> RatMatrix:
-    """sum_k (numerators[k] / d) B_k as one integer linear combination over a
-    basis from :func:`_integer_basis`."""
-    size, terms, den = basis
+def _combination(basis: tuple, coeffs) -> list:
+    """The flat entries of sum_k coeffs[k] N_k, where N_k are the integer
+    numerators of a basis from :func:`_integer_basis` (so the combination
+    of the basis matrices is this over the basis denominator).  The
+    coefficients may be ints, Fractions or MultiPolys."""
+    size, terms, _ = basis
     acc = [0] * (size * size)
-    for c, term in zip(numerators, terms):
-        if c:
+    for c, term in zip(coeffs, terms):
+        if isinstance(c, MultiPoly) or c:
             for p, x in term:
                 acc[p] += c * x
-    return RatMatrix.from_integers(size, size, acc, d * den)
+    return acc
+
+
+def _linear_combination(basis: tuple, numerators, d: int = 1) -> RatMatrix:
+    """sum_k (numerators[k] / d) B_k as one integer linear combination."""
+    size, _, den = basis
+    return RatMatrix.from_integers(size, size, _combination(basis, numerators), d * den)
+
+
+def _from_coefficients(basis: tuple, coeffs) -> RatMatrix:
+    """sum_k coeffs[k] B_k: on the coefficients' numerators when they are
+    rational, the same sparse combination when some are MultiPolys."""
+    form = _scalar_vector(coeffs)
+    if form is not None:
+        return _linear_combination(basis, *form)
+    size, _, den = basis
+    m = RatMatrix(size, size, _combination(basis, coeffs))
+    return m if den == 1 else m.scale(Fraction(1, den))
 
 
 class MatrixLieAlgebra:
@@ -170,7 +189,9 @@ class MatrixLieAlgebra:
 
         The coordinates are read off the pivot entries and m is a member
         exactly when the basis combination with them reconstructs m.  For a
-        rational m both steps run on its integer numerators."""
+        rational m both steps run on its integer numerators; for a matrix
+        with polynomial entries the same sparse combination runs on the
+        polynomial coordinates and is compared with the entries."""
         if m.rows != self.size or m.cols != self.size:
             return None
         form = m._integer_form()
@@ -186,7 +207,10 @@ class MatrixLieAlgebra:
             pivots = pivots[len(self.cartan_indices):]
         out.extend(ent[i * n + j] for i, j in pivots)
         if form is None:
-            return tuple(out) if self.from_coords(out) == m else None
+            den = self._int_basis[2]
+            target = ent if den == 1 else [x * den for x in ent]
+            got = _combination(self._int_basis, out)
+            return tuple(out) if all(a == b for a, b in zip(got, target)) else None
         if _linear_combination(self._int_basis, out, d) != m:
             return None
         return tuple(Fraction(x, d) for x in out)
@@ -195,14 +219,7 @@ class MatrixLieAlgebra:
         return self.coords(m) is not None
 
     def from_coords(self, coords) -> RatMatrix:
-        form = _integer_vector(coords)
-        if form is not None:
-            return _linear_combination(self._int_basis, *form)
-        acc = RatMatrix.zeros(self.size, self.size)
-        for c, b in zip(coords, self.basis):
-            if isinstance(c, MultiPoly) or c != 0:
-                acc = acc + b.scale(c)
-        return acc
+        return _from_coefficients(self._int_basis, coords)
 
     def verify_closure(self):
         """Basis closed under bracket; Cartan abelian."""
@@ -301,14 +318,7 @@ class ChevalleyData:
         return self._chev_from_family.apply(fam)
 
     def from_chev_coords(self, coords) -> RatMatrix:
-        form = _integer_vector(coords)
-        if form is not None:
-            return _linear_combination(self._int_basis, *form)
-        acc = RatMatrix.zeros(self.algebra.size, self.algebra.size)
-        for c, b in zip(coords, self.basis_matrices):
-            if c != 0:
-                acc = acc + b.scale(c)
-        return acc
+        return _from_coefficients(self._int_basis, coords)
 
     @cached_property
     def _int_basis(self) -> tuple:

@@ -476,10 +476,12 @@ def _folding_datum(t: DynkinType, order: int) -> FoldingDatum:
 def _orbit_image(a: GraphAut, w, average: bool) -> tuple:
     """The sum of the distinct images of w under a, divided by their number
     when ``average``: the orthogonal projection onto the fixed subspace,
-    which equals the average over all |a| images counted with multiplicity."""
+    which equals the average over all |a| images counted with multiplicity.
+    A coordinate is an int when integral and a Fraction only otherwise."""
     orbit = a.orbit(w)
     size = len(orbit) if average else 1
-    return tuple(Fraction(sum(c), size) for c in zip(*orbit))
+    return tuple(s // size if s % size == 0 else Fraction(s, size)
+                 for s in map(sum, zip(*orbit)))
 
 
 def _fold(fd: FoldingDatum, average: bool) -> RootSystem:

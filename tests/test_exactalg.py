@@ -731,3 +731,235 @@ class TestExteriorTraces:
             exterior_traces(RatMatrix.identity(3), (2, 4))
         with pytest.raises(ValueError):
             exterior_traces(RatMatrix.zeros(2, 3), (1,))
+
+
+# -- the integer polynomial layer against a Fraction-dict reference -------------
+#
+# The reference keeps a polynomial as a plain {exponents: Fraction} dict and
+# runs every operation with Fraction arithmetic, independently of MultiPoly.
+
+MIXED = [Q(1, 2), Q(2, 3), Q(1, 6), Q(-1, 2), Q(-2, 3), Q(-1, 6), Q(1), Q(-1), Q(3), Q(5, 6)]
+exponents = st.tuples(*[st.integers(0, 3)] * len(VARS))
+coefficient_dicts = st.dictionaries(exponents, st.sampled_from(MIXED), max_size=5)
+
+
+@st.composite
+def poly_pairs(draw):
+    """(p, q): q often shares p's monomials with opposite coefficients, so
+    that p + q cancels in part or in full."""
+    p = draw(coefficient_dicts)
+    q = draw(coefficient_dicts)
+    if draw(st.booleans()):
+        q = {**q, **{e: -c for e, c in p.items() if draw(st.booleans())}}
+    return p, q
+
+
+def _clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _r_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Q(0)) + c
+    return _clean(out)
+
+
+def _r_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Q(0)) + c1 * c2
+    return _clean(out)
+
+
+def _r_pow(a, n, nvars=len(VARS)):
+    out = {(0,) * nvars: Q(1)}
+    for _ in range(n):
+        out = _r_mul(out, a)
+    return out
+
+
+def _r_evaluate(a, vals):
+    total = Q(0)
+    for e, c in a.items():
+        for x, k in zip(vals, e):
+            c *= x**k
+        total += c
+    return total
+
+
+def _storage_ok(p):
+    """Canonical storage: a positive denominator, 1 for the zero polynomial,
+    non-zero int numerators and no factor common to all of them and it."""
+    nums, d = p._integer_form()
+    return (type(d) is int and d > 0 and (d == 1 or bool(nums))
+            and all(type(c) is int and c != 0 for c in nums.values())
+            and math.gcd(d, *nums.values()) == 1)
+
+
+class TestIntegerPolynomials:
+    @settings(max_examples=60, deadline=None)
+    @given(poly_pairs())
+    def test_add_sub_neg(self, pair):
+        a, b = pair
+        p, q = MultiPoly(VARS, a), MultiPoly(VARS, b)
+        neg_b = {e: -c for e, c in b.items()}
+        for got, ref in ((p + q, _r_add(a, b)), (p - q, _r_add(a, neg_b)),
+                         (-q, _clean(neg_b)), (p + 0, _clean(a))):
+            assert got.terms == ref and _storage_ok(got)
+        assert (p + q)._integer_form() == (q + p)._integer_form()
+        assert ((p + q) - q)._integer_form() == p._integer_form()
+        assert (p - p)._integer_form() == ({}, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_pairs(), st.integers(0, 3))
+    def test_mul_and_pow(self, pair, n):
+        a, b = pair
+        p, q = MultiPoly(VARS, a), MultiPoly(VARS, b)
+        assert (p * q).terms == _r_mul(a, b) and _storage_ok(p * q)
+        assert (p * q)._integer_form() == (q * p)._integer_form()
+        assert (p**n).terms == _r_pow(a, n) and _storage_ok(p**n)
+        for c in (Q(0), Q(-2, 3), 3):
+            got = p * c
+            assert got.terms == _clean({e: k * c for e, k in a.items()}) and _storage_ok(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coefficient_dicts, st.sampled_from(VARS))
+    def test_diff_and_with_variables(self, a, name):
+        p = MultiPoly(VARS, a)
+        i = VARS.index(name)
+        ref = _clean({tuple(k - (j == i) for j, k in enumerate(e)): c * e[i]
+                      for e, c in a.items() if e[i]})
+        assert p.diff(name).terms == ref and _storage_ok(p.diff(name))
+        wider = ("w", "z", "x", "v", "y")
+        emb = p.with_variables(wider)
+        assert emb.terms == {tuple(e[VARS.index(v)] if v in VARS else 0 for v in wider): c
+                             for e, c in a.items()}
+        assert _storage_ok(emb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coefficient_dicts, st.lists(coefficient_dicts, min_size=3, max_size=3))
+    def test_substitute(self, a, images):
+        p = MultiPoly(VARS, a)
+        got = p.substitute({v: MultiPoly(VARS, img) for v, img in zip(VARS, images)})
+        ref = {}
+        for e, c in a.items():
+            term = {(0,) * len(VARS): c}
+            for img, k in zip(images, e):
+                term = _r_mul(term, _r_pow(_clean(img), k))
+            ref = _r_add(ref, term)
+        assert got.terms == ref and _storage_ok(got)
+        # scalar images and unmapped variables carried across
+        got = p.substitute({"x": Q(2, 3)}, target_variables=VARS)
+        ref = {}
+        for e, c in a.items():
+            ref = _r_add(ref, {(0,) + e[1:]: c * Q(2, 3) ** e[0]})
+        assert got.terms == ref and _storage_ok(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coefficient_dicts, st.sampled_from(VARS),
+           st.one_of(st.sampled_from([Q(-1), Q(2, 3), Q(0)]), coefficient_dicts))
+    def test_reduce_square(self, a, name, square):
+        i = VARS.index(name)
+        sq = square if isinstance(square, dict) else {(0,) * len(VARS): square}
+        sq = _clean({e: c for e, c in sq.items() if not e[i]})  # must avoid the symbol
+        ref = _clean(a)
+        while any(e[i] >= 2 for e in ref):
+            nxt = {}
+            for e, c in ref.items():
+                if e[i] < 2:
+                    nxt = _r_add(nxt, {e: c})
+                else:
+                    low = e[:i] + (e[i] - 2,) + e[i + 1:]
+                    nxt = _r_add(nxt, _r_mul({low: c}, sq))
+            ref = nxt
+        got = MultiPoly(VARS, a).reduce_square(name, MultiPoly(VARS, sq))
+        assert got.terms == ref and _storage_ok(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coefficient_dicts, st.lists(st.sampled_from(MIXED + [Q(0)]), min_size=3,
+                                       max_size=3))
+    def test_evaluate_and_boundary(self, a, vals):
+        p = MultiPoly(VARS, a)
+        assert p.evaluate(dict(zip(VARS, vals))) == _r_evaluate(a, vals)
+        assert all(p.coefficient(e) == c for e, c in _clean(a).items())
+        assert p.coefficient((9, 9, 9)) == 0
+        c = MultiPoly.const(VARS, vals[0])
+        assert c.constant_value() == vals[0] and c == vals[0]
+        assert _storage_ok(c)
+
+    def test_pow_matches_repeated_product(self):
+        x, y, z = MultiPoly.variables_of(VARS)
+        p = x * Q(1, 2) + y * Q(2, 3) - Q(1, 6) + z * x
+        assert p._integer_form()[1] == 6
+        ref = MultiPoly.const(VARS, 1)
+        for n in range(10):
+            assert p**n == ref and _storage_ok(p**n)
+            ref = ref * p
+
+    def test_pow_squares_only_while_bits_remain(self, monkeypatch):
+        calls = []
+        mul = MultiPoly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counted)
+        x, y, _ = MultiPoly.variables_of(VARS)
+        p = x + y * Q(1, 2)
+        for n in range(1, 10):
+            calls.clear()
+            p**n
+            # one squaring per bit after the top one, one product per set bit
+            # after the first
+            assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1)
+
+
+def _count_fractions(fn) -> int:
+    """Fraction constructions made by ``fn()``, counted by wrapping
+    ``Fraction.__new__`` and restoring it afterwards."""
+    original = Q.__dict__["__new__"]
+    count = [0]
+
+    def counted_new(cls, *args, **kwargs):
+        count[0] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Q.__new__ = staticmethod(counted_new)
+    try:
+        fn()
+    finally:
+        Q.__new__ = original
+    return count[0]
+
+
+class TestFractionFree:
+    def test_integer_ring_operations_build_no_fraction(self):
+        x, y, z = MultiPoly.variables_of(VARS)
+        p = x**2 * 3 - y * z + 5
+        q = x * y - z * 2 + 1
+
+        def ring_ops():
+            s = p + q
+            t = p * q - s
+            u = t**3
+            u.substitute({"x": q, "y": p - 1, "z": y}, target_variables=VARS)
+
+        assert _count_fractions(ring_ops) == 0
+
+    def test_warm_appendix_request(self):
+        import contextlib
+        import io
+
+        from foldlie.cli import main
+
+        def request():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["--format", "json", "slice", "--verify-appendix",
+                             "--samples", "10"]) == 0
+
+        request()
+        assert _count_fractions(request) < 2000

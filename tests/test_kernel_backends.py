@@ -137,6 +137,12 @@ class TestAgreement:
             n = rng.randint(1, 4)
             a = rand_entries(rng, n, n)
             assert charpoly_matches_det(_kernel_py.charpoly_generic(list(a), n, Q(1)), a, n)
+        # mostly-zero matrices, including zero rows, exercise the sparse rows
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            a = [Q(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.3 else Q(0)
+                 for _ in range(n * n)]
+            assert charpoly_matches_det(_kernel_py.charpoly_generic(list(a), n, Q(1)), a, n)
 
     def test_common_denominator(self):
         vals = [Q(1, 2), Q(3, 4), Q(5, 6), 7]

@@ -227,3 +227,38 @@ class TestBaseIso:
             chi = adjoint_quotient(sp4, m).values
             chi_h = adjoint_quotient(sl4, emb).values
             assert chi_h == (chi[0], Q(0), chi[1])
+
+
+class TestSymbolicCoords:
+    """Membership and coordinates of matrices with polynomial entries."""
+
+    NAMES = ("a", "b", "c")
+
+    def test_sl4_roundtrip(self, sl4):
+        a, b, c = MultiPoly.variables_of(self.NAMES)
+        m = RatMatrix(4, 4, [a, b * Q(1, 2), 0, c**2,
+                             1, c - a, a * b, 0,
+                             Q(2, 3), 0, b - c, a - Q(1, 6),
+                             c, 0, a * a, -b])
+        coords = sl4.coords(m)
+        assert coords is not None and sl4.from_coords(coords) == m
+        # the symbolic coordinates specialize to those of the specialized matrix
+        point = {"a": Q(1, 2), "b": Q(-3), "c": Q(2, 5)}
+        special = RatMatrix(4, 4, [x.evaluate(point) if isinstance(x, MultiPoly) else x
+                                   for x in m.entries])
+        assert sl4.coords(special) == tuple(
+            x.evaluate(point) if isinstance(x, MultiPoly) else x for x in coords)
+
+    def test_traceful_matrix_is_not_in_sl4(self, sl4):
+        a, b, _ = MultiPoly.variables_of(self.NAMES)
+        m = RatMatrix(4, 4, [a, b, 0, 0] + [0] * 12)
+        assert sl4.coords(m) is None and not sl4.contains(m)
+
+    def test_entry_outside_the_sp4_pattern(self, sp4):
+        names = tuple(f"c{i}" for i in range(10))
+        cs = MultiPoly.variables_of(names)
+        generic = sp4.from_coords(cs)
+        assert sp4.coords(generic) == tuple(cs)
+        ent = list(generic.entries)
+        ent[0 * 4 + 3] = ent[0 * 4 + 3] + cs[0]  # breaks the symmetry of the b block
+        assert sp4.coords(RatMatrix(4, 4, ent)) is None
