@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import pytest
 
 
@@ -63,3 +66,24 @@ def fwd_d4_triality():
     from foldlie.weyl import folding_weyl_data
 
     return folding_weyl_data(folding_datum("D4", 3))
+
+
+@pytest.fixture(scope="session")
+def cli_json():
+    """``foldlie --format json <argv>`` run in process, once per argv in a
+    session, as (exit code, stdout): a golden pin and a semantic check of the
+    same command read one run."""
+    from foldlie.cli import main
+
+    runs = {}
+
+    def run(argv):
+        argv = tuple(argv)
+        if argv not in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["--format", "json", *argv])
+            runs[argv] = (code, out.getvalue())
+        return runs[argv]
+
+    return run

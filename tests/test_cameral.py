@@ -220,3 +220,22 @@ class TestDerivedBranchSpec:
             assert len(cm.branch_images) == (2 * g - 2) * 2 * len(fwd.reflection_products)
             rank = hitchin_fiber_rank(cm, own_lattice_action(fwd.folded))
             assert rank == 2 * dim_base(folded, g).total, (hom, g)
+
+
+class TestInducedCoverCommand:
+    """``cameral induce --genus 2 --seed 5``: the fiber rank is 2 dim B of the
+    folded group, the induced cover has [W_h : W] components, and each is a
+    copy of the W-cover.  The run is shared with the golden stdout pin."""
+
+    @pytest.mark.parametrize("hom,rank,components", [
+        ("D4", 42, 4), ("D5", 72, 5), ("A7", 72, 105), ("E6", 104, 45)])
+    def test_rank_and_components(self, cli_json, hom, rank, components):
+        import json
+
+        code, out = cli_json(("cameral", "induce", "--type", hom, "--genus", "2",
+                              "--seed", "5"))
+        assert code == 0
+        out = json.loads(out)
+        assert out["fiber_rank"] == out["two_dim_base"] == rank
+        assert out["induced"]["components"] == components
+        assert out["induced"]["genera"] == [out["cover"]["genus"]] * components
