@@ -11,6 +11,7 @@ branch images."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .exactalg import RatMatrix, nullspace
@@ -77,78 +78,108 @@ class CoverGeometry:
     euler_characteristic: int
 
 
-def monodromy_subgroup(cm: CoverMonodromy) -> set:
-    """Element indices of the subgroup generated by all monodromy images."""
+def _image_permutations(cm: CoverMonodromy) -> dict:
+    """Right-multiplication permutation of each distinct monodromy image."""
     g = cm.group
-    gens = set(cm.all_images())
-    gens |= {g.inverse(x) for x in gens}
-    sub = {g.identity_index()}
-    frontier = [g.identity_index()]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for h in gens:
-                y = g.multiply(x, h)
-                if y not in sub:
-                    sub.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    return {c: g.right_multiplication_permutation(c) for c in dict.fromkeys(cm.all_images())}
+
+
+def monodromy_subgroup(cm: CoverMonodromy) -> set:
+    """Element indices of the subgroup generated by all monodromy images: the
+    identity closed under right multiplication by each distinct image.  The
+    group is finite, so no inverses are needed."""
+    perms = list(_image_permutations(cm).values())
+    ident = cm.group.identity_index()
+    sub = {ident}
+    frontier = [ident]
+    for x in frontier:
+        for p in perms:
+            y = p[x]
+            if y not in sub:
+                sub.add(y)
+                frontier.append(y)
     return sub
+
+
+def _orbit_labels(n: int, perms) -> list[int]:
+    """Orbit label of each of range(n) under the permutations, numbered by
+    least element: one breadth-first search."""
+    label = [-1] * n
+    count = 0
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        orbit = [start]
+        for x in orbit:
+            for p in perms:
+                y = p[x]
+                if label[y] < 0:
+                    label[y] = count
+                    orbit.append(y)
+        count += 1
+    return label
+
+
+def _cycle_profile(perm, label, count: int) -> tuple:
+    """(sorted cycle lengths of ``perm``, per orbit label the sheets minus the
+    cycles there), walking each cycle once."""
+    seen = bytearray(len(perm))
+    lengths = []
+    defects = [0] * count
+    for start, done in enumerate(seen):
+        if done:
+            continue
+        seen[start] = 1
+        length, x = 1, perm[start]
+        while x != start:
+            seen[x] = 1
+            x = perm[x]
+            length += 1
+        lengths.append(length)
+        defects[label[start]] += length - 1
+    lengths.sort()
+    return lengths, defects
 
 
 def cover_geometry(cm: CoverMonodromy) -> CoverGeometry:
     """Components (= orbits of the monodromy subgroup on the fiber) and their
-    genera by exact Euler-characteristic bookkeeping."""
+    genera by exact Euler-characteristic bookkeeping, sheet by sheet.
+
+    Each distinct monodromy image acts on the fiber by one right-multiplication
+    permutation.  Components are labelled by one breadth-first search over
+    those permutations.  The cycles of each distinct branch image are walked
+    once for its ramification profile and the defect it adds to each
+    component; repeated images reuse both."""
     validate_monodromy(cm)
-    g = cm.group
-    n = g.order
-    perms = [g.right_multiplication_permutation(c) for c in cm.all_images()]
-    # components: orbits under all monodromy permutations
-    comp = list(range(n))
+    perms = _image_permutations(cm)
+    label = _orbit_labels(cm.group.order, list(perms.values()))
+    count = max(label) + 1
+    sizes = [0] * count
+    for k in label:
+        sizes[k] += 1
 
-    def find(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            comp[rj] = ri
-
-    for p in perms:
-        for i in range(n):
-            union(i, p[i])
-    roots = sorted({find(i) for i in range(n)})
-    comp_of = {r: k for k, r in enumerate(roots)}
-    members: list[list] = [[] for _ in roots]
-    for i in range(n):
-        members[comp_of[find(i)]].append(i)
-
-    branch_perms = [g.right_multiplication_permutation(c) for c in cm.branch_images]
-    profile = []
-    defects = [0] * len(roots)
-    for p in branch_perms:
-        cycles = permutation_cycles(p)
-        for cyc in cycles:
-            defects[comp_of[find(cyc[0])]] += len(cyc) - 1
-        profile.append(sorted(len(c) for c in cycles))
+    profiles = {}
+    defects = [0] * count
+    for c, times in Counter(cm.branch_images).items():
+        profiles[c], image_defects = _cycle_profile(perms[c], label, count)
+        for k, d in enumerate(image_defects):
+            defects[k] += times * d
 
     genera = []
     chi_total = 0
     base_chi = 2 - 2 * cm.base_genus
-    for k, mem in enumerate(members):
-        chi = len(mem) * base_chi - defects[k]
+    for size, defect in zip(sizes, defects):
+        chi = size * base_chi - defect
         if chi % 2:
             raise AssertionError("odd Euler characteristic of a component")
         genera.append(1 - chi // 2)
         chi_total += chi
     return CoverGeometry(
-        component_count=len(members),
+        component_count=count,
         component_genera=genera,
-        total_genus=genera[0] if len(members) == 1 else None,
-        ramification_profile=profile,
+        total_genus=genera[0] if count == 1 else None,
+        ramification_profile=[profiles[c] for c in cm.branch_images],
         euler_characteristic=chi_total,
     )
 

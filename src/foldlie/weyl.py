@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import itemgetter
 
 from . import kernel
 from .exactalg import RatMatrix
@@ -67,35 +67,46 @@ class WeylElement:
 
 
 class WeylGroup:
-    """A fully enumerated reflection group of exact integer matrices.
+    """A fully enumerated reflection group of exact integer matrices, with
+    its Cayley graph for right multiplication by the generators.
 
     Element w is indexed by its key w^T rho, with rho = (1, ..., 1) in the
     basis dual to the acting one: the column sums of w.  rho is regular, so
-    the key is injective (checked at construction), and (w g)^T rho =
-    g^T (w^T rho) makes a product, an inverse or a right-multiplication
-    permutation one transposed matrix-vector product and one lookup.
-    :meth:`index_of` and :meth:`contains` confirm the stored matrix entry by
-    entry, so a non-element sharing a key is rejected.
+    the key is injective (checked at construction).  :meth:`index_of` and
+    :meth:`contains` confirm the stored matrix entry by entry, so a
+    non-element sharing a key is rejected.
+
+    ``keys``, ``words`` and ``edges`` come from the closure that enumerated
+    the group: ``edges[g][i]`` is the index of w_i g for generator g, and
+    ``words[i]`` spells w_i in the generators.  A product w_i w_j walks the
+    edges along the word of w_j, an inverse walks them along the reversed
+    word (the generators are involutions), and a right-multiplication
+    permutation composes the edge lists along a word: list lookups, no
+    matrix arithmetic.
 
     ``invariant_vectors`` is the coroot set in the acting coordinates; every
     element must permute it (checked by :meth:`verify`).
     """
 
-    def __init__(self, dim, generators, flat_elements, words, dtype=None,
+    def __init__(self, dim, generators, flat_elements, words, keys, edges, dtype=None,
                  root_system=None, invariant_vectors=None):
         self.dim = dim
         self.generators = generators
         self._flat = flat_elements
-        self._keys = [_key(m, dim) for m in flat_elements]
-        self._index = {k: i for i, k in enumerate(self._keys)}
+        self._keys = keys
+        self._index = {k: i for i, k in enumerate(keys)}
         if len(self._index) != len(flat_elements):
             raise AssertionError("two elements share a key: rho is not regular")
+        self._edges = edges
         self.elements = [WeylElement(m, dim, w) for m, w in zip(flat_elements, words)]
         self.dtype = dtype
         self.root_system = root_system
         self.invariant_vectors = invariant_vectors
         self._mult_cache: dict = {}
         self._rightmul_cache: dict = {}
+        self._edge_getters = None
+        self._inverse = None
+        self._classes = None
         self._identity = self.index_of(_flat_identity(dim))
 
     # -- construction ---------------------------------------------------------
@@ -120,10 +131,9 @@ class WeylGroup:
             for j in range(n):
                 m[i][j] -= C[i][j]
             gens.append(tuple(x for row in m for x in row))
-        flat, words, _ = _bfs_closure(gens, n, expected)
         gen_mats = [RatMatrix(n, n, g) for g in gens]
-        return WeylGroup(n, gen_mats, flat, words, dtype=t, root_system=rs,
-                         invariant_vectors=_coroot_vectors(rs))
+        return WeylGroup(n, gen_mats, *_bfs_closure(gens, n, expected), dtype=t,
+                         root_system=rs, invariant_vectors=_coroot_vectors(rs))
 
     # -- group structure ----------------------------------------------------
     @property
@@ -147,22 +157,33 @@ class WeylGroup:
     def contains(self, matrix) -> bool:
         return self._find(matrix) is not None
 
+    def _walk(self, i: int, word) -> int:
+        """Index of w_i times the generators of ``word`` in turn: one edge
+        lookup per letter."""
+        edges = self._edges
+        for g in word:
+            i = edges[g][i]
+        return i
+
     def multiply(self, i: int, j: int) -> int:
         key = (i, j)
         out = self._mult_cache.get(key)
         if out is None:
-            out = self._index[_transpose_apply(self._flat[j], self._keys[i], self.dim)]
+            out = self._walk(i, self.elements[j].word)
             self._mult_cache[key] = out
         return out
 
     def inverse(self, i: int) -> int:
-        """w^-1 = w^(k-1) for w of order k: the last key before rho's key
-        returns to rho under repeated w^T."""
-        rho, w, n = self._keys[self._identity], self._flat[i], self.dim
-        prev, key = rho, self._keys[i]
-        while key != rho:
-            prev, key = key, _transpose_apply(w, key, n)
-        return self._index[prev]
+        """w^-1, read along the reversed word of w: every generator is an
+        involution."""
+        return self._walk(self._identity, reversed(self.elements[i].word))
+
+    def inverse_permutation(self) -> tuple:
+        """inv[i] = index of element_i^-1, built once."""
+        if self._inverse is None:
+            ident, walk = self._identity, self._walk
+            self._inverse = tuple([walk(ident, reversed(el.word)) for el in self.elements])
+        return self._inverse
 
     def identity_index(self) -> int:
         return self._identity
@@ -174,28 +195,55 @@ class WeylGroup:
 
     def right_multiplication_permutation(self, j: int) -> tuple:
         """perm[i] = index of element_i * element_j (the action of monodromy
-        on a fiber identified with the group)."""
+        on a fiber identified with the group): the generators' edge lists
+        composed along the word of element j."""
         out = self._rightmul_cache.get(j)
         if out is None:
-            n, index = self.dim, self._index
-            cols = [self._flat[j][c::n] for c in range(n)]
-            out = tuple([index[tuple([sum(map(mul, col, k)) for col in cols])]
-                         for k in self._keys])
+            # i s_1 ... s_k, composed from the last letter: the permutation
+            # of s_m ... s_k is that of s_(m+1) ... s_k read at edges[s_m].
+            # Its entries are the edge lists' own ints, not new ones.
+            word = self.elements[j].word
+            if not word:
+                out = tuple(range(self.order))
+            else:
+                if self._edge_getters is None:
+                    self._edge_getters = [itemgetter(*e) for e in self._edges]
+                out = tuple(self._edges[word[-1]])
+                for g in reversed(word[:-1]):
+                    out = self._edge_getters[g](out)
             self._rightmul_cache[j] = out
         return out
+
+    def conjugacy_classes(self) -> tuple:
+        """The conjugacy classes as sorted index tuples, in the order of their
+        least elements, built once: the orbits of w -> s w s over the
+        generators s, with w s = edges[s][w] and s u = inv[edges[s][inv[u]]]."""
+        if self._classes is None:
+            inv = self.inverse_permutation()
+            seen = [False] * self.order
+            classes = []
+            for start in range(self.order):
+                if seen[start]:
+                    continue
+                seen[start] = True
+                cls = [start]
+                for w in cls:
+                    for e in self._edges:
+                        u = inv[e[inv[e[w]]]]
+                        if not seen[u]:
+                            seen[u] = True
+                            cls.append(u)
+                classes.append(tuple(sorted(cls)))
+            self._classes = tuple(classes)
+        return self._classes
 
     def reflections(self) -> list[int]:
         """Indices of elements acting as reflections (order 2, fixed space of
         codimension 1)."""
-        ident = self._identity
+        inv = self.inverse_permutation()
         eye = RatMatrix.identity(self.dim)
-        out = []
-        for i, el in enumerate(self.elements):
-            if i == ident or self.multiply(i, i) != ident:
-                continue
-            if (el.matrix - eye).rank() == 1:
-                out.append(i)
-        return out
+        return [i for i, el in enumerate(self.elements)
+                if inv[i] == i != self._identity and (el.matrix - eye).rank() == 1]
 
     def verify(self, check_coroots: bool = True):
         if self.dtype is not None and self.order != self.dtype.weyl_order():
@@ -228,15 +276,11 @@ def _key(flat, n) -> tuple:
     return tuple([sum(flat[j::n]) for j in range(n)])
 
 
-def _transpose_apply(flat, vec, n) -> tuple:
-    """w^T vec for the flat n x n matrix w: vec dotted with each column."""
-    return tuple([sum(map(mul, flat[j::n], vec)) for j in range(n)])
-
-
 def _bfs_closure(gens, n, order):
     """The group generated by the involutions ``gens`` (flat n x n integer
-    matrices) as (elements, words, keys), breadth first by right
-    multiplication.
+    matrices) as (elements, words, keys, edges), breadth first by right
+    multiplication; ``edges[g][i]`` is the index of w_i g, so the edges are
+    the Cayley graph the closure walks.
 
     Elements are told apart by their key w^T rho, rho = (1, ..., 1), which is
     injective when rho is regular for the dual action: so it is when the
@@ -250,23 +294,33 @@ def _bfs_closure(gens, n, order):
     group of that order."""
     moved = []  # per generator: (i, row i of g - e_i as (j, entry) pairs)
     for g in gens:
+        if tuple(kernel.mat_mul(g, g, n, n, n)) != _flat_identity(n):
+            raise AssertionError("generator is not an involution")
         rows = [[(j, g[i * n + j] - (i == j)) for j in range(n)] for i in range(n)]
         moved.append([(i, [(j, c) for j, c in row if c]) for i, row in enumerate(rows)
                       if any(c for _, c in row)])
     flat, words, keys = [_flat_identity(n)], [()], [(1,) * n]
-    seen = {keys[0]}
+    seen = {keys[0]: 0}
+    # w g g = w, so the edge from w_i to w_j = w_i g is also the one back:
+    # each pair is computed once, from the element reached first.
+    edges = [[None] * order for _ in gens]
     idx = 0
     while idx < len(flat):
         k = keys[idx]
-        for gi, delta in enumerate(moved):
+        for gi, (delta, edge) in enumerate(zip(moved, edges)):
+            if edge[idx] is not None:
+                continue
             nk = list(k)
             for i, row in delta:
                 ki = k[i]
                 for j, c in row:
                     nk[j] += c * ki
             nk = tuple(nk)
-            if nk not in seen:
-                seen.add(nk)
+            target = seen.get(nk)
+            if target is None:
+                if len(keys) == order:
+                    raise AssertionError(f"closure exceeds {order} elements")
+                target = seen[nk] = len(keys)
                 keys.append(nk)
                 w = flat[idx]
                 wg = list(w)
@@ -276,10 +330,12 @@ def _bfs_closure(gens, n, order):
                         wg[j::n] = [x + c * y for x, y in zip(wg[j::n], col)]
                 flat.append(tuple(wg))
                 words.append(words[idx] + (gi,))
+            edge[idx] = target
+            edge[target] = idx
         idx += 1
     if len(flat) != order:
         raise AssertionError(f"closure has {len(flat)} elements, expected {order}")
-    return flat, words, keys
+    return flat, words, keys, edges
 
 
 def _as_int(x) -> int:
@@ -338,11 +394,7 @@ class FoldedWeylData:
 
 
 def _orbit_product_index(wh: WeylGroup, gen_indices: list[int]) -> int:
-    idx = wh.identity_index()
-    for g in gen_indices:
-        gi = wh.index_of(wh.generators[g])
-        idx = wh.multiply(idx, gi)
-    return idx
+    return wh._walk(wh.identity_index(), gen_indices)
 
 
 def _root_reflections(rs: RootSystem):
@@ -377,7 +429,7 @@ def _commutant_indices(wh: WeylGroup, perm) -> list[int]:
             conj[s] = x
         if not wh.contains(conj):
             raise ValueError("automorphism does not normalize the Weyl group")
-    return [i for i, f in enumerate(wh._flat) if all(f[s] == x for s, x in zip(src, f))]
+    return [i for i, f in enumerate(wh._flat) if tuple(map(f.__getitem__, src)) == f]
 
 
 def commutant_fixed_subgroup(wh: WeylGroup, perm) -> WeylGroup:
@@ -388,17 +440,27 @@ def commutant_fixed_subgroup(wh: WeylGroup, perm) -> WeylGroup:
     orbits = permutation_cycles(perm)
     gens = [wh.elements[_orbit_product_index(wh, list(o))] for o in orbits]
     flat = [wh._flat[i] for i in indices]
-    # Words over the subgroup's own generators; the closure must be exactly
-    # the commutant, whose keys are those of W_h.
-    _, closure_words, keys = _bfs_closure([g.flat for g in gens], wh.dim, len(flat))
-    word_of = dict(zip(keys, closure_words))
-    if word_of.keys() != {wh._keys[i] for i in indices}:
+    keys = [wh._keys[i] for i in indices]
+    # Words and edges over the subgroup's own generators.  The closure must
+    # be exactly the commutant, whose keys are those of W_h; it runs in
+    # closure order, and the subgroup keeps W_h's order.
+    _, closure_words, closure_keys, closure_edges = _bfs_closure(
+        [g.flat for g in gens], wh.dim, len(flat))
+    position = {k: p for p, k in enumerate(keys)}
+    if position.keys() != set(closure_keys):
         raise AssertionError("orbit products do not generate the commutant")
-    words = [word_of[wh._keys[i]] for i in indices]
-    sub = WeylGroup(wh.dim, [g.matrix for g in gens], flat, words, dtype=None,
-                    root_system=wh.root_system,
-                    invariant_vectors=wh.invariant_vectors)
-    return sub
+    to_sub = [position[k] for k in closure_keys]
+    words = [None] * len(flat)
+    for p, w in zip(to_sub, closure_words):
+        words[p] = w
+    edges = []
+    for closure_edge in closure_edges:
+        edge = [0] * len(flat)
+        for p, target in zip(to_sub, closure_edge):
+            edge[p] = to_sub[target]
+        edges.append(edge)
+    return WeylGroup(wh.dim, [g.matrix for g in gens], flat, words, keys, edges,
+                     root_system=wh.root_system, invariant_vectors=wh.invariant_vectors)
 
 
 def folded_reflection(wh: WeylGroup, orbit) -> WeylElement:
@@ -468,12 +530,10 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
         gen_flats.append(restricted[idx])
     folded_type = classify(fold_coinvariants(fd).cartan_matrix())
     inv_vecs = _folded_coroot_vectors(fd, orbits)
-    flat, words, _ = _bfs_closure(gen_flats, r, folded_type.weyl_order())
     folded = WeylGroup(
         r,
         [RatMatrix(r, r, g) for g in gen_flats],
-        flat,
-        words,
+        *_bfs_closure(gen_flats, r, folded_type.weyl_order()),
         dtype=folded_type,
         root_system=None,
         invariant_vectors=inv_vecs,

@@ -87,3 +87,38 @@ def cli_json():
         return runs[argv]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def folding():
+    """(type, order) -> ``folding_weyl_data``.  E6/2 and A7/2, whose W_h
+    are the two largest enumerated groups and which several test modules
+    read, are built once per session."""
+    from foldlie.rootsys import folding_datum
+    from foldlie.weyl import folding_weyl_data
+
+    shared = {}
+
+    def get(th, order):
+        if (th, order) not in (("E6", 2), ("A7", 2)):
+            return folding_weyl_data(folding_datum(th, order))
+        if (th, order) not in shared:
+            shared[th, order] = folding_weyl_data(folding_datum(th, order))
+        return shared[th, order]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def weyl_group(folding):
+    """W(name) by ``WeylGroup.generate``; W(E6) and W(A7) are the W_h of the
+    shared E6/2 and A7/2 foldings."""
+    from foldlie.rootsys import build_root_system
+    from foldlie.weyl import WeylGroup
+
+    def get(name):
+        if name in ("E6", "A7"):
+            return folding(name, 2).wh
+        return WeylGroup.generate(build_root_system(name))
+
+    return get

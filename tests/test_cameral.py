@@ -4,6 +4,7 @@ import pytest
 
 from foldlie.cameral import (
     CoverMonodromy,
+    _relation_product,
     cover_geometry,
     embedded_lattice_action,
     hitchin_fiber_rank,
@@ -19,7 +20,7 @@ from foldlie.cameral import (
     validate_monodromy,
 )
 from foldlie.hitchin import dim_base, folded_branch_spec
-from foldlie.rootsys import build_root_system, folding_datum
+from foldlie.rootsys import build_root_system, folding_datum, permutation_cycles
 from foldlie.weyl import WeylGroup, folding_weyl_data
 
 
@@ -93,6 +94,95 @@ class TestGeometry:
         geo = cover_geometry(cm)
         for prof in geo.ramification_profile:
             assert prof == [2, 2, 2, 2]  # reflections pair up all 8 points
+
+
+def _union_find_geometry(cm):
+    """(component count, sorted genera, ramification profiles, Euler
+    characteristic) with components found by union-find over every
+    monodromy permutation, each branch point's cycles walked afresh: the
+    reference for ``cover_geometry``."""
+    g = cm.group
+    comp = list(range(g.order))
+
+    def find(i):
+        while comp[i] != i:
+            comp[i] = comp[comp[i]]
+            i = comp[i]
+        return i
+
+    for c in cm.all_images():
+        perm = g.right_multiplication_permutation(c)
+        for i in range(g.order):
+            comp[find(i)] = find(perm[i])
+    roots = [find(i) for i in range(g.order)]
+    chi = {r: (2 - 2 * cm.base_genus) * roots.count(r) for r in set(roots)}
+    profiles = []
+    for c in cm.branch_images:
+        cycles = permutation_cycles(g.right_multiplication_permutation(c))
+        for cyc in cycles:
+            chi[roots[cyc[0]]] -= len(cyc) - 1
+        profiles.append(sorted(map(len, cycles)))
+    return (len(chi), sorted(1 - x // 2 for x in chi.values()), profiles,
+            sum(chi.values()))
+
+
+def _multiply_closure(cm):
+    """The subgroup generated by the images and their inverses, closed by
+    ``multiply``: the reference for ``monodromy_subgroup``."""
+    g = cm.group
+    gens = set(cm.all_images())
+    gens |= {g.inverse(x) for x in gens}
+    sub = {g.identity_index()}
+    frontier = [g.identity_index()]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for h in gens:
+                y = g.multiply(x, h)
+                if y not in sub:
+                    sub.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sub
+
+
+def _random_cover(group, rng, genus):
+    """Images drawn from a few random elements, the last branch image
+    correcting the relation: the images often generate a proper subgroup."""
+    pool = rng.sample(range(group.order), rng.randint(1, 3))
+    handles = [rng.choice(pool) for _ in range(2 * genus)]
+    branches = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+    last = group.inverse(_relation_product(group, handles, branches))
+    return CoverMonodromy(group, genus, handles, branches + [last])
+
+
+class TestAgainstReferences:
+    """``cover_geometry`` and ``monodromy_subgroup`` against union-find and
+    ``multiply`` closures, on random covers of the folded groups and their
+    induced W_h-covers."""
+
+    @staticmethod
+    def _check(cm):
+        geo = cover_geometry(cm)
+        assert (geo.component_count, sorted(geo.component_genera),
+                geo.ramification_profile, geo.euler_characteristic) == \
+            _union_find_geometry(cm)
+        assert monodromy_subgroup(cm) == _multiply_closure(cm)
+
+    def test_c2_covers(self, wc2):
+        rng = random.Random(47)
+        for _ in range(10):
+            self._check(_random_cover(wc2, rng, rng.randint(0, 3)))
+
+    @pytest.mark.parametrize("hom", ["A3", "A5", "D4"])
+    def test_folded_and_induced_covers(self, hom):
+        fwd = folding_weyl_data(folding_datum(hom, 2))
+        rng = random.Random(53)
+        covers = [random_transversal_monodromy(fwd, 2, transversal_branch_spec(fwd, 2), rng)]
+        covers += [_random_cover(fwd.folded, rng, rng.randint(0, 2)) for _ in range(3)]
+        for cm in covers:
+            self._check(cm)
+            self._check(induce_cover(cm, fwd))
 
 
 class TestInduction:

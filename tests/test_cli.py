@@ -368,16 +368,18 @@ GOLDEN_SHA256 = [
      "3e34346c4157d8c481e6e052931780637bfb1588ce94145280bad9b5dbab7656"),
     (("threefold", "--type", "C2", "--genus", "3"),
      "b693e4683780beca4c51f3b3016554181a27b2e60268da65680a1a0309f3d54d"),
+] + [
     # cameral covers: right multiplications, components and ramification
     # over W_h, sheet by sheet
-] + [(_cameral_argv(t), digest) for t, digest in [
-    ("A3", "d4de8948c51d5e5affda659b308f3790c9d16f97256650624f4922088c5b49be"),
-    ("A5", "6fb8d6737cd76ba12acf214220bc5aad7bfdf63f7783f3c30881e2a8bc1762d3"),
-    ("D4", "c40a102721a2ae10475d5dbd96cf83974d8d8931fc4a99c030babab898323281"),
-    ("D5", "124cf33cb7a439dcda8f757a506866f1e4ae0025834143e55049979d9744d1e1"),
-    ("A7", "90671addae936e45502dbcbbacba5c267dea440971a51797fa04df7aacea2adc"),
-    ("E6", "fd456565c43ea1d58a40f6ab104f70839ba6c73cfb62824a142cbf4e92636e53"),
-]]
+    (_cameral_argv(t), digest) for t, digest in [
+        ("A3", "d4de8948c51d5e5affda659b308f3790c9d16f97256650624f4922088c5b49be"),
+        ("A5", "6fb8d6737cd76ba12acf214220bc5aad7bfdf63f7783f3c30881e2a8bc1762d3"),
+        ("D4", "c40a102721a2ae10475d5dbd96cf83974d8d8931fc4a99c030babab898323281"),
+        ("D5", "124cf33cb7a439dcda8f757a506866f1e4ae0025834143e55049979d9744d1e1"),
+        ("A7", "90671addae936e45502dbcbbacba5c267dea440971a51797fa04df7aacea2adc"),
+        ("E6", "fd456565c43ea1d58a40f6ab104f70839ba6c73cfb62824a142cbf4e92636e53"),
+    ]
+]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=[" ".join(a) for a, _ in GOLDEN_SHA256])

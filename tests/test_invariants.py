@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from foldlie import kernel
 from foldlie.exactalg import MultiPoly, RatMatrix, SpanSolver
 from foldlie.invariants import (
     QuotientActionReport,
@@ -18,6 +19,7 @@ from foldlie.invariants import (
     hilbert_series_coefficients,
     invariant_generator_action,
     molien_dimensions,
+    molien_dimensions_by_class,
     monomials_of_degree,
     reynolds_invariant_basis,
     signed_perm_apply,
@@ -190,6 +192,62 @@ class TestMolienIntegerPath:
         conj = [B * g * B.inverse() for g in group]
         assert not all(x.denominator == 1 for g in conj for x in g.entries)
         assert molien_dimensions(conj, 8) == _power_trace_molien(conj, 8)
+
+
+def _types_up_to(order: int) -> list[str]:
+    from foldlie.rootsys import _SERIES_MIN_RANK, DynkinType
+
+    out = []
+    for series, low in _SERIES_MIN_RANK.items():
+        for rank in range(low, 9):
+            try:
+                t = DynkinType(series, rank)
+            except ValueError:
+                continue
+            if t.weyl_order() <= order:
+                out.append(str(t))
+    return out
+
+
+class TestConjugacyClasses:
+    """Classes as orbits of w -> s w s along the Cayley edges, and the Molien
+    series summed class by class."""
+
+    COUNTS = {"A3": 5, "B2": 5, "G2": 6, "B3": 10, "C3": 10, "D4": 13, "A5": 11,
+              "D5": 18, "B4": 20, "F4": 25, "E6": 25, "A7": 22}
+
+    @pytest.mark.parametrize("name,count", COUNTS.items())
+    def test_class_count_and_sizes(self, weyl_group, name, count):
+        w = weyl_group(name)
+        classes = w.conjugacy_classes()
+        assert len(classes) == count
+        assert sum(map(len, classes)) == w.order
+        assert sorted(i for cls in classes for i in cls) == list(range(w.order))
+
+    @pytest.mark.parametrize("name", [n for n in COUNTS if n not in ("E6", "A7")])
+    def test_one_characteristic_polynomial_per_class(self, weyl_group, name):
+        w = weyl_group(name)
+        for cls in w.conjugacy_classes():
+            assert len({tuple(kernel.charpoly_int(w._flat[i], w.dim)) for i in cls}) == 1
+
+    @pytest.mark.parametrize("name", ["A3", "B2", "G2", "B3", "C3", "D4", "B4"])
+    def test_classes_are_closed_under_conjugation(self, weyl_group, name):
+        """s w s for every generator s, as ``kernel.mat_mul`` products, stays
+        in the class of w."""
+        w = weyl_group(name)
+        n = w.dim
+        gens = [w._flat[w.index_of(g)] for g in w.generators]
+        label = {i: k for k, cls in enumerate(w.conjugacy_classes()) for i in cls}
+        for i, f in enumerate(w._flat):
+            for g in gens:
+                conj = kernel.mat_mul(kernel.mat_mul(g, f, n, n, n), g, n, n, n)
+                assert label[w.index_of(conj)] == label[i]
+
+    @pytest.mark.parametrize("name", _types_up_to(2000))
+    def test_class_series_matches_per_element(self, weyl_group, name):
+        w = weyl_group(name)
+        assert molien_dimensions_by_class(w, 12) == \
+            molien_dimensions([e.flat for e in w.elements], 12)
 
 
 class TestTwistedMolien:

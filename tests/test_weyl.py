@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 
@@ -68,13 +69,15 @@ def _two_rho_vee(coroots) -> tuple:
 def _matmul_keyed_closure(gens, n, key):
     """Breadth-first closure keyed by w^-1 key, with each new element built
     as one full ``kernel.mat_mul`` of its parent and the generator: the
-    reference for the key and column updates of ``_bfs_closure``."""
+    reference for the key and column updates of ``_bfs_closure`` and for its
+    Cayley edges, returned as (elements, words, edges)."""
     moved = [[(i, [(j, g[i * n + j]) for j in range(n) if g[i * n + j]])
               for i in range(n) if any(g[i * n + j] != (i == j) for j in range(n))]
              for g in gens]
     ident = tuple(int(i == j) for i in range(n) for j in range(n))
     flat, words, keys = [ident], [()], [tuple(key)]
-    seen = {keys[0]}
+    seen = {keys[0]: 0}
+    edges = [[] for _ in gens]
     idx = 0
     while idx < len(flat):
         k = keys[idx]
@@ -84,12 +87,44 @@ def _matmul_keyed_closure(gens, n, key):
                 nk[i] = sum(c * k[j] for j, c in row)
             nk = tuple(nk)
             if nk not in seen:
-                seen.add(nk)
+                seen[nk] = len(keys)
                 keys.append(nk)
                 flat.append(tuple(kernel.mat_mul(flat[idx], gens[gi], n, n, n)))
                 words.append(words[idx] + (gi,))
+            edges[gi].append(seen[nk])
         idx += 1
-    return flat, words
+    return flat, words, edges
+
+
+def _matvec_right_multiplications(group):
+    """j -> perm with perm[i] the index of w_i w_j, from the matrix of w_j:
+    the key of w_i w_j is w_j^T key_i, the reference for the edge
+    composition.  Keys are compared as the integers z . key for
+    z = (1, B, B^2, ...), with B above twice every key entry so that
+    distinct keys stay distinct; then z . w_j^T key_i = (w_j z) . key_i,
+    summed over the key coordinates for all i at once."""
+    n, keys = group.dim, group._keys
+    base = 2 * max(abs(x) for k in keys for x in k) + 1
+    z = [base ** c for c in range(n)]
+    index = {sum(map(mul, z, k)): i for i, k in enumerate(keys)}
+    key_columns = list(zip(*keys))
+
+    def perm(j) -> tuple:
+        wz = kernel.mat_vec(list(group._flat[j]), z, n, n)
+        codes = [0] * group.order
+        for a, column in zip(wz, key_columns):
+            codes = [y + a * x for y, x in zip(codes, column)]
+        return tuple(map(index.__getitem__, codes))
+
+    return perm
+
+
+def _elements_to_check(group, rng):
+    """Every element of a group of at most 1,000 elements, else the identity
+    and 20 sampled elements."""
+    if group.order <= 1000:
+        return range(group.order)
+    return [group.identity_index()] + rng.sample(range(group.order), 20)
 
 
 def _types_under_budget():
@@ -117,15 +152,13 @@ class TestColumnUpdateClosure:
         assert not {"A8", "B7", "D7", "E7"} & set(names)
 
     @pytest.mark.parametrize("name", _types_under_budget())
-    def test_matches_matmul_closure(self, name):
-        from foldlie.weyl import _coroot_vectors
-
-        rs = build_root_system(name)
-        w = WeylGroup.generate(rs)
-        flat, words = _matmul_keyed_closure(_generator_flats(w), w.dim,
-                                            _two_rho_vee(_coroot_vectors(rs)))
+    def test_matches_matmul_closure(self, weyl_group, name):
+        w = weyl_group(name)
+        flat, words, edges = _matmul_keyed_closure(_generator_flats(w), w.dim,
+                                                   _two_rho_vee(w.invariant_vectors))
         assert w._flat == flat
         assert [el.word for el in w.elements] == words
+        assert w._edges == edges
 
     def test_multi_row_generators(self):
         """Orbit products differ from the identity in several rows."""
@@ -138,9 +171,21 @@ class TestColumnUpdateClosure:
                       for g in gens]
         assert max(moved_rows) > 1
         key = _two_rho_vee(fwd.wh.invariant_vectors)
-        assert _bfs_closure(gens, 4, 12)[:2] == _matmul_keyed_closure(gens, 4, key)
-        flat, _, keys = _bfs_closure(gens, 4, 12)
+        flat, words, keys, edges = _bfs_closure(gens, 4, 12)
+        assert (flat, words, edges) == _matmul_keyed_closure(gens, 4, key)
         assert keys == [tuple(sum(f[j::4]) for j in range(4)) for f in flat]
+
+
+class TestCayleyGraph:
+    """Right-multiplication permutations of the two largest enumerated groups
+    against the matrix-vector reference, on sampled elements."""
+
+    @pytest.mark.parametrize("name", ["E6", "A7"])
+    def test_sampled_right_multiplications(self, weyl_group, name):
+        w = weyl_group(name)
+        reference = _matvec_right_multiplications(w)
+        for j in _elements_to_check(w, random.Random(16)):
+            assert w.right_multiplication_permutation(j) == reference(j)
 
 
 class TestKeyedClosure:
@@ -150,27 +195,34 @@ class TestKeyedClosure:
     @pytest.mark.parametrize("name", ["A3", "C2", "G2", "B3", "D4", "D5"])
     def test_generate_matches_reference(self, name):
         w = WeylGroup.generate(build_root_system(name))
-        flat, words = _matmul_keyed_closure(_generator_flats(w), w.dim,
-                                            _two_rho_vee(w.invariant_vectors))
+        flat, words, edges = _matmul_keyed_closure(_generator_flats(w), w.dim,
+                                                   _two_rho_vee(w.invariant_vectors))
         assert w._flat == flat
         assert [el.word for el in w.elements] == words
+        assert w._edges == edges
 
     @pytest.mark.parametrize("th,order", [("A3", 2), ("D4", 3)])
     def test_folding_groups_match_reference(self, th, order):
         from foldlie.weyl import commutant_fixed_subgroup
 
         fwd = folding_weyl_data(folding_datum(th, order))
-        flat, words = _matmul_keyed_closure(_generator_flats(fwd.folded), fwd.folded.dim,
-                                            _two_rho_vee(fwd.folded.invariant_vectors))
+        flat, words, edges = _matmul_keyed_closure(
+            _generator_flats(fwd.folded), fwd.folded.dim,
+            _two_rho_vee(fwd.folded.invariant_vectors))
         assert fwd.folded._flat == flat
         assert [el.word for el in fwd.folded.elements] == words
+        assert fwd.folded._edges == edges
 
+        # the subgroup keeps W_h's order, the reference runs in closure order
         sub = commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation)
-        flat, words = _matmul_keyed_closure(_generator_flats(sub), sub.dim,
-                                            _two_rho_vee(sub.invariant_vectors))
+        flat, words, edges = _matmul_keyed_closure(_generator_flats(sub), sub.dim,
+                                                   _two_rho_vee(sub.invariant_vectors))
         word_of = dict(zip(flat, words))
         assert sub._flat == [fwd.wh._flat[i] for i in fwd.commutant]
         assert [el.word for el in sub.elements] == [word_of[m] for m in sub._flat]
+        to_sub = [sub.index_of(m) for m in flat]
+        for sub_edge, edge in zip(sub._edges, edges, strict=True):
+            assert [sub_edge[p] for p in to_sub] == [to_sub[t] for t in edge]
 
     def test_non_regular_key_rejected(self):
         """S_3 permuting the coordinates of Q^3 fixes rho = (1, 1, 1): every
@@ -211,8 +263,9 @@ class TestKeyIndex:
     def test_inverse_of_every_element(self, groups):
         for group in groups.values():
             ident = group._flat[group.identity_index()]
-            for i in range(group.order):
-                assert self._product(group, i, group.inverse(i)) == ident
+            for i, inv in enumerate(group.inverse_permutation()):
+                assert self._product(group, i, inv) == ident
+                assert group.inverse(i) == inv
 
     def test_right_multiplication_permutations(self, groups):
         rng = random.Random(13)
@@ -221,6 +274,21 @@ class TestKeyIndex:
                 perm = group.right_multiplication_permutation(j)
                 assert [group._flat[p] for p in perm] == \
                     [self._product(group, i, j) for i in range(group.order)]
+
+    def test_right_multiplication_matches_matvec_reference(self, groups):
+        rng = random.Random(15)
+        for group in groups.values():
+            reference = _matvec_right_multiplications(group)
+            for j in _elements_to_check(group, rng):
+                assert group.right_multiplication_permutation(j) == reference(j)
+
+    def test_edges_are_involutive_permutations(self, groups):
+        for group in groups.values():
+            eye = RatMatrix.identity(group.dim)
+            for g, edge in zip(group.generators, group._edges, strict=True):
+                assert sorted(edge) == list(range(group.order))
+                assert g * g == eye
+                assert [edge[x] for x in edge] == list(range(group.order))
 
     def test_non_element_with_same_key_rejected(self, groups):
         """w + E with E = e_0 e_c^T - e_1 e_c^T keeps every column sum, so
@@ -249,8 +317,8 @@ class TestFoldingIsomorphism:
          ("D4", 3, 192, 12, "G2"), ("D5", 2, 1920, 384, "B4"),
          ("A7", 2, 40320, 384, "C4"), ("E6", 2, 51840, 1152, "F4")],
     )
-    def test_orders_and_types(self, th, order, wh_order, w_order, folded):
-        fwd = folding_weyl_data(folding_datum(th, order))
+    def test_orders_and_types(self, folding, th, order, wh_order, w_order, folded):
+        fwd = folding(th, order)
         assert fwd.wh.order == wh_order
         assert len(fwd.commutant) == w_order
         assert fwd.folded.order == w_order
