@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .exactalg import RatMatrix, nullspace
@@ -331,8 +332,27 @@ def section_value_tables(fiber: FiberModel, lattice_action: dict) -> list[dict]:
     return tables
 
 
-def own_lattice_action(group: WeylGroup) -> dict:
-    return {i: group.elements[i].matrix for i in range(group.order)}
+class _ElementMatrices(Mapping):
+    """Element index -> matrix, over a group's elements; each
+    :class:`RatMatrix` is built when first read (the element keeps it)."""
+
+    def __init__(self, group: WeylGroup):
+        self._elements = group.elements
+
+    def __getitem__(self, i) -> RatMatrix:
+        if not 0 <= i < len(self._elements):
+            raise KeyError(i)
+        return self._elements[i].matrix
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+    def __iter__(self):
+        return iter(range(len(self._elements)))
+
+
+def own_lattice_action(group: WeylGroup) -> Mapping:
+    return _ElementMatrices(group)
 
 
 def embedded_lattice_action(fwd: FoldedWeylData) -> dict:
@@ -401,7 +421,15 @@ def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Repor
 # -- H^1 rank of the pushed-forward lattice ---------------------------------------------
 
 
-def hitchin_fiber_rank(cm: CoverMonodromy, lattice_action: dict) -> int:
+def monodromy_fixed_space(cm: CoverMonodromy, lattice_action: Mapping) -> list[tuple]:
+    """Basis of the lattice vectors fixed by the whole monodromy group: the
+    common fixed space of the distinct images, which generate it.  The
+    identity joins them, so that a cover without images fixes every vector."""
+    images = dict.fromkeys([cm.group.identity_index(), *cm.all_images()])
+    return _fixed_space_basis([lattice_action[i] for i in images])
+
+
+def hitchin_fiber_rank(cm: CoverMonodromy, lattice_action: Mapping) -> int:
     """rank H^1(Sigma, (p_* Lambda)^W) by the Euler characteristic of the
     constructible sheaf of equivariant sections: the generic stalk has the
     full lattice rank, the stalk at a branch point is the local-monodromy
@@ -409,8 +437,7 @@ def hitchin_fiber_rank(cm: CoverMonodromy, lattice_action: dict) -> int:
     vanish, otherwise the computation needs a correction term and errors
     out."""
     validate_monodromy(cm)
-    sub = monodromy_subgroup(cm)
-    h0 = len(_fixed_space_basis([lattice_action[i] for i in sorted(sub)]))
+    h0 = len(monodromy_fixed_space(cm, lattice_action))
     if h0 != 0:
         raise ValueError(
             f"H^0 is nonzero (rank {h0}); the Euler-characteristic formula "

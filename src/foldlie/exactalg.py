@@ -866,8 +866,9 @@ def poly_eval(p: MultiPoly, point: Mapping[str, Scalar]) -> Fraction:
 class SpanSolver:
     """Repeated exact coordinate extraction against a fixed basis.
 
-    Precomputes a row-reduction operator so that each solve is a single
-    integer matrix-vector product plus a consistency check.  A vector is a
+    Precomputes a row-reduction operator so that each solve is one integer
+    matrix-vector product, summed over the operator's columns at the
+    vector's non-zero entries, plus a consistency check.  A vector is a
     sequence of scalars or a :class:`RatMatrix`, read row-major.
     """
 
@@ -891,7 +892,8 @@ class SpanSolver:
             raise ValueError("basis vectors are linearly dependent")
         self.dim = d
         self.length = m
-        self._op = _right_block(red, m, d)
+        op = _right_block(red, m, d)
+        self._columns = [op[j::m] for j in range(m)]
         self._den = den
 
     def coordinates(self, vector) -> tuple | None:
@@ -899,7 +901,10 @@ class SpanSolver:
         nums, dv = _vector_form(vector)
         if len(nums) != self.length:
             raise ValueError("vector length mismatch")
-        w = kernel.mat_vec(self._op, nums, self.length, self.length)
+        w = [0] * self.length
+        for x, column in zip(nums, self._columns):
+            if x:
+                w = [a + x * c for a, c in zip(w, column)]
         if any(w[self.dim:]):
             return None
         d = self._den * dv

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, mul, sub
 
 from . import kernel
 from .exactalg import RatMatrix
@@ -708,6 +708,61 @@ def _clear_denominators(*points) -> list[list]:
     return [[x.numerator * (d // x.denominator) for x in p] for p in points]
 
 
+def _in_orbit(keys, flats, v, target) -> bool:
+    """Whether w v == target for some element w, given by its key w^T rho
+    and its flat matrix (``keys`` and ``flats`` in step), for integer
+    vectors.
+
+    rho . (w v) = (w^T rho) . v with rho = (1, ..., 1), so w v can equal
+    target only where key_w . v == sum(target).  The filter drops no image
+    equal to target, and each element passing it is confirmed by its full
+    image: the answer is that of applying every matrix."""
+    n = len(v)
+    s = sum(target)
+    return any(sum(map(mul, k, v)) == s and kernel.mat_vec(f, v, n, n) == target
+               for k, f in zip(keys, flats))
+
+
+def _moved_row_differences(flats, perm) -> list[tuple]:
+    """Per flat n x n matrix w, row_i(w) - row_perm(i)(w) for the least
+    index i that the basis permutation moves, or i = 0 if it moves none
+    (the rows are equal and the difference vanishes)."""
+    n = len(perm)
+    i = next((i for i, p in enumerate(perm) if p != i), 0)
+    a, b = i * n, perm[i] * n
+    return [tuple(map(sub, f[a:a + n], f[b:b + n])) for f in flats]
+
+
+def _class_fixed_and_hits(keys, row_differences, flats, perm, v) -> tuple:
+    """(a v in W_h(v), some W_h-translate of v is fixed by a) for an integer
+    vector v, with a e_i = e_perm(i) and W_h given by the keys, the
+    ``_moved_row_differences`` and the flat matrices of its elements.
+
+    Both searches are filtered exactly before an image is formed.  a v has
+    the coordinates of v, so w v = a v needs key_w . v == sum(v), as in
+    :func:`_in_orbit`.  An a-fixed w v has equal coordinates i and perm(i)
+    for every i, so (row_i(w) - row_perm(i)(w)) . v == 0 for the index i of
+    the row differences; for a trivial folding the difference is zero and
+    every element passes, as every vector is fixed.  Each element passing a
+    filter is confirmed on its full image."""
+    n = len(v)
+    av = [0] * n
+    for i, p in enumerate(perm):
+        av[p] = v[i]
+    s = sum(v)
+    fixed_class = hits = False
+    for k, d, f in zip(keys, row_differences, flats):
+        cls = not fixed_class and sum(map(mul, k, v)) == s
+        hit = not hits and not sum(map(mul, d, v))
+        if cls or hit:
+            img = kernel.mat_vec(f, v, n, n)
+            fixed_class = fixed_class or (cls and img == av)
+            hits = hits or (hit and _is_fixed(perm, img))
+            if fixed_class and hits:
+                break
+    return fixed_class, hits
+
+
 def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int,
                                   fwd: FoldedWeylData | None = None) -> Report:
     """Exact sample-based check of t/W = (t_h/W_h)^C:
@@ -717,9 +772,11 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
     surjectivity: a point t of t_h has a-class fixed in t_h/W_h (a t in
     W_h(t)) iff some W_h-translate of t lands in the fixed Cartan.
 
-    Points are scaled to integer vectors once, so every orbit test is an
-    integer matrix-vector product and every fixed-point test a coordinate
-    compare.
+    Points are scaled to integer vectors once.  Every orbit test still runs
+    over all of W_h or W, but reads one key dot product per element and
+    applies the matrix only to the elements that pass that exact filter
+    (see :func:`_in_orbit` and :func:`_class_fixed_and_hits`); every
+    fixed-point test is a coordinate compare.
     """
     if fwd is None:
         fwd = folding_weyl_data(fd)
@@ -728,28 +785,13 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
     n = wh.dim
     perm = fwd.fd.aut.permutation
     report = Report("quotient-invariants-iso")
-    all_flats = wh._flat
-    folded_flats = [wh._flat[i] for i in fwd.commutant]
+    all_flats, all_keys = wh._flat, wh._keys
+    folded_flats = [all_flats[i] for i in fwd.commutant]
+    folded_keys = [all_keys[i] for i in fwd.commutant]
+    row_differences = _moved_row_differences(all_flats, perm)
 
     def apply(f, v) -> list:
-        return kernel.mat_vec(list(f), v, n, n)
-
-    def in_orbit(flats, v, target) -> bool:
-        return any(apply(f, v) == target for f in flats)
-
-    def class_fixed_and_hits(v) -> tuple:
-        """(a v in W_h(v), some W_h-translate of v is fixed by a)."""
-        av = [0] * n
-        for i, p in enumerate(perm):
-            av[p] = v[i]
-        fixed_class = hits = False
-        for f in all_flats:
-            img = apply(f, v)
-            fixed_class = fixed_class or img == av
-            hits = hits or _is_fixed(perm, img)
-            if fixed_class and hits:
-                break
-        return fixed_class, hits
+        return kernel.mat_vec(f, v, n, n)
 
     for case in range(sample_count):
         t = random_fixed_point(fwd, rng)
@@ -758,7 +800,7 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
         u = rng.randrange(wh.order)
         t2 = apply(all_flats[u], ti)
         if _is_fixed(perm, t2):
-            if not in_orbit(folded_flats, ti, t2):
+            if not _in_orbit(folded_keys, folded_flats, ti, t2):
                 report.fail(f"case {case}: t={t}, w_h index {u}", "t' in W(t)",
                             "t' only in W_h(t)")
         # (b) a second point t'.  Even cases: t' = c t for a uniform
@@ -771,8 +813,8 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
         else:
             t3 = random_fixed_point(fwd, rng)
             tj, t3j = _clear_denominators(t, t3)
-        in_big = in_orbit(all_flats, tj, t3j)
-        in_small = in_orbit(folded_flats, tj, t3j)
+        in_big = _in_orbit(all_keys, all_flats, tj, t3j)
+        in_small = _in_orbit(folded_keys, folded_flats, tj, t3j)
         if case % 2 == 0 and not (in_big and in_small):
             report.fail(f"case {case}: t={t}, t'=c t={wh.apply(c, t)}",
                         "t' in W_h(t) and W(t)", f"W_h: {in_big}, W: {in_small}")
@@ -782,7 +824,8 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
         # (c) surjectivity: a C-fixed class in t_h/W_h comes from the fixed Cartan
         w = rng.randrange(wh.order)
         th = apply(all_flats[w], ti)
-        class_fixed, translate_hits = class_fixed_and_hits(th)
+        class_fixed, translate_hits = _class_fixed_and_hits(
+            all_keys, row_differences, all_flats, perm, th)
         if not (class_fixed and translate_hits):
             report.fail(f"case {case}: t_h={wh.apply(w, t)}",
                         "C-fixed class with translate in fixed Cartan",
@@ -790,7 +833,8 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
         # (d) generic point of t_h: equivalence both ways
         tg = tuple(random_rational(rng) for _ in range(wh.dim))
         (tgi,) = _clear_denominators(tg)
-        fixed_class, hits = class_fixed_and_hits(tgi)
+        fixed_class, hits = _class_fixed_and_hits(
+            all_keys, row_differences, all_flats, perm, tgi)
         if fixed_class != hits:
             report.fail(f"case {case}: generic t_h={tg}", "equivalence",
                         f"fixed class: {fixed_class}, hits: {hits}")

@@ -248,6 +248,76 @@ class TestPushforward:
         assert len(section_value_tables(fib_h, act_h)) == 3
 
 
+def _whole_subgroup_fixed_space(cm, action) -> list:
+    """H^0 over every element of the monodromy subgroup: the reference for
+    the fixed space of the distinct images."""
+    from foldlie.cameral import _fixed_space_basis
+
+    return _fixed_space_basis([action[i] for i in sorted(monodromy_subgroup(cm))])
+
+
+def _reference_fiber_rank(cm, action) -> int:
+    from foldlie.cameral import _fixed_space_basis
+
+    assert not _whole_subgroup_fixed_space(cm, action)
+    d = action[cm.group.identity_index()].rows
+    return -(2 - 2 * cm.base_genus) * d + sum(
+        d - len(_fixed_space_basis([action[c]])) for c in cm.branch_images)
+
+
+class TestMonodromyFixedSpace:
+    """H^0 over the distinct monodromy images against the whole monodromy
+    subgroup, on A3/2 and D4/2 covers and their induced covers."""
+
+    @pytest.mark.parametrize("hom", ["A3", "D4"])
+    def test_matches_whole_subgroup(self, folding, hom):
+        from foldlie.cameral import monodromy_fixed_space
+
+        fwd = folding(hom, 2)
+        rng = random.Random(47)
+        for g in (2, 3):
+            cm = random_transversal_monodromy(fwd, g, transversal_branch_spec(fwd, g), rng)
+            ind = induce_cover(cm, fwd)
+            for cover, group in ((cm, fwd.folded), (ind, fwd.wh)):
+                action = own_lattice_action(group)
+                assert monodromy_fixed_space(cover, action) == \
+                    _whole_subgroup_fixed_space(cover, action) == []
+                assert hitchin_fiber_rank(cover, action) == _reference_fiber_rank(cover, action)
+
+    @pytest.mark.parametrize("hom", ["A3", "D4"])
+    def test_proper_subgroup_fixes_a_hyperplane(self, folding, hom):
+        from foldlie.cameral import monodromy_fixed_space
+
+        fwd = folding(hom, 2)
+        group = fwd.folded
+        ident, r = group.identity_index(), group.reflections()[0]
+        action = own_lattice_action(group)
+        for cm in (CoverMonodromy(group, 1, [ident, ident], [r, r]),
+                   CoverMonodromy(group, 0, [], [])):
+            basis = monodromy_fixed_space(cm, action)
+            assert basis == _whole_subgroup_fixed_space(cm, action)
+            assert len(basis) == group.dim - len(set(cm.branch_images))
+            with pytest.raises(ValueError, match="H\\^0"):
+                hitchin_fiber_rank(cm, action)
+
+    def test_rank_builds_only_the_matrices_it_reads(self, folding):
+        """Sampling reads the reflections' matrices, so the cover is sampled
+        on one build of D4/2 and its rank taken on a second."""
+        sampled = folding("D4", 2)
+        cm = random_transversal_monodromy(sampled, 2, transversal_branch_spec(sampled, 2),
+                                          random.Random(53))
+        group = folding("D4", 2).folded
+        assert group is not sampled.folded
+        fresh = CoverMonodromy(group, cm.base_genus, cm.handle_images, cm.branch_images)
+        action = own_lattice_action(group)
+        assert len(action) == group.order and list(action) == list(range(group.order))
+        with pytest.raises(KeyError):
+            action[group.order]
+        assert hitchin_fiber_rank(fresh, action) == 2 * dim_base(str(group.dtype), 2).total
+        built = {i for i, el in enumerate(group.elements) if el._matrix is not None}
+        assert built == {group.identity_index(), *cm.all_images()}
+
+
 class TestFiberRank:
     def test_c2_rank(self, fwd_a3):
         rng = random.Random(23)

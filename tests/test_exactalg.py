@@ -203,6 +203,26 @@ class TestSpanSolver:
         with pytest.raises(ValueError):
             SpanSolver([(1, 2), (2, 4)])
 
+    def test_zero_and_sparse_vectors(self):
+        """A solve reads only the vector's non-zero entries: zero vectors
+        and 64-long vectors with a few non-zeros, inside and outside a span
+        of sparse basis vectors."""
+        rng = random.Random(64)
+        m, d = 64, 10
+        basis = [[Q(int(i == 6 * j)) if i % 6 == 0 else rng.choice((0, 0, 0, 1, Q(-1, 2)))
+                  for i in range(m)] for j in range(d)]
+        solver = SpanSolver(basis)
+        assert solver.coordinates([0] * m) == (Q(0),) * d
+        assert solver.coordinates(RatMatrix(8, 8, [0] * m)) == (Q(0),) * d
+        for _ in range(20):
+            coeffs = [rng.choice((0, 0, 0, 2, Q(1, 3))) for _ in range(d)]
+            v = [sum((c * b[i] for c, b in zip(coeffs, basis)), Q(0)) for i in range(m)]
+            assert solver.coordinates(v) == tuple(Q(c) for c in coeffs)
+            k = rng.randrange(m)
+            outside = [Q(int(i == k)) for i in range(m)]
+            got = solver.coordinates(outside)
+            assert (got is None) == (_ref_rank(basis + [outside]) > d)
+
 
 class TestImmutability:
     def test_matrix_immutable(self):

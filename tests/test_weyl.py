@@ -127,7 +127,7 @@ def _elements_to_check(group, rng):
     return [group.identity_index()] + rng.sample(range(group.order), 20)
 
 
-def _types_under_budget():
+def _types_under_budget(budget=ENUMERATION_BUDGET):
     from foldlie.rootsys import _SERIES_MIN_RANK, DynkinType
 
     out = []
@@ -137,7 +137,7 @@ def _types_under_budget():
                 t = DynkinType(series, rank)
             except ValueError:
                 continue
-            if t.weyl_order() <= ENUMERATION_BUDGET:
+            if t.weyl_order() <= budget:
                 out.append(str(t))
     return out
 
@@ -440,6 +440,12 @@ class TestQuotientIso:
                                             fwd=fwd_d4_triality)
         assert rep.passed
 
+    @pytest.mark.parametrize("th", ["A7", "E6"])
+    def test_largest_foldings(self, folding, th):
+        fwd = folding(th, 2)
+        rep = quotient_invariants_iso_check(fwd.fd, 2, 18, fwd=fwd)
+        assert rep.passed and rep.cases_run == 8
+
     def test_regular_sampling_respects_flag(self, fwd_a3):
         rng = random.Random(3)
         from foldlie.weyl import is_regular
@@ -574,12 +580,145 @@ class TestQuotientIsoInteger:
         assert quotient_invariants_iso_check(fwd.fd, 4, 1, fwd=fwd).passed
 
     @pytest.mark.parametrize("cut", [False, True])
-    @pytest.mark.parametrize("fixture", ["fwd_a3", "fwd_d4_triality"])
-    def test_same_report_as_fraction_reference(self, request, fixture, cut):
-        fwd = request.getfixturevalue(fixture)
+    @pytest.mark.parametrize("row", ["fwd_a3", "fwd_d4_triality", "D4/2", "A5/2", "D5/2",
+                                     "A3/1"])
+    def test_same_report_as_fraction_reference(self, request, folding, row, cut):
+        """A session fixture by name with 6 samples, or a folding row with 2,
+        one even and one odd case (the Fraction reference applies every
+        matrix of W_h)."""
+        if row.startswith("fwd_"):
+            fwd, samples = request.getfixturevalue(row), 6
+        else:
+            th, order = row.split("/")
+            fwd, samples = folding(th, int(order)), 2
         if cut:
             fwd = dataclasses.replace(fwd, commutant=[fwd.wh.identity_index()])
         for seed in (1, 7):
-            rep = quotient_invariants_iso_check(fwd.fd, 6, seed, fwd=fwd)
-            assert rep.failures == _reference_quotient_check(fwd, 6, seed)
+            rep = quotient_invariants_iso_check(fwd.fd, samples, seed, fwd=fwd)
+            assert rep.cases_run == 4 * samples
+            assert rep.failures == _reference_quotient_check(fwd, samples, seed)
             assert rep.passed or cut
+
+
+def _image(flat, v) -> list:
+    n = len(v)
+    return kernel.mat_vec(list(flat), list(v), n, n)
+
+
+def _fixed(perm, v) -> bool:
+    return all(v[perm[i]] == v[i] for i in range(len(v)))
+
+
+def _filter_test_vectors(fwd, rng) -> list[list]:
+    """Integer points of t_h for the orbit filters: zero, points with
+    entries in {-1, 0, 1} (many lie on walls), W_h-translates of fixed
+    points, and generic points."""
+    n, wh = fwd.wh.dim, fwd.wh
+    out = [[0] * n]
+    out += [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(6)]
+    for _ in range(4):
+        t = [rng.randint(-5, 5) for _ in fwd.orbits]
+        fixed = [0] * n
+        for c, o in zip(t, fwd.orbits):
+            for i in o:
+                fixed[i] = c
+        out.append(_image(wh._flat[rng.randrange(wh.order)], fixed))
+    out += [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)]
+    return out
+
+
+class TestOrbitFilters:
+    """``_in_orbit`` and ``_class_fixed_and_hits`` against a scan that
+    applies every matrix, on every folding row and the trivial folding."""
+
+    @pytest.fixture(scope="class", params=FOLDINGS + [("A3", 1)],
+                    ids=lambda p: f"{p[0]}/{p[1]}")
+    def fwd(self, request):
+        return folding_weyl_data(folding_datum(*request.param))
+
+    def test_in_orbit_matches_scan(self, fwd):
+        from foldlie.weyl import _in_orbit
+
+        rng = random.Random(19)
+        wh = fwd.wh
+        groups = {"W_h": range(wh.order), "W": fwd.commutant}
+        stabilised = rejected = 0
+        for v in _filter_test_vectors(fwd, rng):
+            images = [_image(f, v) for f in wh._flat]
+            stabilised += images.count(list(v)) > 1
+            for _ in range(3):
+                w_v = images[rng.randrange(wh.order)]
+                # e_0 - e_1 keeps the sum, so w passes the key filter
+                shifted = [w_v[0] + 1, w_v[1] - 1, *w_v[2:]]
+                for target in (w_v, shifted):
+                    for name, indices in groups.items():
+                        expected = any(images[i] == target for i in indices)
+                        got = _in_orbit([wh._keys[i] for i in indices],
+                                        [wh._flat[i] for i in indices], v, target)
+                        assert got == expected, (name, v, target)
+                        # w passes the filter for the shifted target and is rejected
+                        rejected += name == "W_h" and target is shifted and not expected
+        assert stabilised and rejected
+
+    def test_class_fixed_and_hits_matches_scan(self, fwd):
+        from foldlie.weyl import _class_fixed_and_hits, _moved_row_differences
+
+        rng = random.Random(20)
+        wh, perm = fwd.wh, fwd.fd.aut.permutation
+        n = wh.dim
+        diffs = _moved_row_differences(wh._flat, perm)
+        passed_not_fixed = 0
+        for v in _filter_test_vectors(fwd, rng):
+            av = [0] * n
+            for i, p in enumerate(perm):
+                av[p] = v[i]
+            images = [_image(f, v) for f in wh._flat]
+            expected = (av in images, any(_fixed(perm, img) for img in images))
+            assert _class_fixed_and_hits(wh._keys, diffs, wh._flat, perm, v) == expected, v
+            passed_not_fixed += sum(not sum(map(mul, d, v)) and not _fixed(perm, img)
+                                    for d, img in zip(diffs, images))
+        # one moved pair is the whole a-fixed condition only when a moves two
+        # indices (A3/2, D4/2, D5/2); otherwise some candidates are rejected
+        moved = sum(p != i for i, p in enumerate(perm))
+        assert bool(passed_not_fixed) == (moved > 2)
+
+    def test_moved_row_differences(self, fwd):
+        from foldlie.weyl import _moved_row_differences
+
+        perm, n = fwd.fd.aut.permutation, fwd.wh.dim
+        moved = [i for i, p in enumerate(perm) if p != i]
+        i = moved[0] if moved else 0
+        for f, d in zip(fwd.wh._flat, _moved_row_differences(fwd.wh._flat, perm)):
+            assert list(d) == [f[i * n + j] - f[perm[i] * n + j] for j in range(n)]
+
+
+def _key_groups(fwd) -> list:
+    from foldlie.weyl import commutant_fixed_subgroup
+
+    return [fwd.wh, commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation), fwd.folded]
+
+
+class TestStoredKeys:
+    """The orbit filter reads key_w . v as rho . (w v): every stored key is
+    the column sums of its flat matrix.  Groups of at most 2,000 elements
+    are checked whole, W(E6) and W(A7) on sampled elements."""
+
+    @staticmethod
+    def _check(group, indices):
+        n = group.dim
+        for i in indices:
+            assert group._keys[i] == tuple(sum(group._flat[i][j::n]) for j in range(n)), i
+
+    @pytest.mark.parametrize("name", _types_under_budget(2000))
+    def test_generated_groups(self, weyl_group, name):
+        w = weyl_group(name)
+        self._check(w, range(w.order))
+
+    @pytest.mark.parametrize("th,order", FOLDINGS + [("A3", 1), ("A7", 2), ("E6", 2)])
+    def test_folding_groups(self, folding, th, order):
+        rng = random.Random(21)
+        for group in _key_groups(folding(th, order)):
+            if group.order <= 2000:
+                self._check(group, range(group.order))
+            else:
+                self._check(group, [group.identity_index(), *rng.sample(range(group.order), 300)])
