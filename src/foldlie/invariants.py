@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import isqrt
+from math import isqrt, prod
 
 from . import kernel
 from .exactalg import MultiPoly, RatMatrix, SpanSolver, _integer_vector, char_poly_coefficients
@@ -210,16 +210,31 @@ def reynolds_invariant_basis(group, names, degree: int) -> list:
     monos = monomials_of_degree(n, degree)
     monos_index = {m: i for i, m in enumerate(monos)}
     order = len(group)
+    # t^e goes to +-t^{perm(e)}, the sign being the product of the signs at
+    # e's odd exponents; so each permutation's sign vectors are summed once
+    # per pattern of odd positions, and the orbit sum loops over permutations.
+    sign_sets = {}
+    for perm, signs in group:
+        sign_sets.setdefault(perm, []).append(signs)
+    sign_sums = {}
     seen_exps = set()
     vectors, polys = [], []
     for mono in monos:
         if mono in seen_exps:
             continue
+        odd = tuple(i for i, k in enumerate(mono) if k % 2)
+        sums = sign_sums.get(odd)
+        if sums is None:
+            sums = sign_sums[odd] = [sum(prod(s[i] for i in odd) for s in sets)
+                                     for sets in sign_sets.values()]
         # orbit sum of the monomial as integer counts; one MultiPoly per orbit
         counts = {}
-        for perm, signs in group:
-            key, sgn = _signed_perm_monomial(mono, perm, signs)
-            counts[key] = counts.get(key, 0) + sgn
+        for perm, total in zip(sign_sets, sums):
+            key = [0] * n
+            for i, k in enumerate(mono):
+                key[perm[i]] += k
+            key = tuple(key)
+            counts[key] = counts.get(key, 0) + total
         avg = MultiPoly.from_integers(names, counts, order)
         seen_exps.update(avg._integer_form()[0])
         if avg.is_zero():

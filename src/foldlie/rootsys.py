@@ -207,10 +207,13 @@ class RootSystem:
 
     # -- geometry -----------------------------------------------------------
     def inner(self, u, v) -> Fraction:
-        """(u, v) under the Gram matrix, summed over its integer numerators
+        """(u, v) under the Gram matrix: the integer numerators of the Gram
+        matrix, u and v, each over its common denominator, summed as ints
         and divided once."""
         g, dg = self.gram._integer_form()
         n = self.gram.cols
+        u, du = _over_common_denominator(u)
+        v, dv = _over_common_denominator(v)
         acc = 0
         for i, ui in enumerate(u):
             if ui:
@@ -218,7 +221,7 @@ class RootSystem:
                 for j, vj in enumerate(v):
                     if vj:
                         acc += ui * g[row + j] * vj
-        return Fraction(acc, dg)
+        return Fraction(acc, dg * du * dv)
 
     def cartan_integer(self, alpha, beta) -> Fraction:
         """2(alpha, beta)/(beta, beta)."""
@@ -253,6 +256,16 @@ class RootSystem:
             "simple_roots": [[str(x) for x in r] for r in self.simple_roots],
             "all_roots": [[str(x) for x in r] for r in self.all_roots],
         }
+
+
+def _over_common_denominator(values) -> tuple:
+    """``(numerators, d)`` with ``values[i] == numerators[i] / d`` for ints
+    and Fractions; integer values come back as they are, over 1."""
+    for x in values:
+        if x.__class__ is not int:
+            d = math.lcm(*[y.denominator for y in values])
+            return [y.numerator * (d // y.denominator) for y in values], d
+    return values, 1
 
 
 def _exact(x):

@@ -5,7 +5,10 @@ form is byte-stable across runs."""
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -427,8 +430,98 @@ SUITES = {
 
 
 def run_suite(name: str, samples: int = 10, seed: int = 42) -> list[Report]:
+    """The reports of suite ``name``, or of every suite for ``"all"``, in
+    :data:`SUITES` order.
+
+    The suites run on up to one worker per CPU the process may use: the
+    calling process and ``workers - 1`` forked children take suite indices
+    from one shared pipe, and each child sends its reports back as JSON.
+    Every child is reaped before this returns or raises."""
     if name == "all":
-        return [SUITES[k](samples=samples, seed=seed) for k in SUITES]
-    if name not in SUITES:
+        names = list(SUITES)
+    elif name in SUITES:
+        names = [name]
+    else:
         raise KeyError(name)
-    return [SUITES[name](samples=samples, seed=seed)]
+    queue_r, queue_w = os.pipe()
+    os.write(queue_w, bytes(range(len(names))))
+    os.close(queue_w)
+    children = {}  # pid -> the read end of the pipe its reports come back on
+    reports = {}
+    try:
+        for _ in range(_worker_count(len(names)) - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                for fh in children.values():
+                    fh.close()
+                _child(queue_r, w, names, samples, seed)
+            os.close(w)
+            children[pid] = os.fdopen(r)
+        for k in _take(queue_r):
+            reports[k] = SUITES[names[k]](samples=samples, seed=seed)
+        for fh in children.values():
+            for line in fh:
+                if not line.endswith("\n"):  # the child died while writing it
+                    break
+                msg = json.loads(line)
+                if "error" in msg:
+                    raise RuntimeError(f"suite {names[msg['index']]!r} raised in a worker:\n"
+                                       f"{msg['error']}")
+                reports[msg["index"]] = Report(**msg["report"])
+    except BaseException:
+        import signal
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue_r)
+        for pid, fh in children.items():
+            fh.close()
+            os.waitpid(pid, 0)
+    lost = [names[k] for k in range(len(names)) if k not in reports]
+    if lost:
+        raise RuntimeError(f"a worker died without reporting suites {', '.join(lost)}")
+    return [reports[k] for k in range(len(names))]
+
+
+def _worker_count(jobs: int) -> int:
+    """One worker per CPU the process may use, at most ``jobs``; one where
+    the process cannot fork safely: no ``fork`` or CPU affinity (that is,
+    not Linux), or more than one thread running."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(jobs, len(os.sched_getaffinity(0))))
+
+
+def _take(queue_fd: int):
+    """Suite indices from the shared pipe, one byte each, until it is empty."""
+    while index := os.read(queue_fd, 1):
+        yield index[0]
+
+
+def _child(queue_fd: int, out_fd: int, names, samples: int, seed: int):
+    """A forked worker: run suites from the queue, send each report (or the
+    traceback of the suite that raised, and stop) as one JSON line, and
+    leave without running the parent's exit handlers or flushing its
+    buffers."""
+    try:
+        with os.fdopen(out_fd, "w") as out:
+            for k in _take(queue_fd):
+                try:
+                    msg = {"index": k,
+                           "report": vars(SUITES[names[k]](samples=samples, seed=seed))}
+                except Exception:
+                    import traceback
+
+                    msg = {"index": k, "error": traceback.format_exc()}
+                out.write(json.dumps(msg) + "\n")
+                out.flush()
+                if "error" in msg:
+                    break
+    finally:
+        os._exit(0)

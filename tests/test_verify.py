@@ -1,7 +1,13 @@
 """Exact failure records of the verification reports, each fed a broken
 input: a suite case, a check absorbed into a suite, and a check's own
 record.  Key order is part of the record, so records are compared as item
-lists."""
+lists.  The runner of ``verify all`` must give the reports the suites give
+in process, and leave no child process behind."""
+
+import json
+import os
+import threading
+import time
 
 import pytest
 
@@ -87,3 +93,123 @@ class TestFailureRecords:
             [("input", "roots"), ("expected", "orbit sums"),
              ("got", "dualized coinvariant roots differ from orbit sums")],
         ]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _dumps(reports) -> str:
+    return json.dumps([r.to_json() for r in reports])
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three workers, more than this host may have CPUs for."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+@pytest.fixture
+def stub_suites(monkeypatch):
+    """Replace the suites by ``count`` copies of ``fn``, named s0, s1, ..."""
+
+    def install(fn, count=10):
+        monkeypatch.setattr(verify, "SUITES", {f"s{i}": fn for i in range(count)})
+
+    return install
+
+
+def _in_parent_only(fn):
+    """A suite that returns a stub report after a pause in the calling
+    process, so the workers take suites too, and calls ``fn`` in a worker."""
+    parent = os.getpid()
+
+    def suite(samples, seed):
+        if os.getpid() != parent:
+            return fn()
+        time.sleep(0.05)
+        return verify.Report("stub", seed=seed)
+
+    return suite
+
+
+class TestRunner:
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize("samples", [0, 3, 10])
+    def test_reports_match_the_suites_in_process(self, three_cpus, samples, seed):
+        reports = verify.run_suite("all", samples=samples, seed=seed)
+        _no_child_left()
+        in_process = [suite(samples=samples, seed=seed) for suite in verify.SUITES.values()]
+        assert _dumps(reports) == _dumps(in_process)
+
+    def test_failure_records_keep_their_items(self, three_cpus, monkeypatch, stub_survivors):
+        monkeypatch.setattr(hitchin, "fiber_dim", lambda t, g: -1)
+        monkeypatch.setattr(rootsys, "dualize_root_system", lambda r: r)
+        reports = verify.run_suite("all", samples=3, seed=7)
+        _no_child_left()
+        in_process = [suite(samples=3, seed=7) for suite in verify.SUITES.values()]
+        assert [r.name for r in reports if r.failures] == ["rootsys", "liealg", "dims"]
+        assert [_items(r.failures) for r in reports] == [_items(r.failures) for r in in_process]
+
+    def test_a_suite_that_raises_leaves_no_child(self, three_cpus, monkeypatch):
+        def broken(samples, seed):
+            raise ValueError("broken suite")
+
+        monkeypatch.setitem(verify.SUITES, "cameral", broken)
+        with pytest.raises((ValueError, RuntimeError), match="broken suite"):
+            verify.run_suite("all", samples=0)
+        _no_child_left()
+
+    def test_a_worker_names_the_suite_and_sends_its_traceback(self, three_cpus, stub_suites):
+        def broken():
+            raise ValueError("broken in a worker")
+
+        stub_suites(_in_parent_only(broken))
+        with pytest.raises(RuntimeError, match=r"suite 's\d+' raised in a worker:\n"
+                                               r"Traceback(.|\n)*ValueError: broken in a worker"):
+            verify.run_suite("all")
+        _no_child_left()
+
+    def test_a_worker_that_dies_is_named_not_waited_for(self, three_cpus, stub_suites):
+        stub_suites(_in_parent_only(lambda: os._exit(3)))
+        with pytest.raises(RuntimeError, match=r"died without reporting suites s\d+"):
+            verify.run_suite("all")
+        _no_child_left()
+
+    def test_an_interrupt_kills_the_workers(self, three_cpus, stub_suites):
+        parent = os.getpid()
+
+        def interrupted(samples, seed):
+            if os.getpid() == parent:
+                time.sleep(0.05)
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        stub_suites(interrupted)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            verify.run_suite("all")
+        assert time.monotonic() - t0 < 30
+        _no_child_left()
+
+    def test_one_cpu_one_suite_or_a_second_thread_forks_nothing(self, monkeypatch,
+                                                                stub_suites):
+        def no_fork():
+            raise AssertionError("forked")
+
+        stub_suites(lambda samples, seed: verify.Report("stub", seed=seed))
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert len(verify.run_suite("all")) == 10
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert len(verify.run_suite("s3")) == 1
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait, args=(30,))
+        waiter.start()
+        try:
+            assert len(verify.run_suite("all")) == 10
+        finally:
+            done.set()
+            waiter.join(30)
+        assert not waiter.is_alive()
