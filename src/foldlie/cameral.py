@@ -16,7 +16,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .exactalg import RatMatrix, nullspace
-from .rootsys import permutation_cycles
 from .verify import Report
 from .weyl import FoldedWeylData, WeylGroup
 
@@ -60,7 +59,7 @@ def validate_monodromy(cm: CoverMonodromy) -> CoverMonodromy:
     if acc != g.identity_index():
         raise ValueError(
             f"surface-group relation violated; residual element index {acc}: "
-            f"{g.elements[acc].matrix!r}"
+            f"{g.matrix(acc)!r}"
         )
     return cm
 
@@ -262,93 +261,50 @@ def _fixed_space_basis(mats: list[RatMatrix]) -> list[tuple]:
     return [tuple(v.col(0)) for v in nullspace(RatMatrix.from_rows(rows))]
 
 
-@dataclass
-class FiberModel:
-    """A finite group set: points are orbits of right multiplication by a
-    (possibly trivial) local monodromy element; the group acts by left
-    translation."""
-
-    group: WeylGroup
-    points: list  # frozensets of element indices
-    point_index: dict
-
-    @staticmethod
-    def at(group: WeylGroup, local_monodromy: int | None) -> "FiberModel":
-        perm = (range(group.order) if local_monodromy is None
-                else group.right_multiplication_permutation(local_monodromy))
-        pts = [frozenset(c) for c in permutation_cycles(perm)]
-        return FiberModel(group, pts, {p: k for k, p in enumerate(pts)})
-
-    def act(self, g_idx: int, point_idx: int) -> int:
-        pt = self.points[point_idx]
-        image = frozenset(self.group.multiply(g_idx, w) for w in pt)
-        return self.point_index[image]
-
-    def orbits_with_stabilizers(self):
-        """(orbit points, stabilizer element indices of the first point)."""
-        seen = set()
-        out = []
-        for k in range(len(self.points)):
-            if k in seen:
-                continue
-            orbit = {k}
-            frontier = [k]
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for gi in range(self.group.order):
-                        q = self.act(gi, p)
-                        if q not in orbit:
-                            orbit.add(q)
-                            nxt.append(q)
-                frontier = nxt
-            seen |= orbit
-            stab = [gi for gi in range(self.group.order) if self.act(gi, k) == k]
-            out.append((sorted(orbit), k, stab))
-        return out
+def _least_elements(label) -> list[int]:
+    """The least element of each coset, in label order."""
+    reps = []
+    for w, k in enumerate(label):
+        if k == len(reps):
+            reps.append(w)
+    return reps
 
 
-def section_value_tables(fiber: FiberModel, lattice_action: dict) -> list[dict]:
-    """Explicit bases of Hom_group(fiber, Lambda) as full value tables
-    point -> lattice vector.  A section supported on one orbit is determined
-    by a stabilizer-fixed value v at the base point: f(g . base) = g . v."""
-    rank = lattice_action[0].rows if 0 in lattice_action else next(
-        iter(lattice_action.values())
-    ).rows
-    zero = (0,) * rank
-    tables = []
-    for orbit, base, stab in fiber.orbits_with_stabilizers():
-        transversal = {}
-        for p in orbit:
-            for gi in lattice_action:
-                if fiber.act(gi, base) == p:
-                    transversal[p] = gi
-                    break
-        for v in _fixed_space_basis([lattice_action[g] for g in stab]):
-            table = {p: zero for p in range(len(fiber.points))}
-            for p in orbit:
-                table[p] = lattice_action[transversal[p]].apply(v)
-            tables.append(table)
-    return tables
+def section_value_tables(group: WeylGroup, local_monodromy: int | None,
+                         lattice_action: Mapping) -> tuple[list[int], list[list]]:
+    """The fiber W/<c> over a point with local monodromy c (None: a generic
+    point, c = 1), and a basis of Hom_group(W/<c>, Lambda) as value tables.
+    The fiber is the coset label of each element, numbered by least element:
+    the orbits of right multiplication by c.  A table holds one lattice
+    vector per coset, in label order.
+
+    Left translation is transitive on W/<c>, and the coset <c> has
+    stabilizer <c>.  So a section is a vector v fixed by c, with value t v at
+    the coset t<c>, read at the coset's least element t."""
+    c = group.identity_index() if local_monodromy is None else local_monodromy
+    label = _orbit_labels(group.order, [group.right_multiplication_permutation(c)])
+    mats = [lattice_action[t] for t in _least_elements(label)]
+    return label, [[m.apply(v) for m in mats]
+                   for v in _fixed_space_basis([lattice_action[c]])]
 
 
 class _ElementMatrices(Mapping):
     """Element index -> matrix, over a group's elements; each
-    :class:`RatMatrix` is built when first read (the element keeps it)."""
+    :class:`RatMatrix` is built when read."""
 
     def __init__(self, group: WeylGroup):
-        self._elements = group.elements
+        self._group = group
 
     def __getitem__(self, i) -> RatMatrix:
-        if not 0 <= i < len(self._elements):
+        if not 0 <= i < self._group.order:
             raise KeyError(i)
-        return self._elements[i].matrix
+        return self._group.matrix(i)
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return self._group.order
 
     def __iter__(self):
-        return iter(range(len(self._elements)))
+        return iter(range(self._group.order))
 
 
 def own_lattice_action(group: WeylGroup) -> Mapping:
@@ -358,7 +314,7 @@ def own_lattice_action(group: WeylGroup) -> Mapping:
 def embedded_lattice_action(fwd: FoldedWeylData) -> dict:
     """The rank-r_h lattice of the homogeneous side, as a module over the
     folded group via the embedding."""
-    return {i: fwd.wh.elements[fwd.embed[i]].matrix for i in range(fwd.folded.order)}
+    return {i: fwd.wh.matrix(fwd.embed[i]) for i in range(fwd.folded.order)}
 
 
 def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Report:
@@ -370,41 +326,24 @@ def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Repor
     report = Report("pushforward-sections")
     validate_monodromy(cm)
     wh, folded = fwd.wh, fwd.folded
-    act_h = {i: wh.elements[i].matrix for i in range(wh.order)}
+    act_h = own_lattice_action(wh)
     act_w = embedded_lattice_action(fwd)
 
     local_cases = [None] + sorted(set(cm.branch_images))
     for c in local_cases:
         report.cases_run += 1
         ch = None if c is None else fwd.embed[c]
-        fib_w = FiberModel.at(folded, c)
-        fib_h = FiberModel.at(wh, ch)
-        tables_w = section_value_tables(fib_w, act_w)
-        tables_h = section_value_tables(fib_h, act_h)
+        label_w, tables_w = section_value_tables(folded, c, act_w)
+        label_h, tables_h = section_value_tables(wh, ch, act_h)
         where = f"fiber at local monodromy {c}"
         if len(tables_w) != len(tables_h):
             report.fail(where, "equal ranks", f"W: {len(tables_w)}, W_h: {len(tables_h)}")
             continue
-        # the embedding of fiber points: W-point of w -> W_h-point of embed(w)
-        point_map = {}
-        for k, pt in enumerate(fib_w.points):
-            target = fwd.embed[next(iter(pt))]
-            for hk, hpt in enumerate(fib_h.points):
-                if target in hpt:
-                    point_map[k] = hk
-                    break
-        npts = len(fib_w.points)
-
-        def flatten(table):
-            out = []
-            for p in range(npts):
-                out.extend(table[p])
-            return out
-
-        restricted = [
-            flatten({p: th[point_map[p]] for p in range(npts)}) for th in tables_h
-        ]
-        w_rows = [flatten(tw) for tw in tables_w]
+        # the embedding of fiber points: the W-coset of w -> the W_h-coset
+        # of embed(w)
+        point_map = [label_h[fwd.embed[t]] for t in _least_elements(label_w)]
+        restricted = [[x for p in point_map for x in th[p]] for th in tables_h]
+        w_rows = [[x for value in tw for x in value] for tw in tables_w]
         rank_w = RatMatrix.from_rows(w_rows).rank() if w_rows else 0
         rank_restr = RatMatrix.from_rows(restricted).rank() if restricted else 0
         rank_union = (

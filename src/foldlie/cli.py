@@ -21,6 +21,11 @@ USAGE_ERROR = 2
 # genus 1000 takes about 2 s), so larger values are refused up front.
 MAX_GENUS = 1000
 
+# Largest --samples accepted (verify, slice --verify-appendix).  Each sample
+# adds about 2 ms to `verify all` (on a 2-vCPU host, 1000 samples took 2.4 s
+# and 100 took 0.66 s), so larger values are refused up front.
+MAX_SAMPLES = 10_000
+
 # Largest Dynkin rank (the 8 of E8) and matrix size (the 8 of so8) accepted.
 # Root data, Chevalley bases and slices grow with a high power of the rank
 # (on a 2-vCPU host, fold A40 took 7.4 s and liealg sl10 --dump 5.8 s), so
@@ -392,13 +397,15 @@ def cmd_verify(args) -> int:
     return 0 if total_failures == 0 else 1
 
 
-def _nonnegative_int(text: str) -> int:
+def _sample_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_SAMPLES}, got {value}")
     return value
 
 
@@ -454,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algebra", type=_bounded_rank, default="sp4")
     s.add_argument("--eval", help="comma-separated slice parameters")
     s.add_argument("--verify-appendix", action="store_true")
-    s.add_argument("--samples", type=_nonnegative_int, default=100)
+    s.add_argument("--samples", type=_sample_count, default=100)
     s.add_argument("--seed", type=int, default=42)
     s.set_defaults(fn=cmd_slice)
 
@@ -490,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite")
-    v.add_argument("--samples", type=_nonnegative_int, default=10)
+    v.add_argument("--samples", type=_sample_count, default=10)
     v.add_argument("--seed", type=int, default=42)
     v.set_defaults(fn=cmd_verify)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import isqrt, prod
+from math import prod
 
 from . import kernel
 from .exactalg import MultiPoly, RatMatrix, SpanSolver, _integer_vector, char_poly_coefficients
@@ -401,9 +401,9 @@ def d4_fixed_cartan_basis() -> list[tuple]:
 
 def molien_dimensions(matrices, kmax: int) -> list[Fraction]:
     """dim of the degree-k invariants, k = 0..kmax, as the coefficients of
-    the Molien series (1/|G|) sum_w 1/det(1 - q w).  Each matrix is a
-    :class:`RatMatrix` or a square flat tuple of ints, such as
-    ``WeylElement.flat``, which goes to the integer kernel as it is."""
+    the Molien series (1/|G|) sum_w 1/det(1 - q w).  Each matrix is a square
+    :class:`RatMatrix`; an integer one, such as ``WeylGroup.matrix(i)``,
+    goes to the integer kernel as it is."""
     return _molien_series(((m, 1) for m in matrices), kmax)
 
 
@@ -420,10 +420,11 @@ def _molien_series(weighted, kmax: int) -> list[Fraction]:
     final division by |G|."""
     counts: dict = {}
     for m, times in weighted:
-        if isinstance(m, RatMatrix):
-            c = char_poly_coefficients(m)
+        form = m._integer_form()
+        if form is not None and form[1] == 1:
+            c = kernel.charpoly_int(form[0], m.rows)
         else:
-            c = kernel.charpoly_int(m, isqrt(len(m)))
+            c = char_poly_coefficients(m)
         key = tuple(c)
         counts[key] = counts.get(key, 0) + times
     total = [0] * (kmax + 1)
@@ -451,8 +452,7 @@ def molien_dimensions_by_class(weyl_group, kmax: int) -> list[Fraction]:
     """:func:`molien_dimensions` of an enumerated group from one integer
     characteristic polynomial per conjugacy class, weighted by the class
     size: 18 polynomials for the 1,920 elements of W(D5)."""
-    flat = weyl_group._flat
-    return _molien_series(((flat[cls[0]], len(cls))
+    return _molien_series(((weyl_group.matrix(cls[0]), len(cls))
                            for cls in weyl_group.conjugacy_classes()), kmax)
 
 

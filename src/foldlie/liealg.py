@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, lcm
 
+from . import kernel
 from .exactalg import MultiPoly, RatMatrix, SpanSolver, _scalar_vector, exterior_traces
 from .rootsys import (
     DynkinType,
@@ -185,7 +186,17 @@ class MatrixLieAlgebra:
 
     # -- coordinates ----------------------------------------------------------
     def coords(self, m: RatMatrix):
-        """Coordinates in the basis, or None if m is not in the algebra.
+        """Coordinates in the basis, or None if m is not in the algebra."""
+        found = self._coords(m)
+        if found is None:
+            return None
+        out, d = found
+        return tuple(out) if d is None else tuple(Fraction(x, d) for x in out)
+
+    def _coords(self, m: RatMatrix):
+        """(coordinates, d), or None if m is not in the algebra: integer
+        numerators over d for a rational m, and d = None with polynomial
+        coordinates for a matrix with polynomial entries.
 
         The coordinates are read off the pivot entries and m is a member
         exactly when the basis combination with them reconstructs m.  For a
@@ -210,10 +221,10 @@ class MatrixLieAlgebra:
             den = self._int_basis[2]
             target = ent if den == 1 else [x * den for x in ent]
             got = _combination(self._int_basis, out)
-            return tuple(out) if all(a == b for a, b in zip(got, target)) else None
+            return (out, None) if all(a == b for a, b in zip(got, target)) else None
         if _linear_combination(self._int_basis, out, d) != m:
             return None
-        return tuple(Fraction(x, d) for x in out)
+        return out, d
 
     def contains(self, m: RatMatrix) -> bool:
         return self.coords(m) is not None
@@ -312,10 +323,18 @@ class ChevalleyData:
     _chev_from_family: RatMatrix
 
     def chev_coords(self, m: RatMatrix):
-        fam = self.algebra.coords(m)
-        if fam is None:
+        """Chevalley coordinates of m, or None if m is not in the algebra.
+        The integer coordinates of a rational m go straight through the
+        integer form of the change of basis: one Fraction per output."""
+        found = self.algebra._coords(m)
+        if found is None:
             return None
-        return self._chev_from_family.apply(fam)
+        fam, d = found
+        if d is None:
+            return self._chev_from_family.apply(fam)
+        nums, den = self._chev_from_family._integer_form()
+        d *= den
+        return tuple(Fraction(x, d) for x in kernel.mat_vec(nums, fam, len(fam), len(fam)))
 
     def from_chev_coords(self, coords) -> RatMatrix:
         return _from_coefficients(self._int_basis, coords)

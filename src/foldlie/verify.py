@@ -146,10 +146,9 @@ def suite_weyl(samples: int = 10, seed: int = 42) -> Report:
     # regular membership at the worked point diag(1,2,-2,-1) ~ coroot coords (1,3,1)
     t = (Fraction(1), Fraction(3), Fraction(1))
     hits = 0
-    for el in fwdA.wh.elements:
-        wt = el.matrix.apply(t)
-        if weyl.is_fixed_point(fwdA, wt):
-            d = weyl.orbit_regular_membership(fwdA, t, el)
+    for w in range(fwdA.wh.order):
+        if weyl.is_fixed_point(fwdA, fwdA.wh.apply(w, t)):
+            d = weyl.orbit_regular_membership(fwdA, t, w)
             if not (d.orbit_equal and d.w_in_folded_group):
                 rep.case("orbit_regular_membership", False, "lemma holds", "violated")
             hits += 1

@@ -41,31 +41,6 @@ def _flat_identity(n: int) -> tuple:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
-class WeylElement:
-    """A group element: its integer flat matrix, a word in the generators,
-    and a :class:`RatMatrix` view built only when asked for."""
-
-    __slots__ = ("flat", "dim", "word", "_matrix")
-
-    def __init__(self, flat: tuple, dim: int, word: tuple):
-        self.flat = flat
-        self.dim = dim
-        self.word = word
-        self._matrix = None
-
-    @property
-    def matrix(self) -> RatMatrix:
-        if self._matrix is None:
-            self._matrix = RatMatrix(self.dim, self.dim, self.flat)
-        return self._matrix
-
-    def verify_word(self, generators) -> bool:
-        acc = RatMatrix.identity(self.matrix.rows)
-        for g in self.word:
-            acc = acc * generators[g]
-        return acc == self.matrix
-
-
 class WeylGroup:
     """A fully enumerated reflection group of exact integer matrices, with
     its Cayley graph for right multiplication by the generators.
@@ -84,6 +59,10 @@ class WeylGroup:
     permutation composes the edge lists along a word: list lookups, no
     matrix arithmetic.
 
+    An element is its index everywhere outside this module: :meth:`word`
+    spells it and :meth:`matrix` builds its :class:`RatMatrix` from the
+    stored integer entries on each call.
+
     ``invariant_vectors`` is the coroot set in the acting coordinates; every
     element must permute it (checked by :meth:`verify`).
     """
@@ -98,7 +77,7 @@ class WeylGroup:
         if len(self._index) != len(flat_elements):
             raise AssertionError("two elements share a key: rho is not regular")
         self._edges = edges
-        self.elements = [WeylElement(m, dim, w) for m, w in zip(flat_elements, words)]
+        self._words = words
         self.dtype = dtype
         self.root_system = root_system
         self.invariant_vectors = invariant_vectors
@@ -140,6 +119,14 @@ class WeylGroup:
     def order(self) -> int:
         return len(self._flat)
 
+    def matrix(self, i: int) -> RatMatrix:
+        """Element i as a :class:`RatMatrix`, built anew on each call."""
+        return RatMatrix.from_integers(self.dim, self.dim, self._flat[i])
+
+    def word(self, i: int) -> tuple:
+        """Element i as a word in the generators (indices into ``generators``)."""
+        return self._words[i]
+
     def _find(self, matrix):
         """Index of ``matrix`` (a RatMatrix or flat sequence), or None."""
         flat = _flat_key(matrix)
@@ -169,20 +156,20 @@ class WeylGroup:
         key = (i, j)
         out = self._mult_cache.get(key)
         if out is None:
-            out = self._walk(i, self.elements[j].word)
+            out = self._walk(i, self._words[j])
             self._mult_cache[key] = out
         return out
 
     def inverse(self, i: int) -> int:
         """w^-1, read along the reversed word of w: every generator is an
         involution."""
-        return self._walk(self._identity, reversed(self.elements[i].word))
+        return self._walk(self._identity, reversed(self._words[i]))
 
     def inverse_permutation(self) -> tuple:
         """inv[i] = index of element_i^-1, built once."""
         if self._inverse is None:
             ident, walk = self._identity, self._walk
-            self._inverse = tuple([walk(ident, reversed(el.word)) for el in self.elements])
+            self._inverse = tuple([walk(ident, reversed(w)) for w in self._words])
         return self._inverse
 
     def identity_index(self) -> int:
@@ -202,7 +189,7 @@ class WeylGroup:
             # i s_1 ... s_k, composed from the last letter: the permutation
             # of s_m ... s_k is that of s_(m+1) ... s_k read at edges[s_m].
             # Its entries are the edge lists' own ints, not new ones.
-            word = self.elements[j].word
+            word = self._words[j]
             if not word:
                 out = tuple(range(self.order))
             else:
@@ -242,8 +229,8 @@ class WeylGroup:
         codimension 1)."""
         inv = self.inverse_permutation()
         eye = RatMatrix.identity(self.dim)
-        return [i for i, el in enumerate(self.elements)
-                if inv[i] == i != self._identity and (el.matrix - eye).rank() == 1]
+        return [i for i in range(self.order)
+                if inv[i] == i != self._identity and (self.matrix(i) - eye).rank() == 1]
 
     def verify(self, check_coroots: bool = True):
         if self.dtype is not None and self.order != self.dtype.weyl_order():
@@ -438,14 +425,14 @@ def commutant_fixed_subgroup(wh: WeylGroup, perm) -> WeylGroup:
     permutation a e_i = e_perm(i)."""
     indices = _commutant_indices(wh, perm)
     orbits = permutation_cycles(perm)
-    gens = [wh.elements[_orbit_product_index(wh, list(o))] for o in orbits]
+    gens = [_orbit_product_index(wh, list(o)) for o in orbits]
     flat = [wh._flat[i] for i in indices]
     keys = [wh._keys[i] for i in indices]
     # Words and edges over the subgroup's own generators.  The closure must
     # be exactly the commutant, whose keys are those of W_h; it runs in
     # closure order, and the subgroup keeps W_h's order.
     _, closure_words, closure_keys, closure_edges = _bfs_closure(
-        [g.flat for g in gens], wh.dim, len(flat))
+        [wh._flat[g] for g in gens], wh.dim, len(flat))
     position = {k: p for p, k in enumerate(keys)}
     if position.keys() != set(closure_keys):
         raise AssertionError("orbit products do not generate the commutant")
@@ -459,13 +446,13 @@ def commutant_fixed_subgroup(wh: WeylGroup, perm) -> WeylGroup:
         for p, target in zip(to_sub, closure_edge):
             edge[p] = to_sub[target]
         edges.append(edge)
-    return WeylGroup(wh.dim, [g.matrix for g in gens], flat, words, keys, edges,
+    return WeylGroup(wh.dim, [wh.matrix(g) for g in gens], flat, words, keys, edges,
                      root_system=wh.root_system, invariant_vectors=wh.invariant_vectors)
 
 
-def folded_reflection(wh: WeylGroup, orbit) -> WeylElement:
-    """s~_beta = product of the (commuting) simple reflections over an
-    a-orbit of simple roots; errors if the orbit roots are not pairwise
+def folded_reflection(wh: WeylGroup, orbit) -> int:
+    """Index of s~_beta = product of the (commuting) simple reflections over
+    an a-orbit of simple roots; errors if the orbit roots are not pairwise
     orthogonal."""
     rs = wh.root_system
     C = rs.cartan_matrix()
@@ -474,8 +461,7 @@ def folded_reflection(wh: WeylGroup, orbit) -> WeylElement:
         for j in orbit:
             if i != j and C[i][j] != 0:
                 raise ValueError("orbit roots are not pairwise orthogonal")
-    idx = _orbit_product_index(wh, orbit)
-    return wh.elements[idx]
+    return _orbit_product_index(wh, orbit)
 
 
 def _restrict_matrix(flat, dim, orbits) -> tuple | None:
@@ -656,14 +642,15 @@ class MembershipDecision:
     restriction: RatMatrix | None
 
 
-def orbit_regular_membership(fwd: FoldedWeylData, t_point, w: WeylElement) -> MembershipDecision:
+def orbit_regular_membership(fwd: FoldedWeylData, t_point, w: int) -> MembershipDecision:
     """Check W(w t) = W(t) for t, wt in the fixed Cartan, and certify w in W
-    (by exhibiting its restriction) when t is regular."""
+    (by exhibiting its restriction) when t is regular; w is an index into
+    W_h."""
     wh = fwd.wh
     t = tuple(Fraction(x) for x in t_point)
     if not is_fixed_point(fwd, t):
         raise ValueError("t is not in the fixed Cartan subalgebra")
-    wt = tuple(kernel.mat_vec(list(w.flat), list(t), wh.dim, wh.dim))
+    wt = wh.apply(w, t)
     if not is_fixed_point(fwd, wt):
         raise ValueError("w t is not in the fixed Cartan subalgebra")
     orbit_t = {wh.apply(i, t) for i in fwd.commutant}
@@ -673,11 +660,9 @@ def orbit_regular_membership(fwd: FoldedWeylData, t_point, w: WeylElement) -> Me
     w_in = None
     restriction = None
     if regular:
-        w_idx = wh.index_of(w.flat) if wh.contains(w.flat) else None
-        w_in = w_idx in fwd.restrict
+        w_in = w in fwd.restrict
         if w_in:
-            fidx = fwd.restrict[w_idx]
-            restriction = fwd.folded.elements[fidx].matrix
+            restriction = fwd.folded.matrix(fwd.restrict[w])
     return MembershipDecision(equal, regular, w_in, restriction)
 
 

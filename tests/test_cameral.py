@@ -237,15 +237,53 @@ class TestPushforward:
         assert rep.passed
         assert rep.cases_run >= 3  # generic + both reflection classes
 
-    def test_generic_fiber_ranks(self, fwd_a3):
-        from foldlie.cameral import FiberModel, section_value_tables
+    @pytest.mark.parametrize("hom,order", [("D4", 2), ("D4", 3), ("A5", 2)])
+    def test_ranks_and_bijection_larger_foldings(self, folding, hom, order):
+        fwd = folding(hom, order)
+        cm = random_transversal_monodromy(fwd, 2, transversal_branch_spec(fwd, 2),
+                                          random.Random(19))
+        rep = pushforward_sections_check(cm, fwd)
+        assert rep.passed, rep.failures
+        assert rep.cases_run == 1 + len(set(cm.branch_images))
 
-        fib_w = FiberModel.at(fwd_a3.folded, None)
-        fib_h = FiberModel.at(fwd_a3.wh, None)
+    @pytest.mark.parametrize("hom,order", [("A3", 2), ("D4", 3)])
+    def test_section_tables_are_equivariant(self, folding, hom, order):
+        """On the W- and W_h-fibers of the generic point and of every local
+        case: f(s p) = s f(p) for every generator s and every point p, the
+        tables are independent, and there are dim Lambda^c of them."""
+        from foldlie.cameral import section_value_tables
+        from foldlie.exactalg import RatMatrix
+
+        fwd = folding(hom, order)
+        cm = random_transversal_monodromy(fwd, 2, transversal_branch_spec(fwd, 2),
+                                          random.Random(59))
+        cases = [None, *sorted(set(cm.branch_images))]
+        sides = [(fwd.folded, embedded_lattice_action(fwd), cases),
+                 (fwd.wh, own_lattice_action(fwd.wh),
+                  [None if c is None else fwd.embed[c] for c in cases])]
+        for group, action, local in sides:
+            gens = {s: action[s] for s in map(group.index_of, group.generators)}
+            for c in local:
+                label, tables = section_value_tables(group, c, action)
+                m = action[group.identity_index() if c is None else c]
+                fixed_dim = m.rows - (m - RatMatrix.identity(m.rows)).rank()
+                assert len(tables) == fixed_dim
+                assert RatMatrix.from_rows(
+                    [[x for value in t for x in value] for t in tables]).rank() == fixed_dim
+                for table in tables:
+                    assert len(table) == max(label) + 1
+                    for s, ms in gens.items():
+                        for w in range(group.order):
+                            assert table[label[group.multiply(s, w)]] == \
+                                ms.apply(table[label[w]]), (c, s, w)
+
+    def test_generic_fiber_ranks(self, fwd_a3):
+        from foldlie.cameral import section_value_tables
+
         act_w = embedded_lattice_action(fwd_a3)
         act_h = own_lattice_action(fwd_a3.wh)
-        assert len(section_value_tables(fib_w, act_w)) == 3
-        assert len(section_value_tables(fib_h, act_h)) == 3
+        assert len(section_value_tables(fwd_a3.folded, None, act_w)[1]) == 3
+        assert len(section_value_tables(fwd_a3.wh, None, act_h)[1]) == 3
 
 
 def _whole_subgroup_fixed_space(cm, action) -> list:
@@ -300,7 +338,7 @@ class TestMonodromyFixedSpace:
             with pytest.raises(ValueError, match="H\\^0"):
                 hitchin_fiber_rank(cm, action)
 
-    def test_rank_builds_only_the_matrices_it_reads(self, folding):
+    def test_rank_builds_only_the_matrices_it_reads(self, folding, monkeypatch):
         """Sampling reads the reflections' matrices, so the cover is sampled
         on one build of D4/2 and its rank taken on a second."""
         sampled = folding("D4", 2)
@@ -309,12 +347,20 @@ class TestMonodromyFixedSpace:
         group = folding("D4", 2).folded
         assert group is not sampled.folded
         fresh = CoverMonodromy(group, cm.base_genus, cm.handle_images, cm.branch_images)
+        built = set()
+        matrix = WeylGroup.matrix
+
+        def counted(g, i):
+            if g is group:
+                built.add(i)
+            return matrix(g, i)
+
+        monkeypatch.setattr(WeylGroup, "matrix", counted)
         action = own_lattice_action(group)
         assert len(action) == group.order and list(action) == list(range(group.order))
         with pytest.raises(KeyError):
             action[group.order]
         assert hitchin_fiber_rank(fresh, action) == 2 * dim_base(str(group.dtype), 2).total
-        built = {i for i, el in enumerate(group.elements) if el._matrix is not None}
         assert built == {group.identity_index(), *cm.all_images()}
 
 

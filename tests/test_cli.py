@@ -113,6 +113,8 @@ class TestUsageErrors:
         ["dims", "--type", "C3", "--genus", "2", "--fold-from", "A5", "--isogeny"],
         ["verify", "cameral", "--samples", "-1"],
         ["slice", "--verify-appendix", "--samples", "-1"],
+        ["verify", "all", "--samples", "10001"],
+        ["slice", "--verify-appendix", "--samples", "10001"],
         ["cameral", "induce", "--type", "A3", "--genus", "1001"],
         ["threefold", "--type", "G2", "--genus", "1000000"],
         ["dims", "--type", "C2", "--genus", "1000000000", "--fold-from", "A3",

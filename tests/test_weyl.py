@@ -35,8 +35,8 @@ class TestGenerate:
 
     def test_words_multiply_out(self):
         w = WeylGroup.generate(build_root_system("C2"))
-        for el in w.elements:
-            assert el.verify_word(w.generators)
+        for i in range(w.order):
+            assert _verify_word(w, i)
 
     def test_budget(self):
         with pytest.raises(EnumerationBudgetExceeded,
@@ -48,6 +48,15 @@ class TestGenerate:
             rs = build_root_system(name)
             w = WeylGroup.generate(rs)
             assert len(w.reflections()) == len(rs.all_roots) // 2
+
+
+def _verify_word(group, i) -> bool:
+    """Whether the generators multiplied along ``group.word(i)`` give the
+    matrix of element i."""
+    acc = RatMatrix.identity(group.dim)
+    for g in group.word(i):
+        acc = acc * group.generators[g]
+    return acc == group.matrix(i)
 
 
 def _perm_matrix(perm) -> RatMatrix:
@@ -157,7 +166,7 @@ class TestColumnUpdateClosure:
         flat, words, edges = _matmul_keyed_closure(_generator_flats(w), w.dim,
                                                    _two_rho_vee(w.invariant_vectors))
         assert w._flat == flat
-        assert [el.word for el in w.elements] == words
+        assert [w.word(i) for i in range(w.order)] == words
         assert w._edges == edges
 
     def test_multi_row_generators(self):
@@ -198,7 +207,7 @@ class TestKeyedClosure:
         flat, words, edges = _matmul_keyed_closure(_generator_flats(w), w.dim,
                                                    _two_rho_vee(w.invariant_vectors))
         assert w._flat == flat
-        assert [el.word for el in w.elements] == words
+        assert [w.word(i) for i in range(w.order)] == words
         assert w._edges == edges
 
     @pytest.mark.parametrize("th,order", [("A3", 2), ("D4", 3)])
@@ -210,7 +219,7 @@ class TestKeyedClosure:
             _generator_flats(fwd.folded), fwd.folded.dim,
             _two_rho_vee(fwd.folded.invariant_vectors))
         assert fwd.folded._flat == flat
-        assert [el.word for el in fwd.folded.elements] == words
+        assert [fwd.folded.word(i) for i in range(fwd.folded.order)] == words
         assert fwd.folded._edges == edges
 
         # the subgroup keeps W_h's order, the reference runs in closure order
@@ -219,7 +228,7 @@ class TestKeyedClosure:
                                                    _two_rho_vee(sub.invariant_vectors))
         word_of = dict(zip(flat, words))
         assert sub._flat == [fwd.wh._flat[i] for i in fwd.commutant]
-        assert [el.word for el in sub.elements] == [word_of[m] for m in sub._flat]
+        assert [sub.word(i) for i in range(sub.order)] == [word_of[m] for m in sub._flat]
         to_sub = [sub.index_of(m) for m in flat]
         for sub_edge, edge in zip(sub._edges, edges, strict=True):
             assert [sub_edge[p] for p in to_sub] == [to_sub[t] for t in edge]
@@ -325,7 +334,7 @@ class TestFoldingIsomorphism:
         assert str(fwd.folded.dtype) == folded
 
     def test_restriction_injective_distinct_matrices(self, fwd_a3):
-        mats = {fwd_a3.folded.elements[fwd_a3.restrict[i]].matrix.entries
+        mats = {fwd_a3.folded.matrix(fwd_a3.restrict[i]).entries
                 for i in fwd_a3.commutant}
         assert len(mats) == len(fwd_a3.commutant)
 
@@ -370,24 +379,25 @@ class TestFoldedReflections:
     def test_a3_outer_orbit(self, fwd_a3):
         wh = fwd_a3.wh
         el = folded_reflection(wh, (0, 2))
+        m = wh.matrix(el)
         # commutes with a
         a = _perm_matrix(fwd_a3.fd.aut.permutation)
-        assert el.matrix * a == a * el.matrix
+        assert m * a == a * m
         # restriction in the orbit basis (u_13, u_2) is (u, v) -> (v, u):
         # on coordinates (c13, c2) = (u, u+v) that is [[-1, 1], [0, 1]]
-        idx = fwd_a3.restrict[wh.index_of(el.matrix)]
-        rest = fwd_a3.folded.elements[idx].matrix
+        idx = fwd_a3.restrict[wh.index_of(m)]
+        rest = fwd_a3.folded.matrix(idx)
         assert rest == RatMatrix.from_rows([[-1, 1], [0, 1]])
         assert rest * rest == RatMatrix.identity(2)
 
     def test_singleton_orbit(self, fwd_a3):
         el = folded_reflection(fwd_a3.wh, (1,))
-        assert el.matrix == fwd_a3.wh.generators[1]
+        assert fwd_a3.wh.matrix(el) == fwd_a3.wh.generators[1]
 
     def test_d4_triality_orbit(self, fwd_d4_triality):
-        el = folded_reflection(fwd_d4_triality.wh, (0, 2, 3))
+        m = fwd_d4_triality.wh.matrix(folded_reflection(fwd_d4_triality.wh, (0, 2, 3)))
         ident = RatMatrix.identity(4)
-        assert el.matrix != ident and el.matrix * el.matrix == ident
+        assert m != ident and m * m == ident
 
     def test_non_orthogonal_orbit_rejected(self, fwd_a3):
         with pytest.raises(ValueError):
@@ -403,9 +413,9 @@ class TestRegularAction:
         t = (Q(1), Q(3), Q(1))  # diag(1, 2, -2, -1)
         assert is_fixed_point(fwd_a3, t)
         hits = 0
-        for el in fwd_a3.wh.elements:
-            if is_fixed_point(fwd_a3, el.matrix.apply(t)):
-                d = orbit_regular_membership(fwd_a3, t, el)
+        for w in range(fwd_a3.wh.order):
+            if is_fixed_point(fwd_a3, fwd_a3.wh.matrix(w).apply(t)):
+                d = orbit_regular_membership(fwd_a3, t, w)
                 assert d.orbit_equal and d.point_is_regular and d.w_in_folded_group
                 assert d.restriction is not None
                 hits += 1
@@ -413,21 +423,20 @@ class TestRegularAction:
 
     def test_zero_point(self, fwd_a3):
         z = (Q(0),) * 3
-        d = orbit_regular_membership(fwd_a3, z, fwd_a3.wh.elements[7])
+        d = orbit_regular_membership(fwd_a3, z, 7)
         assert d.orbit_equal and not d.point_is_regular
 
     def test_nonregular_nonzero_point(self, fwd_a3):
         # diag(1, -1, 1, -1): fixed, non-regular (equal first/third entries)
         t = (Q(1), Q(0), Q(1))
         assert is_fixed_point(fwd_a3, t)
-        for el in fwd_a3.wh.elements:
-            if is_fixed_point(fwd_a3, el.matrix.apply(t)):
-                assert orbit_regular_membership(fwd_a3, t, el).orbit_equal
+        for w in range(fwd_a3.wh.order):
+            if is_fixed_point(fwd_a3, fwd_a3.wh.matrix(w).apply(t)):
+                assert orbit_regular_membership(fwd_a3, t, w).orbit_equal
 
     def test_point_outside_fixed_cartan_rejected(self, fwd_a3):
         with pytest.raises(ValueError):
-            orbit_regular_membership(fwd_a3, (Q(1), Q(0), Q(0)),
-                                     fwd_a3.wh.elements[0])
+            orbit_regular_membership(fwd_a3, (Q(1), Q(0), Q(0)), 0)
 
 
 class TestQuotientIso:
@@ -461,8 +470,8 @@ class TestQuotientIso:
         # every orbit meets the closed chamber; boundary points count as in
         for _ in range(20):
             t = random_fixed_point(fwd_a3, rng)
-            hits = [i for i, el in enumerate(fwd_a3.wh.elements)
-                    if is_dominant(rs, el.matrix.apply(t))]
+            hits = [i for i in range(fwd_a3.wh.order)
+                    if is_dominant(rs, fwd_a3.wh.matrix(i).apply(t))]
             assert hits
         assert is_dominant(rs, (Q(0),) * 3)  # boundary: closure semantics
 
@@ -476,8 +485,9 @@ class TestIntegerPath:
 
     def test_commutant_is_matrix_commutant(self, fwd):
         a = _perm_matrix(fwd.fd.aut.permutation)
-        assert fwd.commutant == [i for i, el in enumerate(fwd.wh.elements)
-                                 if el.matrix * a == a * el.matrix]
+        wh = fwd.wh
+        assert fwd.commutant == [i for i in range(wh.order)
+                                 if wh.matrix(i) * a == a * wh.matrix(i)]
 
     def test_flat_entries_are_ints(self, fwd):
         for group in (fwd.wh, fwd.folded):
@@ -486,15 +496,15 @@ class TestIntegerPath:
 
     def test_inverse_is_matrix_inverse(self, fwd):
         folded = fwd.folded
-        for i, el in enumerate(folded.elements):
-            assert folded.elements[folded.inverse(i)].matrix == el.matrix.inverse()
+        for i in range(folded.order):
+            assert folded.matrix(folded.inverse(i)) == folded.matrix(i).inverse()
 
     def test_reflections_are_rank_one_involutions(self, fwd):
         folded = fwd.folded
         ident = RatMatrix.identity(folded.dim)
-        expected = [i for i, el in enumerate(folded.elements)
-                    if el.matrix != ident and el.matrix * el.matrix == ident
-                    and (el.matrix - ident).rank() == 1]
+        mats = [folded.matrix(i) for i in range(folded.order)]
+        expected = [i for i, m in enumerate(mats)
+                    if m != ident and m * m == ident and (m - ident).rank() == 1]
         assert folded.reflections() == expected
 
     def test_commutant_subgroup_words(self, fwd):
@@ -502,14 +512,18 @@ class TestIntegerPath:
 
         sub = commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation)
         assert sub.order == len(fwd.commutant)
-        for el in sub.elements:
-            assert all(g < len(sub.generators) for g in el.word)
-            assert el.verify_word(sub.generators)
+        for i in range(sub.order):
+            assert all(g < len(sub.generators) for g in sub.word(i))
+            assert _verify_word(sub, i)
 
-    def test_matrices_built_on_demand(self):
+    def test_matrices_built_on_demand(self, monkeypatch):
+        built = []
+        matrix = WeylGroup.matrix
+        monkeypatch.setattr(WeylGroup, "matrix", lambda g, i: built.append(i) or matrix(g, i))
         w = WeylGroup.generate(build_root_system("B3"))
-        assert all(el._matrix is None for el in w.elements)
-        assert w.elements[5].matrix == RatMatrix(3, 3, w._flat[5])
+        assert built == []
+        assert w.matrix(5) == RatMatrix(3, 3, w._flat[5])
+        assert built == [5]
 
 
 def _reference_quotient_check(fwd, sample_count, seed):
@@ -517,8 +531,8 @@ def _reference_quotient_check(fwd, sample_count, seed):
     integer path must reproduce it failure for failure."""
     rng = random.Random(seed)
     wh, a = fwd.wh, _perm_matrix(fwd.fd.aut.permutation)
-    all_mats = [e.matrix for e in wh.elements]
-    folded_mats = [wh.elements[i].matrix for i in fwd.commutant]
+    all_mats = [wh.matrix(i) for i in range(wh.order)]
+    folded_mats = [all_mats[i] for i in fwd.commutant]
 
     def fixed(v):
         return a.apply(v) == tuple(Q(x) for x in v)
