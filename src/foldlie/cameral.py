@@ -290,15 +290,21 @@ def section_value_tables(group: WeylGroup, local_monodromy: int | None,
 
 class _ElementMatrices(Mapping):
     """Element index -> matrix, over a group's elements; each
-    :class:`RatMatrix` is built when read."""
+    :class:`RatMatrix` is built from its word when first read and kept for
+    the life of the mapping, as a check reads the same cosets' matrices at
+    every branch point."""
 
     def __init__(self, group: WeylGroup):
         self._group = group
+        self._built: dict = {}
 
     def __getitem__(self, i) -> RatMatrix:
-        if not 0 <= i < self._group.order:
-            raise KeyError(i)
-        return self._group.matrix(i)
+        m = self._built.get(i)
+        if m is None:
+            if not 0 <= i < self._group.order:
+                raise KeyError(i)
+            m = self._built[i] = self._group.matrix(i)
+        return m
 
     def __len__(self) -> int:
         return self._group.order
@@ -314,7 +320,9 @@ def own_lattice_action(group: WeylGroup) -> Mapping:
 def embedded_lattice_action(fwd: FoldedWeylData) -> dict:
     """The rank-r_h lattice of the homogeneous side, as a module over the
     folded group via the embedding."""
-    return {i: fwd.wh.matrix(fwd.embed[i]) for i in range(fwd.folded.order)}
+    n = fwd.wh.dim
+    flats = fwd.wh.flat_matrices([fwd.embed[i] for i in range(fwd.folded.order)])
+    return {i: RatMatrix.from_integers(n, n, f) for i, f in enumerate(flats)}
 
 
 def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Report:

@@ -858,11 +858,6 @@ def exterior_trace(m: RatMatrix, k: int):
     return exterior_traces(m, (k,))[0]
 
 
-def poly_eval(p: MultiPoly, point: Mapping[str, Scalar]) -> Fraction:
-    """Exact evaluation of ``p`` at a rational point covering all variables."""
-    return p.evaluate(point)
-
-
 class SpanSolver:
     """Repeated exact coordinate extraction against a fixed basis.
 
@@ -886,8 +881,8 @@ class SpanSolver:
         # row-reducing [N | D I] to [I_d ; 0 | X] gives X = D P, where P N is
         # the reduced form of N: the coordinates of v are the first d entries
         # of X v, and v is in the span when the others vanish
-        n_flat = [scaled[j][i] for i in range(m) for j in range(d)]
-        red, den, pivots = kernel.rref(_augment(n_flat, m, d, D), m, d + m)
+        numerators = [scaled[j][i] for i in range(m) for j in range(d)]
+        red, den, pivots = kernel.rref(_augment(numerators, m, d, D), m, d + m)
         if pivots[:d] != list(range(d)):
             raise ValueError("basis vectors are linearly dependent")
         self.dim = d

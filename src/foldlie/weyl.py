@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 
 from . import kernel
 from .exactalg import RatMatrix
@@ -42,39 +42,38 @@ def _flat_identity(n: int) -> tuple:
 
 
 class WeylGroup:
-    """A fully enumerated reflection group of exact integer matrices, with
-    its Cayley graph for right multiplication by the generators.
+    """A fully enumerated reflection group of exact integer matrices, held
+    as the keys, words and Cayley graph of the closure that enumerated it;
+    no element's matrix is stored.
 
     Element w is indexed by its key w^T rho, with rho = (1, ..., 1) in the
     basis dual to the acting one: the column sums of w.  rho is regular, so
     the key is injective (checked at construction).  :meth:`index_of` and
-    :meth:`contains` confirm the stored matrix entry by entry, so a
-    non-element sharing a key is rejected.
+    :meth:`contains` confirm the matrix built for the key entry by entry.
 
-    ``keys``, ``words`` and ``edges`` come from the closure that enumerated
-    the group: ``edges[g][i]`` is the index of w_i g for generator g, and
-    ``words[i]`` spells w_i in the generators.  A product w_i w_j walks the
-    edges along the word of w_j, an inverse walks them along the reversed
-    word (the generators are involutions), and a right-multiplication
-    permutation composes the edge lists along a word: list lookups, no
-    matrix arithmetic.
+    ``edges[g][i]`` is the index of w_i g for generator g, and ``words[i]``
+    spells w_i in the generators: its parent in the closure tree, which has
+    a lower index, is ``edges[g][i]`` for the last letter g.  A product
+    w_i w_j walks the edges along the word of w_j, an inverse along the
+    reversed word (the generators are involutions), and a right-multiplication
+    permutation composes the edge lists along a word: no matrix arithmetic.
 
-    An element is its index everywhere outside this module: :meth:`word`
-    spells it and :meth:`matrix` builds its :class:`RatMatrix` from the
-    stored integer entries on each call.
+    An element is its index outside this module.  :meth:`apply` walks its
+    word on a vector, and :meth:`flat_matrices` is the one place a matrix is
+    built from a word.
 
     ``invariant_vectors`` is the coroot set in the acting coordinates; every
     element must permute it (checked by :meth:`verify`).
     """
 
-    def __init__(self, dim, generators, flat_elements, words, keys, edges, dtype=None,
+    def __init__(self, dim, generators, words, keys, edges, dtype=None,
                  root_system=None, invariant_vectors=None):
         self.dim = dim
         self.generators = generators
-        self._flat = flat_elements
+        self._moved = [_moved_rows(_flat_key(g), dim) for g in generators]
         self._keys = keys
         self._index = {k: i for i, k in enumerate(keys)}
-        if len(self._index) != len(flat_elements):
+        if len(self._index) != len(keys):
             raise AssertionError("two elements share a key: rho is not regular")
         self._edges = edges
         self._words = words
@@ -86,7 +85,7 @@ class WeylGroup:
         self._edge_getters = None
         self._inverse = None
         self._classes = None
-        self._identity = self.index_of(_flat_identity(dim))
+        self._identity = words.index(())
 
     # -- construction ---------------------------------------------------------
     @staticmethod
@@ -117,11 +116,30 @@ class WeylGroup:
     # -- group structure ----------------------------------------------------
     @property
     def order(self) -> int:
-        return len(self._flat)
+        return len(self._keys)
+
+    def flat_matrices(self, indices) -> list[tuple]:
+        """The flat integer matrices of the elements ``indices``, in order,
+        each from its parent in the closure tree by :func:`_times_generator`;
+        an ancestor is built once per call and dropped with it."""
+        n, words, edges, moved = self.dim, self._words, self._edges, self._moved
+        built = {self._identity: _flat_identity(n)}
+        out = []
+        for i in indices:
+            path = []
+            while i not in built:
+                path.append(i)
+                i = edges[words[i][-1]][i]
+            w = built[i]
+            for j in reversed(path):
+                w = built[j] = _times_generator(w, moved[words[j][-1]], n)
+            out.append(w)
+        return out
 
     def matrix(self, i: int) -> RatMatrix:
         """Element i as a :class:`RatMatrix`, built anew on each call."""
-        return RatMatrix.from_integers(self.dim, self.dim, self._flat[i])
+        (flat,) = self.flat_matrices((i,))
+        return RatMatrix.from_integers(self.dim, self.dim, flat)
 
     def word(self, i: int) -> tuple:
         """Element i as a word in the generators (indices into ``generators``)."""
@@ -133,7 +151,7 @@ class WeylGroup:
         if flat is None:
             return None
         idx = self._index.get(_key(flat, self.dim))
-        return idx if idx is not None and self._flat[idx] == flat else None
+        return idx if idx is not None and self.flat_matrices((idx,)) == [flat] else None
 
     def index_of(self, matrix) -> int:
         idx = self._find(matrix)
@@ -176,9 +194,26 @@ class WeylGroup:
         return self._identity
 
     def apply(self, i: int, vec) -> tuple:
-        return tuple(
-            kernel.mat_vec(list(self._flat[i]), list(vec), self.dim, self.dim)
-        )
+        """w_i vec, walked along the word of w_i from its last letter: a
+        generator g changes only its moved rows r, to v_r + (row r of g -
+        e_r) . v."""
+        v = list(vec)
+        moved = self._moved
+        for g in reversed(self._words[i]):
+            rows = [(r, v[r] + sum(c * v[j] for j, c in row)) for r, row in moved[g]]
+            for r, x in rows:
+                v[r] = x
+        return tuple(v)
+
+    def transposed_images(self, covector) -> list[tuple]:
+        """w^T covector for every element w, in index order, by the
+        closure's key update along the closure tree: (w g)^T x = g^T (w^T x)."""
+        words, edges, moved = self._words, self._edges, self._moved
+        out = [None] * self.order
+        for i, word in enumerate(words):
+            out[i] = (_transposed_step(out[edges[word[-1]][i]], moved[word[-1]])
+                      if word else tuple(covector))
+        return out
 
     def right_multiplication_permutation(self, j: int) -> tuple:
         """perm[i] = index of element_i * element_j (the action of monodromy
@@ -228,9 +263,10 @@ class WeylGroup:
         """Indices of elements acting as reflections (order 2, fixed space of
         codimension 1)."""
         inv = self.inverse_permutation()
-        eye = RatMatrix.identity(self.dim)
-        return [i for i in range(self.order)
-                if inv[i] == i != self._identity and (self.matrix(i) - eye).rank() == 1]
+        n, eye = self.dim, RatMatrix.identity(self.dim)
+        involutions = [i for i in range(self.order) if inv[i] == i != self._identity]
+        return [i for i, f in zip(involutions, self.flat_matrices(involutions))
+                if (RatMatrix.from_integers(n, n, f) - eye).rank() == 1]
 
     def verify(self, check_coroots: bool = True):
         if self.dtype is not None and self.order != self.dtype.weyl_order():
@@ -242,10 +278,10 @@ class WeylGroup:
             if g * g != ident:
                 raise AssertionError("generator is not an involution")
         if check_coroots and self.invariant_vectors:
-            vecs = set(self.invariant_vectors)
-            for i in range(self.order):
+            n, vecs = self.dim, set(self.invariant_vectors)
+            for f in self.flat_matrices(range(self.order)):
                 for v in self.invariant_vectors:
-                    if self.apply(i, v) not in vecs:
+                    if tuple(kernel.mat_vec(f, v, n, n)) not in vecs:
                         raise AssertionError("element does not permute the coroot set")
 
 
@@ -263,66 +299,78 @@ def _key(flat, n) -> tuple:
     return tuple([sum(flat[j::n]) for j in range(n)])
 
 
+def _moved_rows(g, n) -> list:
+    """The rows i where the flat n x n matrix g differs from the identity,
+    as (i, [(j, g[i, j] - [i == j]) for the non-zero differences])."""
+    rows = [[(j, g[i * n + j] - (i == j)) for j in range(n)] for i in range(n)]
+    return [(i, [(j, c) for j, c in row if c]) for i, row in enumerate(rows)
+            if any(c for _, c in row)]
+
+
+def _transposed_step(k, moved) -> tuple:
+    """g^T k for a generator g given by its moved rows (:func:`_moved_rows`)."""
+    nk = list(k)
+    for i, row in moved:
+        ki = k[i]
+        for j, c in row:
+            nk[j] += c * ki
+    return tuple(nk)
+
+
+def _times_generator(w, moved, n) -> tuple:
+    """w g for a flat n x n matrix w and a generator g given by its moved
+    rows: w g = w + sum_i (column i of w)(row i of g - e_i), so only the
+    columns j with a non-zero entry in a moved row change."""
+    wg = list(w)
+    for i, row in moved:
+        col = w[i::n]
+        for j, c in row:
+            wg[j::n] = [x + c * y for x, y in zip(wg[j::n], col)]
+    return tuple(wg)
+
+
 def _bfs_closure(gens, n, order):
     """The group generated by the involutions ``gens`` (flat n x n integer
-    matrices) as (elements, words, keys, edges), breadth first by right
+    matrices) as (words, keys, edges), breadth first by right
     multiplication; ``edges[g][i]`` is the index of w_i g, so the edges are
     the Cayley graph the closure walks.
 
     Elements are told apart by their key w^T rho, rho = (1, ..., 1), which is
     injective when rho is regular for the dual action: so it is when the
-    basis consists of simple coroots or of orbit sums of them.  As (w g)^T rho = g^T (w^T rho),
-    an edge adds (row i of g - e_i) times key[i] over the rows i where g
-    differs from the identity.  A new element is w g = w + sum_i (column i
-    of w) (row i of g - e_i) over the same rows, so only the columns where
-    such a row is non-zero change: for a simple reflection, its own column
-    and its neighbours', not a full matrix product.  A closure of any size
-    but ``order`` raises: rho was not regular, or ``gens`` do not generate a
-    group of that order."""
-    moved = []  # per generator: (i, row i of g - e_i as (j, entry) pairs)
+    basis consists of simple coroots or of orbit sums of them.  As
+    (w g)^T rho = g^T (w^T rho), an edge is a sparse key update and no
+    matrix is formed.  A closure of any size but ``order`` raises: rho was
+    not regular, or ``gens`` do not generate a group of that order."""
+    moved = []
     for g in gens:
         if tuple(kernel.mat_mul(g, g, n, n, n)) != _flat_identity(n):
             raise AssertionError("generator is not an involution")
-        rows = [[(j, g[i * n + j] - (i == j)) for j in range(n)] for i in range(n)]
-        moved.append([(i, [(j, c) for j, c in row if c]) for i, row in enumerate(rows)
-                      if any(c for _, c in row)])
-    flat, words, keys = [_flat_identity(n)], [()], [(1,) * n]
+        moved.append(_moved_rows(g, n))
+    words, keys = [()], [(1,) * n]
     seen = {keys[0]: 0}
     # w g g = w, so the edge from w_i to w_j = w_i g is also the one back:
     # each pair is computed once, from the element reached first.
     edges = [[None] * order for _ in gens]
     idx = 0
-    while idx < len(flat):
+    while idx < len(keys):
         k = keys[idx]
         for gi, (delta, edge) in enumerate(zip(moved, edges)):
             if edge[idx] is not None:
                 continue
-            nk = list(k)
-            for i, row in delta:
-                ki = k[i]
-                for j, c in row:
-                    nk[j] += c * ki
-            nk = tuple(nk)
+            nk = _transposed_step(k, delta)
             target = seen.get(nk)
             if target is None:
                 if len(keys) == order:
                     raise AssertionError(f"closure exceeds {order} elements")
                 target = seen[nk] = len(keys)
                 keys.append(nk)
-                w = flat[idx]
-                wg = list(w)
-                for i, row in delta:
-                    col = w[i::n]
-                    for j, c in row:
-                        wg[j::n] = [x + c * y for x, y in zip(wg[j::n], col)]
-                flat.append(tuple(wg))
                 words.append(words[idx] + (gi,))
             edge[idx] = target
             edge[target] = idx
         idx += 1
-    if len(flat) != order:
-        raise AssertionError(f"closure has {len(flat)} elements, expected {order}")
-    return flat, words, keys, edges
+    if len(keys) != order:
+        raise AssertionError(f"closure has {len(keys)} elements, expected {order}")
+    return words, keys, edges
 
 
 def _as_int(x) -> int:
@@ -376,12 +424,7 @@ class FoldedWeylData:
         """Folded-group index of the restricted product over the given
         simple-root orbit."""
         orbit = self.orbits[orbit_index]
-        wh_idx = _orbit_product_index(self.wh, list(orbit))
-        return self.restrict[wh_idx]
-
-
-def _orbit_product_index(wh: WeylGroup, gen_indices: list[int]) -> int:
-    return wh._walk(wh.identity_index(), gen_indices)
+        return self.restrict[self.wh._walk(self.wh.identity_index(), orbit)]
 
 
 def _root_reflections(rs: RootSystem):
@@ -406,8 +449,10 @@ def _commutant_indices(wh: WeylGroup, perm) -> list[int]:
     a e_i = e_perm(i).  Raises if a does not normalize W_h.
 
     (a g a^-1)[perm i, perm j] = g[i, j], so conjugating a generator relabels
-    its entries, and aw = wa exactly when w[perm i, perm j] = w[i, j] for all
-    i, j: entry moves and compares, no products."""
+    its entries, and the key of a w a^-1 is the key of w with coordinate j
+    moved to perm(j).  As a normalizes W_h, a w a^-1 is an element, and keys
+    are injective: so aw = wa exactly when the key of w is constant on the
+    orbits of perm, a comparison of key coordinates, no matrix."""
     n = wh.dim
     src = [perm[i] * n + perm[j] for i in range(n) for j in range(n)]
     for g in wh.generators:
@@ -416,38 +461,7 @@ def _commutant_indices(wh: WeylGroup, perm) -> list[int]:
             conj[s] = x
         if not wh.contains(conj):
             raise ValueError("automorphism does not normalize the Weyl group")
-    return [i for i, f in enumerate(wh._flat) if tuple(map(f.__getitem__, src)) == f]
-
-
-def commutant_fixed_subgroup(wh: WeylGroup, perm) -> WeylGroup:
-    """W_h^C = {w : aw = wa} as a subgroup (still acting on V_h^*), generated
-    by the products of commuting reflections over the orbits of the basis
-    permutation a e_i = e_perm(i)."""
-    indices = _commutant_indices(wh, perm)
-    orbits = permutation_cycles(perm)
-    gens = [_orbit_product_index(wh, list(o)) for o in orbits]
-    flat = [wh._flat[i] for i in indices]
-    keys = [wh._keys[i] for i in indices]
-    # Words and edges over the subgroup's own generators.  The closure must
-    # be exactly the commutant, whose keys are those of W_h; it runs in
-    # closure order, and the subgroup keeps W_h's order.
-    _, closure_words, closure_keys, closure_edges = _bfs_closure(
-        [wh._flat[g] for g in gens], wh.dim, len(flat))
-    position = {k: p for p, k in enumerate(keys)}
-    if position.keys() != set(closure_keys):
-        raise AssertionError("orbit products do not generate the commutant")
-    to_sub = [position[k] for k in closure_keys]
-    words = [None] * len(flat)
-    for p, w in zip(to_sub, closure_words):
-        words[p] = w
-    edges = []
-    for closure_edge in closure_edges:
-        edge = [0] * len(flat)
-        for p, target in zip(to_sub, closure_edge):
-            edge[p] = to_sub[target]
-        edges.append(edge)
-    return WeylGroup(wh.dim, [wh.matrix(g) for g in gens], flat, words, keys, edges,
-                     root_system=wh.root_system, invariant_vectors=wh.invariant_vectors)
+    return [i for i, k in enumerate(wh._keys) if _is_fixed(perm, k)]
 
 
 def folded_reflection(wh: WeylGroup, orbit) -> int:
@@ -461,7 +475,7 @@ def folded_reflection(wh: WeylGroup, orbit) -> int:
         for j in orbit:
             if i != j and C[i][j] != 0:
                 raise ValueError("orbit roots are not pairwise orthogonal")
-    return _orbit_product_index(wh, orbit)
+    return wh._walk(wh.identity_index(), orbit)
 
 
 def _restrict_matrix(flat, dim, orbits) -> tuple | None:
@@ -501,8 +515,8 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
 
     # restriction of every commutant element
     restricted = {}
-    for i in comm:
-        rm = _restrict_matrix(wh._flat[i], wh.dim, orbits)
+    for i, flat in zip(comm, wh.flat_matrices(comm)):
+        rm = _restrict_matrix(flat, wh.dim, orbits)
         if rm is None:
             raise AssertionError("commutant element does not preserve the fixed subspace")
         restricted[i] = rm
@@ -510,10 +524,8 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
         raise AssertionError("restriction map is not injective on W_h^C")
 
     # folded group generated by the restricted orbit products
-    gen_flats = []
-    for o in orbits:
-        idx = _orbit_product_index(wh, list(o))
-        gen_flats.append(restricted[idx])
+    products = [wh._walk(wh.identity_index(), o) for o in orbits]
+    gen_flats = [restricted[j] for j in products]
     folded_type = classify(fold_coinvariants(fd).cartan_matrix())
     inv_vecs = _folded_coroot_vectors(fd, orbits)
     folded = WeylGroup(
@@ -525,17 +537,21 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
         invariant_vectors=inv_vecs,
     )
 
-    if set(restricted.values()) != set(folded._flat):
+    # restriction is injective, so it maps onto the folded group exactly
+    # when every restricted matrix is the folded element with its key and
+    # the two groups have one order
+    folded_flats = folded.flat_matrices(range(folded.order))
+    restrict = {i: folded._index.get(_key(m, r)) for i, m in restricted.items()}
+    if len(comm) != folded.order or any(
+            j is None or folded_flats[j] != restricted[i] for i, j in restrict.items()):
         raise AssertionError(
             "restriction image differs from the generated folded Weyl group"
         )
-    restrict = {i: folded.index_of(m) for i, m in restricted.items()}
     embed = {v: k for k, v in restrict.items()}
 
     # homomorphism spot-check on all generator pairs
     for i in comm[: min(len(comm), 50)]:
-        for o in orbits:
-            j = _orbit_product_index(wh, list(o))
+        for j in products:
             if restrict[wh.multiply(i, j)] != folded.multiply(restrict[i], restrict[j]):
                 raise AssertionError("restriction is not multiplicative")
 
@@ -605,15 +621,6 @@ def root_pairing_rows(rs: RootSystem) -> list[tuple]:
 def is_regular(rs: RootSystem, v, pairing_rows=None) -> bool:
     rows = pairing_rows if pairing_rows is not None else root_pairing_rows(rs)
     return all(sum(a * b for a, b in zip(row, v)) != 0 for row in rows)
-
-
-def is_dominant(rs: RootSystem, v) -> bool:
-    """Closure of the fundamental chamber: all simple pairings >= 0."""
-    C = rs.cartan_matrix()
-    for i in range(rs.rank):
-        if sum(C[i][j] * v[j] for j in range(rs.rank)) < 0:
-            return False
-    return True
 
 
 def embed_fixed_point(fwd: FoldedWeylData, folded_coords) -> tuple:
@@ -693,54 +700,41 @@ def _clear_denominators(*points) -> list[list]:
     return [[x.numerator * (d // x.denominator) for x in p] for p in points]
 
 
-def _in_orbit(keys, flats, v, target) -> bool:
-    """Whether w v == target for some element w, given by its key w^T rho
-    and its flat matrix (``keys`` and ``flats`` in step), for integer
-    vectors.
+def _in_orbit(wh: WeylGroup, indices, v, target) -> bool:
+    """Whether w v == target for some element w of ``wh`` among ``indices``,
+    for integer vectors.
 
     rho . (w v) = (w^T rho) . v with rho = (1, ..., 1), so w v can equal
     target only where key_w . v == sum(target).  The filter drops no image
     equal to target, and each element passing it is confirmed by its full
-    image: the answer is that of applying every matrix."""
-    n = len(v)
-    s = sum(target)
-    return any(sum(map(mul, k, v)) == s and kernel.mat_vec(f, v, n, n) == target
-               for k, f in zip(keys, flats))
+    image: the answer is that of applying every element."""
+    keys, s, target = wh._keys, sum(target), tuple(target)
+    return any(sum(map(mul, keys[i], v)) == s and wh.apply(i, v) == target
+               for i in indices)
 
 
-def _moved_row_differences(flats, perm) -> list[tuple]:
-    """Per flat n x n matrix w, row_i(w) - row_perm(i)(w) for the least
-    index i that the basis permutation moves, or i = 0 if it moves none
-    (the rows are equal and the difference vanishes)."""
-    n = len(perm)
-    i = next((i for i, p in enumerate(perm) if p != i), 0)
-    a, b = i * n, perm[i] * n
-    return [tuple(map(sub, f[a:a + n], f[b:b + n])) for f in flats]
-
-
-def _class_fixed_and_hits(keys, row_differences, flats, perm, v) -> tuple:
+def _class_fixed_and_hits(wh: WeylGroup, row_differences, perm, v) -> tuple:
     """(a v in W_h(v), some W_h-translate of v is fixed by a) for an integer
-    vector v, with a e_i = e_perm(i) and W_h given by the keys, the
-    ``_moved_row_differences`` and the flat matrices of its elements.
+    vector v, with a e_i = e_perm(i) and ``row_differences`` the covectors
+    w^T (e_i - e_perm(i)) of the elements w of W_h, for one index i.
 
     Both searches are filtered exactly before an image is formed.  a v has
     the coordinates of v, so w v = a v needs key_w . v == sum(v), as in
     :func:`_in_orbit`.  An a-fixed w v has equal coordinates i and perm(i)
-    for every i, so (row_i(w) - row_perm(i)(w)) . v == 0 for the index i of
-    the row differences; for a trivial folding the difference is zero and
-    every element passes, as every vector is fixed.  Each element passing a
-    filter is confirmed on its full image."""
-    n = len(v)
-    av = [0] * n
+    for every i, so (w^T (e_i - e_perm(i))) . v == 0; for a trivial folding
+    the difference is zero and every element passes, as every vector is
+    fixed.  Each element passing a filter is confirmed on its full image."""
+    av = [0] * len(v)
     for i, p in enumerate(perm):
         av[p] = v[i]
+    av = tuple(av)
     s = sum(v)
     fixed_class = hits = False
-    for k, d, f in zip(keys, row_differences, flats):
+    for i, (k, d) in enumerate(zip(wh._keys, row_differences)):
         cls = not fixed_class and sum(map(mul, k, v)) == s
         hit = not hits and not sum(map(mul, d, v))
         if cls or hit:
-            img = kernel.mat_vec(f, v, n, n)
+            img = wh.apply(i, v)
             fixed_class = fixed_class or (cls and img == av)
             hits = hits or (hit and _is_fixed(perm, img))
             if fixed_class and hits:
@@ -759,33 +753,32 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
 
     Points are scaled to integer vectors once.  Every orbit test still runs
     over all of W_h or W, but reads one key dot product per element and
-    applies the matrix only to the elements that pass that exact filter
-    (see :func:`_in_orbit` and :func:`_class_fixed_and_hits`); every
-    fixed-point test is a coordinate compare.
+    applies only the elements that pass that exact filter, each by walking
+    its word (see :func:`_in_orbit` and :func:`_class_fixed_and_hits`);
+    every fixed-point test is a coordinate compare.
     """
     if fwd is None:
         fwd = folding_weyl_data(fd)
     rng = random.Random(seed)
-    wh = fwd.wh
-    n = wh.dim
+    wh, comm = fwd.wh, fwd.commutant
+    everything = range(wh.order)
     perm = fwd.fd.aut.permutation
     report = Report("quotient-invariants-iso")
-    all_flats, all_keys = wh._flat, wh._keys
-    folded_flats = [all_flats[i] for i in fwd.commutant]
-    folded_keys = [all_keys[i] for i in fwd.commutant]
-    row_differences = _moved_row_differences(all_flats, perm)
-
-    def apply(f, v) -> list:
-        return kernel.mat_vec(f, v, n, n)
+    # w^T (e_i - e_perm(i)) for the least index i that a moves (none: zero)
+    moved = next((i for i, p in enumerate(perm) if p != i), 0)
+    difference = [0] * wh.dim
+    difference[moved] += 1
+    difference[perm[moved]] -= 1
+    row_differences = wh.transposed_images(difference)
 
     for case in range(sample_count):
         t = random_fixed_point(fwd, rng)
         (ti,) = _clear_denominators(t)
         # (a) W_h-translate of t that happens to lie in the fixed Cartan
         u = rng.randrange(wh.order)
-        t2 = apply(all_flats[u], ti)
+        t2 = wh.apply(u, ti)
         if _is_fixed(perm, t2):
-            if not _in_orbit(folded_keys, folded_flats, ti, t2):
+            if not _in_orbit(wh, comm, ti, t2):
                 report.fail(f"case {case}: t={t}, w_h index {u}", "t' in W(t)",
                             "t' only in W_h(t)")
         # (b) a second point t'.  Even cases: t' = c t for a uniform
@@ -794,12 +787,12 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
         # cases: an independent point, and the two memberships must agree.
         if case % 2 == 0:
             c = fwd.embed[rng.randrange(fwd.folded.order)]
-            tj, t3j = ti, apply(all_flats[c], ti)
+            tj, t3j = ti, wh.apply(c, ti)
         else:
             t3 = random_fixed_point(fwd, rng)
             tj, t3j = _clear_denominators(t, t3)
-        in_big = _in_orbit(all_keys, all_flats, tj, t3j)
-        in_small = _in_orbit(folded_keys, folded_flats, tj, t3j)
+        in_big = _in_orbit(wh, everything, tj, t3j)
+        in_small = _in_orbit(wh, comm, tj, t3j)
         if case % 2 == 0 and not (in_big and in_small):
             report.fail(f"case {case}: t={t}, t'=c t={wh.apply(c, t)}",
                         "t' in W_h(t) and W(t)", f"W_h: {in_big}, W: {in_small}")
@@ -808,9 +801,8 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
                         f"W_h: {in_big}, W: {in_small}")
         # (c) surjectivity: a C-fixed class in t_h/W_h comes from the fixed Cartan
         w = rng.randrange(wh.order)
-        th = apply(all_flats[w], ti)
-        class_fixed, translate_hits = _class_fixed_and_hits(
-            all_keys, row_differences, all_flats, perm, th)
+        th = wh.apply(w, ti)
+        class_fixed, translate_hits = _class_fixed_and_hits(wh, row_differences, perm, th)
         if not (class_fixed and translate_hits):
             report.fail(f"case {case}: t_h={wh.apply(w, t)}",
                         "C-fixed class with translate in fixed Cartan",
@@ -818,8 +810,7 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
         # (d) generic point of t_h: equivalence both ways
         tg = tuple(random_rational(rng) for _ in range(wh.dim))
         (tgi,) = _clear_denominators(tg)
-        fixed_class, hits = _class_fixed_and_hits(
-            all_keys, row_differences, all_flats, perm, tgi)
+        fixed_class, hits = _class_fixed_and_hits(wh, row_differences, perm, tgi)
         if fixed_class != hits:
             report.fail(f"case {case}: generic t_h={tg}", "equivalence",
                         f"fixed class: {fixed_class}, hits: {hits}")

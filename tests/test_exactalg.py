@@ -15,7 +15,6 @@ from foldlie.exactalg import (
     exterior_trace,
     exterior_traces,
     nullspace,
-    poly_eval,
 )
 
 
@@ -141,20 +140,20 @@ class TestNullspace:
 class TestMultiPoly:
     def test_eval_examples(self):
         c7 = MultiPoly.const(("x",), 7)
-        assert poly_eval(c7, {"x": Q(123)}) == 7
+        assert c7.evaluate({"x": Q(123)}) == 7
         x, y, z = MultiPoly.variables_of(["x", "y", "z"])
         f = x**4 - y * z
-        assert poly_eval(f, {"x": 1, "y": 1, "z": 1}) == 0
+        assert f.evaluate({"x": 1, "y": 1, "z": 1}) == 0
         vs = ("t1", "t2", "t3", "t4")
         from foldlie.invariants import esym
 
         sigma2 = esym(vs, 2)
-        assert poly_eval(sigma2, dict(zip(vs, (1, 2, -1, -2)))) == -5
+        assert sigma2.evaluate(dict(zip(vs, (1, 2, -1, -2)))) == -5
 
     def test_missing_variable_errors(self):
         x, y = MultiPoly.variables_of(["x", "y"])
         with pytest.raises(KeyError):
-            poly_eval(x + y, {"x": Q(1)})
+            (x + y).evaluate({"x": Q(1)})
 
     def test_variable_order_mismatch_is_an_error(self):
         x1 = MultiPoly.var(("x", "y"), "x")

@@ -226,7 +226,8 @@ class TestConjugacyClasses:
     def test_one_characteristic_polynomial_per_class(self, weyl_group, name):
         w = weyl_group(name)
         for cls in w.conjugacy_classes():
-            assert len({tuple(kernel.charpoly_int(w._flat[i], w.dim)) for i in cls}) == 1
+            assert len({tuple(kernel.charpoly_int(f, w.dim))
+                        for f in w.flat_matrices(cls)}) == 1
 
     @pytest.mark.parametrize("name", ["A3", "B2", "G2", "B3", "C3", "D4", "B4"])
     def test_classes_are_closed_under_conjugation(self, weyl_group, name):
@@ -234,9 +235,9 @@ class TestConjugacyClasses:
         in the class of w."""
         w = weyl_group(name)
         n = w.dim
-        gens = [w._flat[w.index_of(g)] for g in w.generators]
+        gens = w.flat_matrices([w.index_of(g) for g in w.generators])
         label = {i: k for k, cls in enumerate(w.conjugacy_classes()) for i in cls}
-        for i, f in enumerate(w._flat):
+        for i, f in enumerate(w.flat_matrices(range(w.order))):
             for g in gens:
                 conj = kernel.mat_mul(kernel.mat_mul(g, f, n, n, n), g, n, n, n)
                 assert label[w.index_of(conj)] == label[i]
@@ -270,9 +271,10 @@ class TestTwistedMolien:
         # w a is column perm[c] of w
         perm = fd.aut.permutation
         n = len(perm)
+        wh = folding_weyl_data(fd).wh
         twisted = [RatMatrix.from_integers(n, n, [f[r * n + perm[c]] for r in range(n)
                                                   for c in range(n)])
-                   for f in folding_weyl_data(fd).wh._flat]
+                   for f in wh.flat_matrices(range(wh.order))]
         sd = surviving_invariant_degrees(fd)
         kmax = max(sd.degrees_h) + 2
         p = fd.aut.order

@@ -171,7 +171,7 @@ class TestKroneckerCharpoly:
 
         wg = WeylGroup.generate(build_root_system("D5"))
         assert wg.order == 1920
-        for w in wg._flat:
+        for w in wg.flat_matrices(range(wg.order)):
             assert _kernel_py.charpoly_int(w, 5) == ref_charpoly_faddeev_leverrier(w, 5)
 
     def test_random_matrices_match_reference(self):

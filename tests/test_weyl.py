@@ -67,7 +67,11 @@ def _perm_matrix(perm) -> RatMatrix:
 
 
 def _generator_flats(group):
-    return [group._flat[group.index_of(g)] for g in group.generators]
+    return group.flat_matrices([group.index_of(g) for g in group.generators])
+
+
+def _all_flats(group) -> list:
+    return group.flat_matrices(range(group.order))
 
 
 def _two_rho_vee(coroots) -> tuple:
@@ -78,8 +82,9 @@ def _two_rho_vee(coroots) -> tuple:
 def _matmul_keyed_closure(gens, n, key):
     """Breadth-first closure keyed by w^-1 key, with each new element built
     as one full ``kernel.mat_mul`` of its parent and the generator: the
-    reference for the key and column updates of ``_bfs_closure`` and for its
-    Cayley edges, returned as (elements, words, edges)."""
+    reference for the key update of ``_bfs_closure``, for its Cayley edges
+    and for the column updates of ``WeylGroup.flat_matrices``, returned as
+    (elements, words, edges)."""
     moved = [[(i, [(j, g[i * n + j]) for j in range(n) if g[i * n + j]])
               for i in range(n) if any(g[i * n + j] != (i == j) for j in range(n))]
              for g in gens]
@@ -119,7 +124,8 @@ def _matvec_right_multiplications(group):
     key_columns = list(zip(*keys))
 
     def perm(j) -> tuple:
-        wz = kernel.mat_vec(list(group._flat[j]), z, n, n)
+        (wj,) = group.flat_matrices((j,))
+        wz = kernel.mat_vec(wj, z, n, n)
         codes = [0] * group.order
         for a, column in zip(wz, key_columns):
             codes = [y + a * x for y, x in zip(codes, column)]
@@ -152,8 +158,9 @@ def _types_under_budget(budget=ENUMERATION_BUDGET):
 
 
 class TestColumnUpdateClosure:
-    """The column-update closure against full products, on every type whose
-    group fits the enumeration budget."""
+    """The keyed closure and the matrices built from its words by column
+    updates against full products, on every type whose group fits the
+    enumeration budget."""
 
     def test_type_list_covers_the_budget(self):
         names = _types_under_budget()
@@ -165,24 +172,25 @@ class TestColumnUpdateClosure:
         w = weyl_group(name)
         flat, words, edges = _matmul_keyed_closure(_generator_flats(w), w.dim,
                                                    _two_rho_vee(w.invariant_vectors))
-        assert w._flat == flat
+        assert _all_flats(w) == flat
         assert [w.word(i) for i in range(w.order)] == words
         assert w._edges == edges
 
     def test_multi_row_generators(self):
         """Orbit products differ from the identity in several rows."""
-        from foldlie.weyl import commutant_fixed_subgroup
-
         fwd = folding_weyl_data(folding_datum("D4", 3))
-        sub = commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation)
-        gens = _generator_flats(sub)
+        wh = fwd.wh
+        gens = wh.flat_matrices([folded_reflection(wh, o) for o in fwd.orbits])
         moved_rows = [sum(any(g[i * 4 + j] != (i == j) for j in range(4)) for i in range(4))
                       for g in gens]
         assert max(moved_rows) > 1
-        key = _two_rho_vee(fwd.wh.invariant_vectors)
-        flat, words, keys, edges = _bfs_closure(gens, 4, 12)
-        assert (flat, words, edges) == _matmul_keyed_closure(gens, 4, key)
+        key = _two_rho_vee(wh.invariant_vectors)
+        words, keys, edges = _bfs_closure(gens, 4, 12)
+        flat, ref_words, ref_edges = _matmul_keyed_closure(gens, 4, key)
+        assert (words, edges) == (ref_words, ref_edges)
         assert keys == [tuple(sum(f[j::4]) for j in range(4)) for f in flat]
+        group = WeylGroup(4, [RatMatrix(4, 4, g) for g in gens], words, keys, edges)
+        assert _all_flats(group) == flat
 
 
 class TestCayleyGraph:
@@ -199,39 +207,26 @@ class TestCayleyGraph:
 
 class TestKeyedClosure:
     """The closure keyed on w^T rho against the reference keyed on
-    w^-1 2 rho^vee, for generated, folded and commutant groups."""
+    w^-1 2 rho^vee, for generated and folded groups."""
 
     @pytest.mark.parametrize("name", ["A3", "C2", "G2", "B3", "D4", "D5"])
     def test_generate_matches_reference(self, name):
         w = WeylGroup.generate(build_root_system(name))
         flat, words, edges = _matmul_keyed_closure(_generator_flats(w), w.dim,
                                                    _two_rho_vee(w.invariant_vectors))
-        assert w._flat == flat
+        assert _all_flats(w) == flat
         assert [w.word(i) for i in range(w.order)] == words
         assert w._edges == edges
 
     @pytest.mark.parametrize("th,order", [("A3", 2), ("D4", 3)])
     def test_folding_groups_match_reference(self, th, order):
-        from foldlie.weyl import commutant_fixed_subgroup
-
         fwd = folding_weyl_data(folding_datum(th, order))
         flat, words, edges = _matmul_keyed_closure(
             _generator_flats(fwd.folded), fwd.folded.dim,
             _two_rho_vee(fwd.folded.invariant_vectors))
-        assert fwd.folded._flat == flat
+        assert _all_flats(fwd.folded) == flat
         assert [fwd.folded.word(i) for i in range(fwd.folded.order)] == words
         assert fwd.folded._edges == edges
-
-        # the subgroup keeps W_h's order, the reference runs in closure order
-        sub = commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation)
-        flat, words, edges = _matmul_keyed_closure(_generator_flats(sub), sub.dim,
-                                                   _two_rho_vee(sub.invariant_vectors))
-        word_of = dict(zip(flat, words))
-        assert sub._flat == [fwd.wh._flat[i] for i in fwd.commutant]
-        assert [sub.word(i) for i in range(sub.order)] == [word_of[m] for m in sub._flat]
-        to_sub = [sub.index_of(m) for m in flat]
-        for sub_edge, edge in zip(sub._edges, edges, strict=True):
-            assert [sub_edge[p] for p in to_sub] == [to_sub[t] for t in edge]
 
     def test_non_regular_key_rejected(self):
         """S_3 permuting the coordinates of Q^3 fixes rho = (1, 1, 1): every
@@ -242,11 +237,8 @@ class TestKeyedClosure:
 
 
 def _key_index_groups(th, order):
-    from foldlie.weyl import commutant_fixed_subgroup
-
     fwd = folding_weyl_data(folding_datum(th, order))
-    return {"W_h": fwd.wh, "commutant": commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation),
-            "folded": fwd.folded}
+    return {"W_h": fwd.wh, "folded": fwd.folded}
 
 
 class TestKeyIndex:
@@ -258,31 +250,34 @@ class TestKeyIndex:
         return _key_index_groups(*request.param)
 
     @staticmethod
-    def _product(group, i, j):
+    def _product(group, flats, i, j):
         n = group.dim
-        return tuple(kernel.mat_mul(group._flat[i], group._flat[j], n, n, n))
+        return tuple(kernel.mat_mul(flats[i], flats[j], n, n, n))
 
     def test_multiply_matches_products(self, groups):
         rng = random.Random(12)
         for group in groups.values():
+            flats = _all_flats(group)
             for _ in range(200):
                 i, j = rng.randrange(group.order), rng.randrange(group.order)
-                assert group._flat[group.multiply(i, j)] == self._product(group, i, j)
+                assert flats[group.multiply(i, j)] == self._product(group, flats, i, j)
 
     def test_inverse_of_every_element(self, groups):
         for group in groups.values():
-            ident = group._flat[group.identity_index()]
+            flats = _all_flats(group)
+            ident = flats[group.identity_index()]
             for i, inv in enumerate(group.inverse_permutation()):
-                assert self._product(group, i, inv) == ident
+                assert self._product(group, flats, i, inv) == ident
                 assert group.inverse(i) == inv
 
     def test_right_multiplication_permutations(self, groups):
         rng = random.Random(13)
         for group in groups.values():
+            flats = _all_flats(group)
             for j in [group.identity_index()] + rng.sample(range(group.order), 3):
                 perm = group.right_multiplication_permutation(j)
-                assert [group._flat[p] for p in perm] == \
-                    [self._product(group, i, j) for i in range(group.order)]
+                assert [flats[p] for p in perm] == \
+                    [self._product(group, flats, i, j) for i in range(group.order)]
 
     def test_right_multiplication_matches_matvec_reference(self, groups):
         rng = random.Random(15)
@@ -307,16 +302,17 @@ class TestKeyIndex:
             n = group.dim
             for _ in range(5):
                 i, c = rng.randrange(group.order), rng.randrange(n)
-                bad = list(group._flat[i])
+                (flat,) = group.flat_matrices((i,))
+                bad = list(flat)
                 bad[c] += 1
                 bad[n + c] -= 1
                 assert [sum(bad[j::n]) for j in range(n)] == \
-                    [sum(group._flat[i][j::n]) for j in range(n)]
+                    [sum(flat[j::n]) for j in range(n)]
                 assert not group.contains(bad)
                 assert not group.contains(RatMatrix(n, n, bad))
                 with pytest.raises(KeyError):
                     group.index_of(bad)
-                assert group.index_of(group._flat[i]) == i
+                assert group.index_of(flat) == i
 
 
 class TestFoldingIsomorphism:
@@ -338,24 +334,12 @@ class TestFoldingIsomorphism:
                 for i in fwd_a3.commutant}
         assert len(mats) == len(fwd_a3.commutant)
 
-    def test_commutant_subgroup_operation(self, fwd_a3):
-        from foldlie.weyl import commutant_fixed_subgroup
-
-        sub = commutant_fixed_subgroup(fwd_a3.wh, fwd_a3.fd.aut.permutation)
-        assert sub.order == 8
-        assert len(sub.generators) == 2
-        sub.verify(check_coroots=True)
-        # closed under multiplication within the subgroup
-        for i in range(sub.order):
-            for j in range(sub.order):
-                assert sub.multiply(i, j) < sub.order
-
     def test_non_normalizing_matrix_rejected(self, fwd_a3):
-        from foldlie.weyl import commutant_fixed_subgroup
+        from foldlie.weyl import _commutant_indices
 
         # swapping the adjacent nodes 1 and 2 of A3 is no graph automorphism
         with pytest.raises(ValueError, match="does not normalize"):
-            commutant_fixed_subgroup(fwd_a3.wh, (1, 0, 2))
+            _commutant_indices(fwd_a3.wh, (1, 0, 2))
 
     def test_folded_permutes_coroots(self, fwd_a3):
         fwd_a3.folded.verify()
@@ -462,19 +446,6 @@ class TestQuotientIso:
         v = random_fixed_point(fwd_a3, rng, regular=True)
         assert is_regular(fwd_a3.fd.homogeneous, v)
 
-    def test_chamber_closure_semantics(self, fwd_a3):
-        from foldlie.weyl import is_dominant
-
-        rs = fwd_a3.fd.homogeneous
-        rng = random.Random(8)
-        # every orbit meets the closed chamber; boundary points count as in
-        for _ in range(20):
-            t = random_fixed_point(fwd_a3, rng)
-            hits = [i for i in range(fwd_a3.wh.order)
-                    if is_dominant(rs, fwd_a3.wh.matrix(i).apply(t))]
-            assert hits
-        assert is_dominant(rs, (Q(0),) * 3)  # boundary: closure semantics
-
 
 class TestIntegerPath:
     """The integer group layer against the definitions it replaces."""
@@ -489,9 +460,25 @@ class TestIntegerPath:
         assert fwd.commutant == [i for i in range(wh.order)
                                  if wh.matrix(i) * a == a * wh.matrix(i)]
 
+    @pytest.mark.parametrize("th,count", [("E6", 1152), ("A7", 384)])
+    def test_largest_commutants_are_matrix_commutants(self, folding, th, count):
+        """The key test on the two largest foldings: every listed element
+        commutes with a, and 300 sampled unlisted ones do not."""
+        fwd = folding(th, 2)
+        a, wh = _perm_matrix(fwd.fd.aut.permutation), fwd.wh
+        listed = set(fwd.commutant)
+        unlisted = random.Random(22).sample(
+            [i for i in range(wh.order) if i not in listed], 300)
+        n = wh.dim
+        for i, f in zip(fwd.commutant + unlisted,
+                        wh.flat_matrices(fwd.commutant + unlisted)):
+            m = RatMatrix.from_integers(n, n, f)
+            assert (m * a == a * m) == (i in listed), i
+        assert len(fwd.commutant) == count
+
     def test_flat_entries_are_ints(self, fwd):
         for group in (fwd.wh, fwd.folded):
-            assert all(type(x) is int for m in group._flat for x in m)
+            assert all(type(x) is int for m in _all_flats(group) for x in m)
         assert all(type(x) is int for v in fwd.folded.invariant_vectors for x in v)
 
     def test_inverse_is_matrix_inverse(self, fwd):
@@ -507,23 +494,21 @@ class TestIntegerPath:
                     if m != ident and m * m == ident and (m - ident).rank() == 1]
         assert folded.reflections() == expected
 
-    def test_commutant_subgroup_words(self, fwd):
-        from foldlie.weyl import commutant_fixed_subgroup
-
-        sub = commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation)
-        assert sub.order == len(fwd.commutant)
-        for i in range(sub.order):
-            assert all(g < len(sub.generators) for g in sub.word(i))
-            assert _verify_word(sub, i)
-
     def test_matrices_built_on_demand(self, monkeypatch):
-        built = []
-        matrix = WeylGroup.matrix
-        monkeypatch.setattr(WeylGroup, "matrix", lambda g, i: built.append(i) or matrix(g, i))
+        """Enumeration forms no matrix.  A matrix takes one column update
+        per letter of its word, and a call builds each ancestor once."""
+        from foldlie import weyl
+
+        steps = []
+        step = weyl._times_generator
+        monkeypatch.setattr(weyl, "_times_generator", lambda *a: steps.append(a) or step(*a))
         w = WeylGroup.generate(build_root_system("B3"))
-        assert built == []
-        assert w.matrix(5) == RatMatrix(3, 3, w._flat[5])
-        assert built == [5]
+        assert steps == []
+        assert _verify_word(w, 5)
+        assert len(steps) == len(w.word(5))
+        steps.clear()
+        _all_flats(w)
+        assert len(steps) == w.order - 1
 
 
 def _reference_quotient_check(fwd, sample_count, seed):
@@ -623,11 +608,11 @@ def _fixed(perm, v) -> bool:
     return all(v[perm[i]] == v[i] for i in range(len(v)))
 
 
-def _filter_test_vectors(fwd, rng) -> list[list]:
+def _filter_test_vectors(fwd, flats, rng) -> list[list]:
     """Integer points of t_h for the orbit filters: zero, points with
     entries in {-1, 0, 1} (many lie on walls), W_h-translates of fixed
-    points, and generic points."""
-    n, wh = fwd.wh.dim, fwd.wh
+    points, and generic points; ``flats`` are the matrices of W_h."""
+    n = fwd.wh.dim
     out = [[0] * n]
     out += [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(6)]
     for _ in range(4):
@@ -636,14 +621,15 @@ def _filter_test_vectors(fwd, rng) -> list[list]:
         for c, o in zip(t, fwd.orbits):
             for i in o:
                 fixed[i] = c
-        out.append(_image(wh._flat[rng.randrange(wh.order)], fixed))
+        out.append(_image(rng.choice(flats), fixed))
     out += [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)]
     return out
 
 
 class TestOrbitFilters:
     """``_in_orbit`` and ``_class_fixed_and_hits`` against a scan that
-    applies every matrix, on every folding row and the trivial folding."""
+    applies every built matrix, on every folding row and the trivial
+    folding."""
 
     @pytest.fixture(scope="class", params=FOLDINGS + [("A3", 1)],
                     ids=lambda p: f"{p[0]}/{p[1]}")
@@ -655,10 +641,11 @@ class TestOrbitFilters:
 
         rng = random.Random(19)
         wh = fwd.wh
+        flats = _all_flats(wh)
         groups = {"W_h": range(wh.order), "W": fwd.commutant}
         stabilised = rejected = 0
-        for v in _filter_test_vectors(fwd, rng):
-            images = [_image(f, v) for f in wh._flat]
+        for v in _filter_test_vectors(fwd, flats, rng):
+            images = [_image(f, v) for f in flats]
             stabilised += images.count(list(v)) > 1
             for _ in range(3):
                 w_v = images[rng.randrange(wh.order)]
@@ -667,28 +654,36 @@ class TestOrbitFilters:
                 for target in (w_v, shifted):
                     for name, indices in groups.items():
                         expected = any(images[i] == target for i in indices)
-                        got = _in_orbit([wh._keys[i] for i in indices],
-                                        [wh._flat[i] for i in indices], v, target)
+                        got = _in_orbit(wh, indices, v, target)
                         assert got == expected, (name, v, target)
                         # w passes the filter for the shifted target and is rejected
                         rejected += name == "W_h" and target is shifted and not expected
         assert stabilised and rejected
 
+    @staticmethod
+    def _row_differences(fwd, flats) -> list[tuple]:
+        """row_i(w) - row_perm(i)(w) for the least index i that a moves (or
+        0), read off the built matrices."""
+        perm, n = fwd.fd.aut.permutation, fwd.wh.dim
+        i = next((i for i, p in enumerate(perm) if p != i), 0)
+        return [tuple(f[i * n + j] - f[perm[i] * n + j] for j in range(n)) for f in flats]
+
     def test_class_fixed_and_hits_matches_scan(self, fwd):
-        from foldlie.weyl import _class_fixed_and_hits, _moved_row_differences
+        from foldlie.weyl import _class_fixed_and_hits
 
         rng = random.Random(20)
         wh, perm = fwd.wh, fwd.fd.aut.permutation
         n = wh.dim
-        diffs = _moved_row_differences(wh._flat, perm)
+        flats = _all_flats(wh)
+        diffs = self._row_differences(fwd, flats)
         passed_not_fixed = 0
-        for v in _filter_test_vectors(fwd, rng):
+        for v in _filter_test_vectors(fwd, flats, rng):
             av = [0] * n
             for i, p in enumerate(perm):
                 av[p] = v[i]
-            images = [_image(f, v) for f in wh._flat]
+            images = [_image(f, v) for f in flats]
             expected = (av in images, any(_fixed(perm, img) for img in images))
-            assert _class_fixed_and_hits(wh._keys, diffs, wh._flat, perm, v) == expected, v
+            assert _class_fixed_and_hits(wh, diffs, perm, v) == expected, v
             passed_not_fixed += sum(not sum(map(mul, d, v)) and not _fixed(perm, img)
                                     for d, img in zip(diffs, images))
         # one moved pair is the whole a-fixed condition only when a moves two
@@ -697,31 +692,30 @@ class TestOrbitFilters:
         assert bool(passed_not_fixed) == (moved > 2)
 
     def test_moved_row_differences(self, fwd):
-        from foldlie.weyl import _moved_row_differences
+        """The covectors w^T (e_i - e_perm(i)) that the quotient check
+        builds along the closure tree are the row differences of the built
+        matrices; for the all-ones covector they are the keys."""
+        wh, perm = fwd.wh, fwd.fd.aut.permutation
+        i = next((i for i, p in enumerate(perm) if p != i), 0)
+        difference = [0] * wh.dim
+        difference[i] += 1
+        difference[perm[i]] -= 1
+        assert wh.transposed_images(difference) == self._row_differences(fwd, _all_flats(wh))
+        assert wh.transposed_images((1,) * wh.dim) == wh._keys
 
-        perm, n = fwd.fd.aut.permutation, fwd.wh.dim
-        moved = [i for i, p in enumerate(perm) if p != i]
-        i = moved[0] if moved else 0
-        for f, d in zip(fwd.wh._flat, _moved_row_differences(fwd.wh._flat, perm)):
-            assert list(d) == [f[i * n + j] - f[perm[i] * n + j] for j in range(n)]
 
-
-def _key_groups(fwd) -> list:
-    from foldlie.weyl import commutant_fixed_subgroup
-
-    return [fwd.wh, commutant_fixed_subgroup(fwd.wh, fwd.fd.aut.permutation), fwd.folded]
 
 
 class TestStoredKeys:
     """The orbit filter reads key_w . v as rho . (w v): every stored key is
-    the column sums of its flat matrix.  Groups of at most 2,000 elements
+    the column sums of its built matrix.  Groups of at most 2,000 elements
     are checked whole, W(E6) and W(A7) on sampled elements."""
 
     @staticmethod
     def _check(group, indices):
         n = group.dim
-        for i in indices:
-            assert group._keys[i] == tuple(sum(group._flat[i][j::n]) for j in range(n)), i
+        for i, f in zip(indices, group.flat_matrices(indices)):
+            assert group._keys[i] == tuple(sum(f[j::n]) for j in range(n)), i
 
     @pytest.mark.parametrize("name", _types_under_budget(2000))
     def test_generated_groups(self, weyl_group, name):
@@ -731,7 +725,8 @@ class TestStoredKeys:
     @pytest.mark.parametrize("th,order", FOLDINGS + [("A3", 1), ("A7", 2), ("E6", 2)])
     def test_folding_groups(self, folding, th, order):
         rng = random.Random(21)
-        for group in _key_groups(folding(th, order)):
+        fwd = folding(th, order)
+        for group in (fwd.wh, fwd.folded):
             if group.order <= 2000:
                 self._check(group, range(group.order))
             else:
