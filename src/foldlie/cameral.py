@@ -1,7 +1,7 @@
 """Combinatorial cameral covers: monodromy representations of punctured
 surface groups into Weyl groups, Galois-cover geometry via Riemann-Hurwitz,
-induction along the folding embedding W in W_h, and the pushforward-sections
-rank checks.
+induction along the folding embedding W in W_h, the stalk check of the
+equivariant sections of the pushed-forward lattice, and its H^1 rank.
 
 A cover is its monodromy: the fiber is the Weyl group itself, deck
 transformations act by left translation and monodromy by right translation,
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 
+from . import kernel
 from .exactalg import RatMatrix, nullspace
 from .verify import Report
 from .weyl import FoldedWeylData, WeylGroup
@@ -52,8 +52,7 @@ def _relation_product(g: WeylGroup, handles, branches) -> int:
 
 def validate_monodromy(cm: CoverMonodromy) -> CoverMonodromy:
     """Check the surface-group relation prod [a_i, b_i] prod c_k = 1 exactly;
-    on failure the residual group element is reported.  For transversal
-    covers every branch image must be a reflection."""
+    on failure the residual group element is reported."""
     g = cm.group
     acc = _relation_product(g, cm.handle_images, cm.branch_images)
     if acc != g.identity_index():
@@ -62,11 +61,6 @@ def validate_monodromy(cm: CoverMonodromy) -> CoverMonodromy:
             f"{g.matrix(acc)!r}"
         )
     return cm
-
-
-def is_transversal(cm: CoverMonodromy) -> bool:
-    refl = set(cm.group.reflections())
-    return all(c in refl for c in cm.branch_images)
 
 
 @dataclass
@@ -248,17 +242,15 @@ def induced_components_isomorphic(cm: CoverMonodromy, induced: CoverMonodromy,
 
 
 def _fixed_space_basis(mats: list[RatMatrix]) -> list[tuple]:
-    """Basis of the common fixed space of a list of matrices."""
+    """Integer basis of the common fixed space of a list of matrices: each
+    nullspace vector as its primitive integer numerators."""
     if not mats:
         raise ValueError("empty generator list")
     d = mats[0].rows
-    if d == 0:
-        return []
     rows = []
     for m in mats:
-        delta = m - RatMatrix.identity(d)
-        rows.extend(delta.to_rows())
-    return [tuple(v.col(0)) for v in nullspace(RatMatrix.from_rows(rows))]
+        rows.extend((m - RatMatrix.identity(d)).to_rows())
+    return [tuple(v._integer_form()[0]) for v in nullspace(RatMatrix.from_rows(rows))]
 
 
 def _least_elements(label) -> list[int]:
@@ -270,132 +262,104 @@ def _least_elements(label) -> list[int]:
     return reps
 
 
-def section_value_tables(group: WeylGroup, local_monodromy: int | None,
-                         lattice_action: Mapping) -> tuple[list[int], list[list]]:
+def section_value_tables(fwd: FoldedWeylData,
+                         local_monodromy: int | None) -> tuple[list[int], list[list]]:
     """The fiber W/<c> over a point with local monodromy c (None: a generic
-    point, c = 1), and a basis of Hom_group(W/<c>, Lambda) as value tables.
-    The fiber is the coset label of each element, numbered by least element:
-    the orbits of right multiplication by c.  A table holds one lattice
-    vector per coset, in label order.
+    point, c = 1), and a basis of Hom_W(W/<c>, Lambda_h) as value tables,
+    W acting on the lattice Lambda_h of the homogeneous side through the
+    folding embedding.  The fiber is the coset label of each element,
+    numbered by least element: the orbits of right multiplication by c.  A
+    table holds one integer vector per coset, in label order.
 
     Left translation is transitive on W/<c>, and the coset <c> has
     stabilizer <c>.  So a section is a vector v fixed by c, with value t v at
-    the coset t<c>, read at the coset's least element t."""
-    c = group.identity_index() if local_monodromy is None else local_monodromy
-    label = _orbit_labels(group.order, [group.right_multiplication_permutation(c)])
-    mats = [lattice_action[t] for t in _least_elements(label)]
-    return label, [[m.apply(v) for m in mats]
-                   for v in _fixed_space_basis([lattice_action[c]])]
-
-
-class _ElementMatrices(Mapping):
-    """Element index -> matrix, over a group's elements; each
-    :class:`RatMatrix` is built from its word when first read and kept for
-    the life of the mapping, as a check reads the same cosets' matrices at
-    every branch point."""
-
-    def __init__(self, group: WeylGroup):
-        self._group = group
-        self._built: dict = {}
-
-    def __getitem__(self, i) -> RatMatrix:
-        m = self._built.get(i)
-        if m is None:
-            if not 0 <= i < self._group.order:
-                raise KeyError(i)
-            m = self._built[i] = self._group.matrix(i)
-        return m
-
-    def __len__(self) -> int:
-        return self._group.order
-
-    def __iter__(self):
-        return iter(range(self._group.order))
-
-
-def own_lattice_action(group: WeylGroup) -> Mapping:
-    return _ElementMatrices(group)
-
-
-def embedded_lattice_action(fwd: FoldedWeylData) -> dict:
-    """The rank-r_h lattice of the homogeneous side, as a module over the
-    folded group via the embedding."""
-    n = fwd.wh.dim
-    flats = fwd.wh.flat_matrices([fwd.embed[i] for i in range(fwd.folded.order)])
-    return {i: RatMatrix.from_integers(n, n, f) for i, f in enumerate(flats)}
+    the coset t<c>, read at the coset's least element t.  The matrices of c
+    and of the least elements come from one :meth:`WeylGroup.flat_matrices`
+    call, so their ancestors are built once."""
+    folded, wh, embed = fwd.folded, fwd.wh, fwd.embed
+    c = folded.identity_index() if local_monodromy is None else local_monodromy
+    label = _orbit_labels(folded.order, [folded.right_multiplication_permutation(c)])
+    n = wh.dim
+    flat_c, *flats = wh.flat_matrices([embed[c], *(embed[t] for t in _least_elements(label))])
+    basis = _fixed_space_basis([RatMatrix.from_integers(n, n, flat_c)])
+    return label, [[tuple(kernel.mat_vec(f, v, n, n)) for f in flats] for v in basis]
 
 
 def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Report:
-    """Prop-level check: over a generic fiber and over every branch-point
-    type, the W_h-equivariant sections of the induced fiber with values in
-    Lambda_h and the W-equivariant sections of the original fiber with the
-    same values have equal rank, and restriction to the distinguished copy
-    (f -> f_1) is a bijection."""
+    """Stalk check of the pushed-forward lattice: over a generic point and
+    over each distinct local monodromy c, the value tables of
+    :func:`section_value_tables` are W-equivariant sections of W/<c> with
+    values in Lambda_h, and a basis of them.  One case per stalk, in which
+
+    * the value at the coset <c> is fixed by c (applied along its word);
+    * there are dim Lambda_h - rank(c - 1) tables, and they are independent;
+    * f(s p) = s f(p) for every folded generator s and every point p, with
+      s p by the group's left translate and s f(p) by the word of embed(s).
+
+    The W_h side holds by construction: by Frobenius reciprocity
+    Hom_{W_h}(W_h/<c>, Lambda_h) = Lambda_h^c = Hom_W(W/<c>, Lambda_h), and
+    restriction to the distinguished copy of W/<c> (f -> f_1) is that
+    bijection.  What can fail is the W-side sections themselves."""
     report = Report("pushforward-sections")
     validate_monodromy(cm)
-    wh, folded = fwd.wh, fwd.folded
-    act_h = own_lattice_action(wh)
-    act_w = embedded_lattice_action(fwd)
-
-    local_cases = [None] + sorted(set(cm.branch_images))
-    for c in local_cases:
+    wh, folded, embed = fwd.wh, fwd.folded, fwd.embed
+    ident = folded.identity_index()
+    gens = [folded.index_of(g) for g in folded.generators]
+    eye = RatMatrix.identity(wh.dim)
+    for c in [None, *sorted(set(cm.branch_images))]:
         report.cases_run += 1
-        ch = None if c is None else fwd.embed[c]
-        label_w, tables_w = section_value_tables(folded, c, act_w)
-        label_h, tables_h = section_value_tables(wh, ch, act_h)
         where = f"fiber at local monodromy {c}"
-        if len(tables_w) != len(tables_h):
-            report.fail(where, "equal ranks", f"W: {len(tables_w)}, W_h: {len(tables_h)}")
-            continue
-        # the embedding of fiber points: the W-coset of w -> the W_h-coset
-        # of embed(w)
-        point_map = [label_h[fwd.embed[t]] for t in _least_elements(label_w)]
-        restricted = [[x for p in point_map for x in th[p]] for th in tables_h]
-        w_rows = [[x for value in tw for x in value] for tw in tables_w]
-        rank_w = RatMatrix.from_rows(w_rows).rank() if w_rows else 0
-        rank_restr = RatMatrix.from_rows(restricted).rank() if restricted else 0
-        rank_union = (
-            RatMatrix.from_rows(w_rows + restricted).rank() if w_rows + restricted else 0
-        )
-        if rank_w != len(tables_w):
-            report.fail(where, "independent W-section basis", f"rank {rank_w}")
-        if not (rank_restr == len(tables_h) == rank_w and rank_union == rank_w):
-            report.fail(where, "f -> f_1 a bijection onto the W-sections",
-                        f"restricted rank {rank_restr}, union rank {rank_union}")
+        label, tables = section_value_tables(fwd, c)
+        ch = embed[ident if c is None else c]
+        base = label[ident]
+        if any(wh.apply(ch, t[base]) != t[base] for t in tables):
+            report.fail(where, "value at <c> fixed by c", "a moved value")
+        fixed_dim = wh.dim - (wh.matrix(ch) - eye).rank()
+        rank = RatMatrix.from_rows([[x for v in t for x in v] for t in tables]).rank()
+        if not len(tables) == rank == fixed_dim:
+            report.fail(where, f"{fixed_dim} independent sections",
+                        f"{len(tables)} of rank {rank}")
+        reps = _least_elements(label)
+        for s in gens:
+            moved = [label[folded.multiply(s, t)] for t in reps]
+            if any(t[q] != wh.apply(embed[s], t[p]) for t in tables
+                   for p, q in enumerate(moved)):
+                report.fail(where, f"sections equivariant under generator {s}",
+                            "f(s p) != s f(p)")
     return report
 
 
 # -- H^1 rank of the pushed-forward lattice ---------------------------------------------
 
 
-def monodromy_fixed_space(cm: CoverMonodromy, lattice_action: Mapping) -> list[tuple]:
+def monodromy_fixed_space(cm: CoverMonodromy) -> list[tuple]:
     """Basis of the lattice vectors fixed by the whole monodromy group: the
     common fixed space of the distinct images, which generate it.  The
     identity joins them, so that a cover without images fixes every vector."""
-    images = dict.fromkeys([cm.group.identity_index(), *cm.all_images()])
-    return _fixed_space_basis([lattice_action[i] for i in images])
+    g = cm.group
+    images = dict.fromkeys([g.identity_index(), *cm.all_images()])
+    return _fixed_space_basis([g.matrix(i) for i in images])
 
 
-def hitchin_fiber_rank(cm: CoverMonodromy, lattice_action: Mapping) -> int:
+def hitchin_fiber_rank(cm: CoverMonodromy) -> int:
     """rank H^1(Sigma, (p_* Lambda)^W) by the Euler characteristic of the
-    constructible sheaf of equivariant sections: the generic stalk has the
-    full lattice rank, the stalk at a branch point is the local-monodromy
-    fixed part.  H^0 (global invariants under the full monodromy group) must
-    vanish, otherwise the computation needs a correction term and errors
-    out."""
+    constructible sheaf of equivariant sections, W acting on its own
+    lattice: the generic stalk has the full lattice rank, the stalk at a
+    branch point is the local-monodromy fixed part, taken once per distinct
+    branch image.  H^0 (global invariants under the full monodromy group)
+    must vanish, otherwise the computation needs a correction term and
+    errors out."""
     validate_monodromy(cm)
-    h0 = len(monodromy_fixed_space(cm, lattice_action))
+    h0 = len(monodromy_fixed_space(cm))
     if h0 != 0:
         raise ValueError(
             f"H^0 is nonzero (rank {h0}); the Euler-characteristic formula "
             "does not directly give rank H^1"
         )
-    d = lattice_action[cm.group.identity_index()].rows
-    rank0 = d
-    chi = (2 - 2 * cm.base_genus) * rank0
-    for c in cm.branch_images:
-        rank_c = len(_fixed_space_basis([lattice_action[c]]))
-        chi -= rank0 - rank_c
+    g = cm.group
+    chi = (2 - 2 * cm.base_genus) * g.dim
+    for c, times in Counter(cm.branch_images).items():
+        chi -= times * (g.dim - len(_fixed_space_basis([g.matrix(c)])))
     return -chi
 
 

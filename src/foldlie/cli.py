@@ -296,7 +296,7 @@ def cmd_cameral(args) -> int:
     ind = cam.induce_cover(cm, fwd)
     geo = cam.cover_geometry(cm)
     geo_h = cam.cover_geometry(ind)
-    rank = cam.hitchin_fiber_rank(cm, cam.own_lattice_action(fwd.folded))
+    rank = cam.hitchin_fiber_rank(cm)
     payload = {
         "type": args.type,
         "genus": args.genus,

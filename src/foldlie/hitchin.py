@@ -133,27 +133,6 @@ def isogeny_dimensions(fd: FoldingDatum, g: int) -> IsogenyDims:
 # -- branch-count bookkeeping for transversal cameral covers ----------------------------
 
 
-def transversal_branch_counts(t: DynkinType | str, g: int) -> dict:
-    """Wall-crossing counts of a transversal Hitchin section, per root-length
-    class: each class contributes |class| * (2g - 2) branch points (the class
-    discriminant is a W-invariant of degree |class|).  The total |R|(2g-2)
-    is exactly the count that makes rank H^1((p_* Lambda)^W) = 2 dim B."""
-    from .rootsys import build_root_system
-
-    if isinstance(t, str):
-        t = DynkinType.parse(t)
-    rs = build_root_system(t)
-    by_length: dict = {}
-    for r in rs.all_roots:
-        key = rs.inner(r, r)
-        by_length[key] = by_length.get(key, 0) + 1
-    lengths = sorted(by_length)
-    out = {}
-    for i, key in enumerate(lengths):
-        out[i + 1 if len(lengths) > 1 else 1] = by_length[key] * (2 * g - 2)
-    return {"total": (2 * g - 2) * len(rs.all_roots), "by_class": out}
-
-
 def folded_branch_spec(g: int) -> dict:
     """Branch counts for the folded C2 cover keyed by h-side orbit size:
     short folded roots (orbit size 2) and long ones (orbit size 1) each form

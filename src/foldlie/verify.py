@@ -353,7 +353,6 @@ def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Report:
     rng = random.Random(seed)
     fd = rs.folding_datum("A3", 2)
     fwd = weyl.folding_weyl_data(fd)
-    W = fwd.folded
     for g in genera:
         spec = cam.transversal_branch_spec(fwd, g)
         for _ in range(samples):
@@ -373,10 +372,10 @@ def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Report:
         ind = cam.induce_cover(cm, fwd)
         rep.absorb(cam.induced_components_isomorphic(cm, ind, fwd))
         rep.absorb(cam.pushforward_sections_check(cm, fwd))
-        rank = cam.hitchin_fiber_rank(cm, cam.own_lattice_action(W))
+        rank = cam.hitchin_fiber_rank(cm)
         rep.case("hitchin_fiber_rank", rank == 2 * dim_base("C2", g).total,
                  2 * dim_base("C2", g).total, rank, f"g={g}")
-        rank_h = cam.hitchin_fiber_rank(ind, cam.own_lattice_action(fwd.wh))
+        rank_h = cam.hitchin_fiber_rank(ind)
         rep.case("induced fiber rank", rank_h == 2 * dim_base("A3", g).total,
                  2 * dim_base("A3", g).total, rank_h, f"g={g}")
     rep.elapsed = time.perf_counter() - t0

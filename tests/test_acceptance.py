@@ -199,7 +199,7 @@ def test_criterion_10_dimension_bookkeeping():
 @tracked(11, 10.0)
 def test_criterion_11_cochar_crosscheck():
     from foldlie.cameral import (hitchin_fiber_rank, induce_cover,
-                                 own_lattice_action, random_transversal_monodromy)
+                                 random_transversal_monodromy)
     from foldlie.hitchin import dim_base, folded_branch_spec
     from foldlie.rootsys import folding_datum
     from foldlie.weyl import folding_weyl_data
@@ -207,10 +207,10 @@ def test_criterion_11_cochar_crosscheck():
     fwd = folding_weyl_data(folding_datum("A3", 2))
     rng = random.Random(42)
     cm = random_transversal_monodromy(fwd, 2, folded_branch_spec(2), rng)
-    rank = hitchin_fiber_rank(cm, own_lattice_action(fwd.folded))
+    rank = hitchin_fiber_rank(cm)
     assert rank == 20 == 2 * dim_base("C2", 2).total
     ind = induce_cover(cm, fwd)
-    rank_h = hitchin_fiber_rank(ind, own_lattice_action(fwd.wh))
+    rank_h = hitchin_fiber_rank(ind)
     assert rank_h == 30 == 2 * dim_base("A3", 2).total
     # the folded computation exceeds the C2 one by twice the lost summand
     assert rank_h - rank == 2 * (dim_base("A3", 2).total - dim_base("C2", 2).total)

@@ -6,16 +6,15 @@ from foldlie.cameral import (
     CoverMonodromy,
     _relation_product,
     cover_geometry,
-    embedded_lattice_action,
     hitchin_fiber_rank,
     induce_cover,
     induced_components_isomorphic,
-    is_transversal,
+    monodromy_fixed_space,
     monodromy_subgroup,
-    own_lattice_action,
     pushforward_sections_check,
     random_transversal_monodromy,
     reflection_length_classes,
+    section_value_tables,
     transversal_branch_spec,
     validate_monodromy,
 )
@@ -56,7 +55,7 @@ class TestValidate:
         rng = random.Random(6)
         cm = random_transversal_monodromy(fwd_a3, 2, folded_branch_spec(2), rng)
         validate_monodromy(cm)
-        assert is_transversal(cm)
+        assert set(cm.branch_images) <= set(fwd_a3.folded.reflections())
 
     def test_handle_count_enforced(self, wc2):
         with pytest.raises(ValueError):
@@ -237,7 +236,8 @@ class TestPushforward:
         assert rep.passed
         assert rep.cases_run >= 3  # generic + both reflection classes
 
-    @pytest.mark.parametrize("hom,order", [("D4", 2), ("D4", 3), ("A5", 2)])
+    @pytest.mark.parametrize("hom,order", [
+        ("D4", 2), ("D4", 3), ("A5", 2), ("D5", 2), ("A7", 2), ("E6", 2)])
     def test_ranks_and_bijection_larger_foldings(self, folding, hom, order):
         fwd = folding(hom, order)
         cm = random_transversal_monodromy(fwd, 2, transversal_branch_spec(fwd, 2),
@@ -246,61 +246,80 @@ class TestPushforward:
         assert rep.passed, rep.failures
         assert rep.cases_run == 1 + len(set(cm.branch_images))
 
+    @pytest.mark.parametrize("mutation", ["identity fixed space", "constant table"])
+    @pytest.mark.parametrize("hom,order", [("A3", 2), ("D4", 3)])
+    def test_faulty_sections_fail_the_report(self, folding, monkeypatch, hom, order,
+                                             mutation):
+        """Sections built on the identity's fixed space in place of c's, or
+        tables with one value at every coset, fail the report itself."""
+        import foldlie.cameral as cam
+        from foldlie.exactalg import RatMatrix
+
+        if mutation == "identity fixed space":
+            basis = cam._fixed_space_basis
+            monkeypatch.setattr(cam, "_fixed_space_basis", lambda mats: basis(
+                [RatMatrix.identity(mats[0].rows)]))
+        else:
+            tables = cam.section_value_tables
+
+            def constant(fwd, c):
+                label, found = tables(fwd, c)
+                return label, [[t[0]] * len(t) for t in found]
+
+            monkeypatch.setattr(cam, "section_value_tables", constant)
+        fwd = folding(hom, order)
+        cm = random_transversal_monodromy(fwd, 2, transversal_branch_spec(fwd, 2),
+                                          random.Random(19))
+        rep = pushforward_sections_check(cm, fwd)
+        assert not rep.passed
+        assert rep.cases_run == 1 + len(set(cm.branch_images))
+
     @pytest.mark.parametrize("hom,order", [("A3", 2), ("D4", 3)])
     def test_section_tables_are_equivariant(self, folding, hom, order):
-        """On the W- and W_h-fibers of the generic point and of every local
-        case: f(s p) = s f(p) for every generator s and every point p, the
-        tables are independent, and there are dim Lambda^c of them."""
-        from foldlie.cameral import section_value_tables
+        """On the fiber of the generic point and of every local case:
+        f(s p) = s f(p) for every generator s and every point p, with s
+        acting by its matrix, the tables are independent, and there are
+        dim Lambda_h^c of them."""
         from foldlie.exactalg import RatMatrix
 
         fwd = folding(hom, order)
+        group, wh = fwd.folded, fwd.wh
         cm = random_transversal_monodromy(fwd, 2, transversal_branch_spec(fwd, 2),
                                           random.Random(59))
-        cases = [None, *sorted(set(cm.branch_images))]
-        sides = [(fwd.folded, embedded_lattice_action(fwd), cases),
-                 (fwd.wh, own_lattice_action(fwd.wh),
-                  [None if c is None else fwd.embed[c] for c in cases])]
-        for group, action, local in sides:
-            gens = {s: action[s] for s in map(group.index_of, group.generators)}
-            for c in local:
-                label, tables = section_value_tables(group, c, action)
-                m = action[group.identity_index() if c is None else c]
-                fixed_dim = m.rows - (m - RatMatrix.identity(m.rows)).rank()
-                assert len(tables) == fixed_dim
-                assert RatMatrix.from_rows(
-                    [[x for value in t for x in value] for t in tables]).rank() == fixed_dim
-                for table in tables:
-                    assert len(table) == max(label) + 1
-                    for s, ms in gens.items():
-                        for w in range(group.order):
-                            assert table[label[group.multiply(s, w)]] == \
-                                ms.apply(table[label[w]]), (c, s, w)
+        gens = {s: wh.matrix(fwd.embed[s]) for s in map(group.index_of, group.generators)}
+        for c in [None, *sorted(set(cm.branch_images))]:
+            label, tables = section_value_tables(fwd, c)
+            m = wh.matrix(fwd.embed[group.identity_index() if c is None else c])
+            fixed_dim = m.rows - (m - RatMatrix.identity(m.rows)).rank()
+            assert len(tables) == fixed_dim
+            assert RatMatrix.from_rows(
+                [[x for value in t for x in value] for t in tables]).rank() == fixed_dim
+            for table in tables:
+                assert len(table) == max(label) + 1
+                for s, ms in gens.items():
+                    for w in range(group.order):
+                        assert table[label[group.multiply(s, w)]] == \
+                            ms.apply(table[label[w]]), (c, s, w)
 
     def test_generic_fiber_ranks(self, fwd_a3):
-        from foldlie.cameral import section_value_tables
-
-        act_w = embedded_lattice_action(fwd_a3)
-        act_h = own_lattice_action(fwd_a3.wh)
-        assert len(section_value_tables(fwd_a3.folded, None, act_w)[1]) == 3
-        assert len(section_value_tables(fwd_a3.wh, None, act_h)[1]) == 3
+        assert len(section_value_tables(fwd_a3, None)[1]) == 3
 
 
-def _whole_subgroup_fixed_space(cm, action) -> list:
+def _whole_subgroup_fixed_space(cm) -> list:
     """H^0 over every element of the monodromy subgroup: the reference for
     the fixed space of the distinct images."""
     from foldlie.cameral import _fixed_space_basis
 
-    return _fixed_space_basis([action[i] for i in sorted(monodromy_subgroup(cm))])
+    return _fixed_space_basis([cm.group.matrix(i) for i in sorted(monodromy_subgroup(cm))])
 
 
-def _reference_fiber_rank(cm, action) -> int:
+def _reference_fiber_rank(cm) -> int:
     from foldlie.cameral import _fixed_space_basis
 
-    assert not _whole_subgroup_fixed_space(cm, action)
-    d = action[cm.group.identity_index()].rows
+    assert not _whole_subgroup_fixed_space(cm)
+    d = cm.group.dim
     return -(2 - 2 * cm.base_genus) * d + sum(
-        d - len(_fixed_space_basis([action[c]])) for c in cm.branch_images)
+        d - len(_fixed_space_basis([cm.group.matrix(c)])) for c in cm.branch_images)
 
 
 class TestMonodromyFixedSpace:
@@ -309,34 +328,26 @@ class TestMonodromyFixedSpace:
 
     @pytest.mark.parametrize("hom", ["A3", "D4"])
     def test_matches_whole_subgroup(self, folding, hom):
-        from foldlie.cameral import monodromy_fixed_space
-
         fwd = folding(hom, 2)
         rng = random.Random(47)
         for g in (2, 3):
             cm = random_transversal_monodromy(fwd, g, transversal_branch_spec(fwd, g), rng)
-            ind = induce_cover(cm, fwd)
-            for cover, group in ((cm, fwd.folded), (ind, fwd.wh)):
-                action = own_lattice_action(group)
-                assert monodromy_fixed_space(cover, action) == \
-                    _whole_subgroup_fixed_space(cover, action) == []
-                assert hitchin_fiber_rank(cover, action) == _reference_fiber_rank(cover, action)
+            for cover in (cm, induce_cover(cm, fwd)):
+                assert monodromy_fixed_space(cover) == _whole_subgroup_fixed_space(cover) == []
+                assert hitchin_fiber_rank(cover) == _reference_fiber_rank(cover)
 
     @pytest.mark.parametrize("hom", ["A3", "D4"])
     def test_proper_subgroup_fixes_a_hyperplane(self, folding, hom):
-        from foldlie.cameral import monodromy_fixed_space
-
         fwd = folding(hom, 2)
         group = fwd.folded
         ident, r = group.identity_index(), group.reflections()[0]
-        action = own_lattice_action(group)
         for cm in (CoverMonodromy(group, 1, [ident, ident], [r, r]),
                    CoverMonodromy(group, 0, [], [])):
-            basis = monodromy_fixed_space(cm, action)
-            assert basis == _whole_subgroup_fixed_space(cm, action)
+            basis = monodromy_fixed_space(cm)
+            assert basis == _whole_subgroup_fixed_space(cm)
             assert len(basis) == group.dim - len(set(cm.branch_images))
             with pytest.raises(ValueError, match="H\\^0"):
-                hitchin_fiber_rank(cm, action)
+                hitchin_fiber_rank(cm)
 
     def test_rank_builds_only_the_matrices_it_reads(self, folding, monkeypatch):
         """Sampling reads the reflections' matrices, so the cover is sampled
@@ -356,11 +367,7 @@ class TestMonodromyFixedSpace:
             return matrix(g, i)
 
         monkeypatch.setattr(WeylGroup, "matrix", counted)
-        action = own_lattice_action(group)
-        assert len(action) == group.order and list(action) == list(range(group.order))
-        with pytest.raises(KeyError):
-            action[group.order]
-        assert hitchin_fiber_rank(fresh, action) == 2 * dim_base(str(group.dtype), 2).total
+        assert hitchin_fiber_rank(fresh) == 2 * dim_base(str(group.dtype), 2).total
         assert built == {group.identity_index(), *cm.all_images()}
 
 
@@ -369,28 +376,18 @@ class TestFiberRank:
         rng = random.Random(23)
         for g in (2, 3):
             cm = random_transversal_monodromy(fwd_a3, g, folded_branch_spec(g), rng)
-            rank = hitchin_fiber_rank(cm, own_lattice_action(fwd_a3.folded))
-            assert rank == 2 * dim_base("C2", g).total
+            assert hitchin_fiber_rank(cm) == 2 * dim_base("C2", g).total
 
     def test_induced_rank(self, fwd_a3):
         rng = random.Random(29)
         cm = random_transversal_monodromy(fwd_a3, 2, folded_branch_spec(2), rng)
-        ind = induce_cover(cm, fwd_a3)
-        rank_h = hitchin_fiber_rank(ind, own_lattice_action(fwd_a3.wh))
+        rank_h = hitchin_fiber_rank(induce_cover(cm, fwd_a3))
         assert rank_h == 2 * dim_base("A3", 2).total
 
     def test_nonvanishing_h0_rejected(self, wc2):
         cm = CoverMonodromy(wc2, 2, [wc2.identity_index()] * 4, [])
         with pytest.raises(ValueError, match="H\\^0"):
-            hitchin_fiber_rank(cm, own_lattice_action(wc2))
-
-    def test_trivial_lattice(self, fwd_a3):
-        from foldlie.exactalg import RatMatrix
-
-        rng = random.Random(31)
-        cm = random_transversal_monodromy(fwd_a3, 2, folded_branch_spec(2), rng)
-        zero_action = {i: RatMatrix(0, 0, []) for i in range(fwd_a3.folded.order)}
-        assert hitchin_fiber_rank(cm, zero_action) == 0
+            hitchin_fiber_rank(cm)
 
 
 class TestSampling:
@@ -424,8 +421,7 @@ class TestDerivedBranchSpec:
             spec = transversal_branch_spec(fwd, g)
             cm = random_transversal_monodromy(fwd, g, spec, rng)
             assert len(cm.branch_images) == (2 * g - 2) * 2 * len(fwd.reflection_products)
-            rank = hitchin_fiber_rank(cm, own_lattice_action(fwd.folded))
-            assert rank == 2 * dim_base(folded, g).total, (hom, g)
+            assert hitchin_fiber_rank(cm) == 2 * dim_base(folded, g).total, (hom, g)
 
 
 class TestInducedCoverCommand:

@@ -7,7 +7,6 @@ from foldlie.hitchin import (
     h0_canonical_power,
     invariant_degrees,
     isogeny_dimensions,
-    transversal_branch_counts,
 )
 from foldlie.rootsys import folding_datum
 
@@ -159,14 +158,15 @@ def fiber_dim_from(iso):
 
 
 class TestBranchCounts:
-    def test_c2(self):
-        out = transversal_branch_counts("C2", 2)
-        assert out["total"] == 16
-        assert sorted(out["by_class"].values()) == [8, 8]
+    def test_total_matches_rank_identity(self, folding):
+        # (2g-2) rank + total = 2 dim B of the folded group, the branch
+        # counts derived from the folding
+        from foldlie.cameral import transversal_branch_spec
 
-    def test_total_matches_rank_identity(self):
-        # (2g-2) rank + total = 2 dim B
-        for name, rank in (("C2", 2), ("A3", 3), ("G2", 2)):
+        for hom, order, name in (("A3", 2, "C2"), ("D4", 3, "G2"), ("A5", 2, "C3"),
+                                 ("D4", 2, "B3")):
+            fwd = folding(hom, order)
+            assert str(fwd.folded.dtype) == name
             for g in (2, 3):
-                total = transversal_branch_counts(name, g)["total"]
-                assert (2 * g - 2) * rank + total == 2 * dim_base(name, g).total
+                total = sum(transversal_branch_spec(fwd, g).values())
+                assert (2 * g - 2) * fwd.folded.dim + total == 2 * dim_base(name, g).total
