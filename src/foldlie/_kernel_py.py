@@ -179,8 +179,3 @@ def charpoly_generic(entries, n, one):
                     acc = acc + x * m[t * n + j]
                 am[i * n + j] = acc
     return coeffs
-
-
-def entries_common_denominator(entries):
-    """lcm of the denominators of a list of Fractions (ints allowed)."""
-    return lcm(*(x.denominator for x in entries))

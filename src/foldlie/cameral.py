@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import kernel
 from .exactalg import RatMatrix, nullspace
 from .verify import Report
-from .weyl import FoldedWeylData, WeylGroup
+from .weyl import FoldedWeylData, WeylGroup, _orbit_labels
 
 
 @dataclass
@@ -80,39 +80,11 @@ def _image_permutations(cm: CoverMonodromy) -> dict:
 
 def monodromy_subgroup(cm: CoverMonodromy) -> set:
     """Element indices of the subgroup generated by all monodromy images: the
-    identity closed under right multiplication by each distinct image.  The
-    group is finite, so no inverses are needed."""
-    perms = list(_image_permutations(cm).values())
-    ident = cm.group.identity_index()
-    sub = {ident}
-    frontier = [ident]
-    for x in frontier:
-        for p in perms:
-            y = p[x]
-            if y not in sub:
-                sub.add(y)
-                frontier.append(y)
-    return sub
-
-
-def _orbit_labels(n: int, perms) -> list[int]:
-    """Orbit label of each of range(n) under the permutations, numbered by
-    least element: one breadth-first search."""
-    label = [-1] * n
-    count = 0
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        label[start] = count
-        orbit = [start]
-        for x in orbit:
-            for p in perms:
-                y = p[x]
-                if label[y] < 0:
-                    label[y] = count
-                    orbit.append(y)
-        count += 1
-    return label
+    orbit of the identity under right multiplication by each distinct image.
+    The group is finite, so no inverses are needed."""
+    label = _orbit_labels(cm.group.order, list(_image_permutations(cm).values()))
+    own = label[cm.group.identity_index()]
+    return {w for w, k in enumerate(label) if k == own}
 
 
 def _cycle_profile(perm, label, count: int) -> tuple:
@@ -332,34 +304,31 @@ def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Repor
 # -- H^1 rank of the pushed-forward lattice ---------------------------------------------
 
 
-def monodromy_fixed_space(cm: CoverMonodromy) -> list[tuple]:
-    """Basis of the lattice vectors fixed by the whole monodromy group: the
-    common fixed space of the distinct images, which generate it.  The
-    identity joins them, so that a cover without images fixes every vector."""
-    g = cm.group
-    images = dict.fromkeys([g.identity_index(), *cm.all_images()])
-    return _fixed_space_basis([g.matrix(i) for i in images])
-
-
 def hitchin_fiber_rank(cm: CoverMonodromy) -> int:
     """rank H^1(Sigma, (p_* Lambda)^W) by the Euler characteristic of the
     constructible sheaf of equivariant sections, W acting on its own
     lattice: the generic stalk has the full lattice rank, the stalk at a
     branch point is the local-monodromy fixed part, taken once per distinct
-    branch image.  H^0 (global invariants under the full monodromy group)
+    branch image.  H^0 (global invariants under the full monodromy group:
+    the common fixed space of the distinct images, which generate it, and
+    of the identity, so that a cover without images fixes every vector)
     must vanish, otherwise the computation needs a correction term and
-    errors out."""
+    errors out.  The matrices of the distinct images come from one
+    :meth:`WeylGroup.flat_matrices` call and serve both."""
     validate_monodromy(cm)
-    h0 = len(monodromy_fixed_space(cm))
+    g = cm.group
+    images = list(dict.fromkeys([g.identity_index(), *cm.all_images()]))
+    matrices = {i: RatMatrix.from_integers(g.dim, g.dim, f)
+                for i, f in zip(images, g.flat_matrices(images))}
+    h0 = len(_fixed_space_basis(list(matrices.values())))
     if h0 != 0:
         raise ValueError(
             f"H^0 is nonzero (rank {h0}); the Euler-characteristic formula "
             "does not directly give rank H^1"
         )
-    g = cm.group
     chi = (2 - 2 * cm.base_genus) * g.dim
     for c, times in Counter(cm.branch_images).items():
-        chi -= times * (g.dim - len(_fixed_space_basis([g.matrix(c)])))
+        chi -= times * (g.dim - len(_fixed_space_basis([matrices[c]])))
     return -chi
 
 
@@ -386,13 +355,12 @@ def transversal_branch_spec(fwd: FoldedWeylData, genus: int) -> dict:
 
 
 def random_transversal_monodromy(fwd: FoldedWeylData, genus: int,
-                                 branch_spec, rng: random.Random,
-                                 require_full: bool = True) -> CoverMonodromy:
+                                 branch_spec, rng: random.Random) -> CoverMonodromy:
     """Random transversal monodromy data: reflections per the prescribed
     class counts, the last one corrected so the surface-group relation
     holds; resampled until the correction is a reflection of the right class
-    and (for covers of connected cameral curves) the images generate the
-    whole Weyl group."""
+    and the images generate the whole Weyl group (a connected cameral
+    curve)."""
     folded = fwd.folded
     classes = reflection_length_classes(fwd)
     pools = []
@@ -409,7 +377,7 @@ def random_transversal_monodromy(fwd: FoldedWeylData, genus: int,
         if last not in classes[pools[-1]]:
             continue
         cm = CoverMonodromy(folded, genus, handles, branches + [last])
-        if require_full and len(monodromy_subgroup(cm)) != folded.order:
+        if len(monodromy_subgroup(cm)) != folded.order:
             continue
         return cm
     raise RuntimeError("failed to sample transversal monodromy data")

@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_threefold)
 
     c = sub.add_parser("cameral", help="random transversal cameral cover and folding")
-    c.add_argument("induce", nargs="?", default="induce")
+    c.add_argument("induce", nargs="?", choices=["induce"], default="induce")
     c.add_argument("--type", type=_bounded_rank, default="A3")
     c.add_argument("--order", type=int, default=2)
     c.add_argument("--genus", type=_bounded_genus, default=2,

@@ -36,12 +36,18 @@ def _frac(x) -> Fraction:
 def _integer_vector(values):
     """``(numerators, d)`` with ``values[i] == numerators[i] / d``, where d is
     the lcm of the denominators; None if a value is not an int or Fraction.
+    A vector of ints comes back as a tuple of itself, over 1.
 
     This form is canonical: d > 0 and no factor is common to d and every
     numerator."""
+    for x in values:
+        if x.__class__ is not int:
+            break
+    else:
+        return tuple(values), 1
     if not all(isinstance(x, (int, Fraction)) for x in values):
         return None
-    d = kernel.entries_common_denominator(values)
+    d = lcm(*[x.denominator for x in values])
     if d == 1:
         return tuple(x.numerator for x in values), 1
     return tuple(x.numerator * (d // x.denominator) for x in values), d
@@ -138,11 +144,6 @@ class RatMatrix:
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
         return _from_ints(rows, cols, (0,) * (rows * cols), 1)
-
-    @staticmethod
-    def column(values: Sequence) -> "RatMatrix":
-        vals = list(values)
-        return RatMatrix(len(vals), 1, vals)
 
     @staticmethod
     def diagonal(values: Sequence) -> "RatMatrix":
@@ -320,12 +321,6 @@ class RatMatrix:
             raise ValueError("matrix is singular")
         return _from_ints(n, n, _right_block(red, n, n), den)
 
-    def det(self):
-        """(-1)^n times the constant coefficient of the characteristic
-        polynomial; exact, possibly symbolic."""
-        c = char_poly_coefficients(self)[-1]
-        return -c if self.rows % 2 else c
-
     # -- dunder plumbing ----------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix) or (self.rows, self.cols) != (other.rows, other.cols):
@@ -380,9 +375,8 @@ class MultiPoly:
     denominator and every numerator, so equal polynomials have equal
     storage (the form :class:`RatMatrix` uses).  Ring operations, ``diff``,
     ``with_variables``, ``reduce_square`` and ``substitute`` run on these
-    ints and bring each result to canonical form once; ``terms``,
-    :meth:`coefficient`, :meth:`constant_value` and :meth:`evaluate` hand
-    out Fractions.
+    ints and bring each result to canonical form once; ``terms`` and
+    :meth:`evaluate` hand out Fractions.
 
     The variable order is fixed at construction; mixing polynomials with
     different variable tuples raises instead of silently merging symbol
@@ -442,11 +436,6 @@ class MultiPoly:
         e[vs.index(name)] = 1
         return _poly(vs, {tuple(e): 1})
 
-    @staticmethod
-    def variables_of(names: Sequence[str]) -> list["MultiPoly"]:
-        vs = tuple(names)
-        return [MultiPoly.var(vs, n) for n in vs]
-
     # -- access -------------------------------------------------------------
     @property
     def terms(self) -> dict:
@@ -465,17 +454,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self._nums)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.coefficient((0,) * len(self.variables))
-
-    def coefficient(self, exps: tuple) -> Fraction:
-        return Fraction(self._nums.get(tuple(exps), 0), self._den)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._nums), default=0)
 
     def depends_on(self, name: str) -> bool:
         i = self.variables.index(name)
@@ -800,7 +778,7 @@ def char_poly_coefficients(m: RatMatrix) -> list:
     """Coefficients [c_0=1, c_1, ..., c_n] of det(x*I - m) ordered from x^n
     down to x^0.  Entries may be Fractions or MultiPoly values."""
     if not m.is_square:
-        raise ValueError("char_poly of a non-square matrix")
+        raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
     form = m._integer_form()
     if form is None:
@@ -813,49 +791,18 @@ def char_poly_coefficients(m: RatMatrix) -> list:
     return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
 
-def char_poly(m: RatMatrix, variable: str = "x") -> MultiPoly:
-    """Monic characteristic polynomial det(x*I - m), exact.
-
-    A rational matrix N/d goes to the integer kernel as N, which reads the
-    coefficients of N off one integer determinant, and c_k is divided by
-    d^k; matrices with polynomial entries use the generic recursion (the
-    indeterminate is renamed with trailing underscores if it collides with
-    an entry variable).
-    """
-    n = m.rows if m.is_square else None
-    coeffs = char_poly_coefficients(m)
-    if all(isinstance(c, Fraction) for c in coeffs):
-        return MultiPoly((variable,), {(n - k,): c for k, c in enumerate(coeffs)})
-    base = next(c for c in coeffs if isinstance(c, MultiPoly)).variables
-    lam = variable
-    while lam in base:
-        lam += "_"
-    vs = base + (lam,)
-    x = MultiPoly.var(vs, lam)
-    acc = MultiPoly.zero(vs)
-    for k, c in enumerate(coeffs):
-        cp = c.with_variables(vs) if isinstance(c, MultiPoly) else MultiPoly.const(vs, c)
-        acc = acc + cp * x ** (n - k)
-    return acc
-
-
 def exterior_traces(m: RatMatrix, ks: Sequence[int]) -> tuple:
     """tr(Lambda^k m) for every k in ``ks``, from one characteristic
     polynomial: e_k(eigenvalues) is (-1)^k times the coefficient of x^(n-k);
     exact, possibly symbolic."""
     if not m.is_square:
-        raise ValueError("exterior_trace of a non-square matrix")
+        raise ValueError("exterior_traces of a non-square matrix")
     n = m.rows
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"exterior power degree {k} out of range 1..{n}")
     coeffs = char_poly_coefficients(m)
     return tuple(-coeffs[k] if k % 2 else coeffs[k] for k in ks)
-
-
-def exterior_trace(m: RatMatrix, k: int):
-    """tr(Lambda^k m); see :func:`exterior_traces`."""
-    return exterior_traces(m, (k,))[0]
 
 
 class SpanSolver:

@@ -25,25 +25,12 @@ from itertools import combinations, permutations, product
 from math import prod
 
 from . import kernel
-from .exactalg import MultiPoly, RatMatrix, SpanSolver, _integer_vector, char_poly_coefficients
+from .exactalg import MultiPoly, RatMatrix, SpanSolver, _integer_vector
 from .rootsys import DynkinType, FoldingDatum
 
 
 def var_names(prefix: str, n: int) -> tuple:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
-
-
-def esym(names, k: int) -> MultiPoly:
-    """Elementary symmetric polynomial e_k."""
-    names = tuple(names)
-    n = len(names)
-    terms = {}
-    for subset in combinations(range(n), k):
-        e = [0] * n
-        for i in subset:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return MultiPoly.from_integers(names, terms)
 
 
 def esym_squares(names, k: int) -> MultiPoly:
@@ -99,38 +86,6 @@ def compose_linear(poly: MultiPoly, matrix: RatMatrix, new_names) -> MultiPoly:
 
 
 # -- A and D series closed forms --------------------------------------------------
-
-
-def a_flip_action_signs(n_vars: int) -> dict:
-    """Action of the A-series flip (t_i -> -t_{N+1-i}) on e_k, verified
-    symbolically: returns {k: sign} with e_k o a = sign * e_k."""
-    names = var_names("t", n_vars)
-    perm = tuple(n_vars - 1 - i for i in range(n_vars))
-    signs = (-1,) * n_vars
-    out = {}
-    for k in range(1, n_vars + 1):
-        ek = esym(names, k)
-        image = signed_perm_apply(ek, perm, signs)
-        if image == ek:
-            out[k] = 1
-        elif image == -ek:
-            out[k] = -1
-        else:
-            raise AssertionError(f"e_{k} is not a flip eigenvector")
-    return out
-
-
-def a_restriction_to_fixed_cartan(n_vars: int, k: int) -> MultiPoly:
-    """e_k restricted to the fixed Cartan diag(u_1..u_n, -u_n..-u_1)."""
-    assert n_vars % 2 == 0
-    half = n_vars // 2
-    names = var_names("t", n_vars)
-    unames = var_names("u", half)
-    mapping = {}
-    for i in range(half):
-        mapping[names[i]] = MultiPoly.var(unames, unames[i])
-        mapping[names[n_vars - 1 - i]] = -MultiPoly.var(unames, unames[i])
-    return esym(names, k).substitute(mapping, target_variables=unames)
 
 
 def d_flip_action_signs(n_vars: int) -> dict:
@@ -399,45 +354,6 @@ def d4_fixed_cartan_basis() -> list[tuple]:
 # -- Molien series ---------------------------------------------------------------------
 
 
-def molien_dimensions(matrices, kmax: int) -> list[Fraction]:
-    """dim of the degree-k invariants, k = 0..kmax, as the coefficients of
-    the Molien series (1/|G|) sum_w 1/det(1 - q w).  Each matrix is a square
-    :class:`RatMatrix`; an integer one, such as ``WeylGroup.matrix(i)``,
-    goes to the integer kernel as it is."""
-    return _molien_series(((m, 1) for m in matrices), kmax)
-
-
-def _molien_series(weighted, kmax: int) -> list[Fraction]:
-    """The Molien coefficients of a group given as (matrix, multiplicity)
-    pairs: a matrix stands for that many elements with its characteristic
-    polynomial, such as a conjugacy class for its representative.
-
-    det(1 - q w) = 1 + c_1 q + ... + c_n q^n for the characteristic
-    polynomial x^n + c_1 x^(n-1) + ... + c_n of w, so 1/det(1 - q w) has
-    coefficients h_0 = 1, h_k = -sum_j c_j h_(k-j).  The pairs fill one
-    table from characteristic polynomial to element count, and each series
-    is expanded once.  For integer matrices everything is integer up to the
-    final division by |G|."""
-    counts: dict = {}
-    for m, times in weighted:
-        form = m._integer_form()
-        if form is not None and form[1] == 1:
-            c = kernel.charpoly_int(form[0], m.rows)
-        else:
-            c = char_poly_coefficients(m)
-        key = tuple(c)
-        counts[key] = counts.get(key, 0) + times
-    total = [0] * (kmax + 1)
-    for c, count in counts.items():
-        h = [1] + [0] * kmax
-        for k in range(1, kmax + 1):
-            h[k] = -sum(c[j] * h[k - j] for j in range(1, min(k, len(c) - 1) + 1))
-        for k in range(kmax + 1):
-            total[k] += count * h[k]
-    order = sum(counts.values())
-    return [Fraction(x) / order for x in total]
-
-
 def hilbert_series_coefficients(degrees, kmax: int) -> list[int]:
     """Coefficients of prod 1/(1 - q^d) up to q^kmax."""
     coeffs = [0] * (kmax + 1)
@@ -449,18 +365,38 @@ def hilbert_series_coefficients(degrees, kmax: int) -> list[int]:
 
 
 def molien_dimensions_by_class(weyl_group, kmax: int) -> list[Fraction]:
-    """:func:`molien_dimensions` of an enumerated group from one integer
-    characteristic polynomial per conjugacy class, weighted by the class
-    size: 18 polynomials for the 1,920 elements of W(D5)."""
-    return _molien_series(((weyl_group.matrix(cls[0]), len(cls))
-                           for cls in weyl_group.conjugacy_classes()), kmax)
+    """dim of the degree-k invariants of an enumerated group, k = 0..kmax,
+    as the coefficients of its Molien series (1/|G|) sum_w 1/det(1 - q w),
+    from one integer characteristic polynomial per conjugacy class,
+    weighted by the class size: 18 polynomials for the 1,920 elements of
+    W(D5).
+
+    det(1 - q w) = 1 + c_1 q + ... + c_n q^n for the characteristic
+    polynomial x^n + c_1 x^(n-1) + ... + c_n of w, so 1/det(1 - q w) has
+    coefficients h_0 = 1, h_k = -sum_j c_j h_(k-j).  The classes fill one
+    table from characteristic polynomial to element count, and each series
+    is expanded once; everything is integer up to the final division by
+    |G|."""
+    classes = weyl_group.conjugacy_classes()
+    reps = weyl_group.flat_matrices([cls[0] for cls in classes])
+    counts: dict = {}
+    for cls, flat in zip(classes, reps):
+        key = tuple(kernel.charpoly_int(flat, weyl_group.dim))
+        counts[key] = counts.get(key, 0) + len(cls)
+    total = [0] * (kmax + 1)
+    for c, count in counts.items():
+        h = [1] + [0] * kmax
+        for k in range(1, kmax + 1):
+            h[k] = -sum(c[j] * h[k - j] for j in range(1, min(k, len(c) - 1) + 1))
+        for k in range(kmax + 1):
+            total[k] += count * h[k]
+    return [Fraction(x) / weyl_group.order for x in total]
 
 
-def verify_degrees_by_molien(weyl_group, degrees, kmax: int | None = None) -> bool:
+def verify_degrees_by_molien(weyl_group, degrees) -> bool:
     """Cross-check fundamental degrees against the Molien series of an
-    enumerated Weyl group, computed class by class."""
-    if kmax is None:
-        kmax = max(degrees)
+    enumerated Weyl group, computed class by class, up to the top degree."""
+    kmax = max(degrees)
     molien = molien_dimensions_by_class(weyl_group, kmax)
     hilbert = hilbert_series_coefficients(degrees, kmax)
     return all(molien[k] == hilbert[k] for k in range(kmax + 1))

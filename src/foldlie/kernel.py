@@ -11,7 +11,6 @@ from __future__ import annotations
 from ._kernel_py import (  # noqa: F401 - re-exported
     charpoly_generic,
     charpoly_int,
-    entries_common_denominator,
     mat_mul,
     mat_vec,
     rref,

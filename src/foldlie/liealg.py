@@ -91,17 +91,11 @@ class MatrixLieAlgebra:
             if size < 2:
                 raise ValueError("sl_n needs n >= 2")
             self.dtype = DynkinType("A", size - 1)
-            self.defining_form = None
         elif family == "sp":
             if size < 4 or size % 2:
                 raise ValueError("sp_2n needs even size >= 4")
             n = size // 2
             self.dtype = DynkinType("C", n) if n >= 2 else DynkinType("A", 1)
-            ent = [Fraction(0)] * (size * size)
-            for i in range(n):
-                ent[i * size + n + i] = Fraction(1)
-                ent[(n + i) * size + i] = Fraction(-1)
-            self.defining_form = RatMatrix(size, size, ent)
         elif family == "so":
             if size < 5:
                 raise ValueError("so_n implemented for n >= 5")
@@ -109,10 +103,6 @@ class MatrixLieAlgebra:
                 raise ValueError("even so_n implemented for n >= 8")
             n = size // 2
             self.dtype = DynkinType("B", n) if size % 2 else DynkinType("D", n)
-            ent = [Fraction(0)] * (size * size)
-            for i in range(size):
-                ent[i * size + (size - 1 - i)] = Fraction(1)
-            self.defining_form = RatMatrix(size, size, ent)
         else:
             raise ValueError(f"unknown family {family!r}")
         self.basis, self.cartan_indices, self._pivots = self._build_basis()
@@ -231,23 +221,6 @@ class MatrixLieAlgebra:
 
     def from_coords(self, coords) -> RatMatrix:
         return _from_coefficients(self._int_basis, coords)
-
-    def verify_closure(self):
-        """Basis closed under bracket; Cartan abelian."""
-        for i, a in enumerate(self.basis):
-            for b in self.basis[i:]:
-                if self.coords(a.bracket(b)) is None:
-                    raise AssertionError("basis not closed under bracket")
-        for i in self.cartan_indices:
-            for j in self.cartan_indices:
-                if not self.basis[i].bracket(self.basis[j]).is_zero():
-                    raise AssertionError("Cartan subspace is not abelian")
-
-    def preserves_form(self, m: RatMatrix) -> bool:
-        if self.defining_form is None:
-            return True
-        q = self.defining_form
-        return (m.transpose() * q + q * m).is_zero()
 
 
 def build_algebra(family: str, size: int) -> MatrixLieAlgebra:
@@ -505,9 +478,6 @@ class LieAut:
         for i, c in enumerate(coords):
             out[self.perm[i]] = c
         return self.cd.from_chev_coords(out)
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
 
 
 def lift_graph_aut(cd: ChevalleyData, a: GraphAut) -> LieAut:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations
 
-from .exactalg import RatMatrix
+from .exactalg import RatMatrix, _integer_vector
 from .verify import Report
 
 
@@ -212,8 +212,8 @@ class RootSystem:
         and divided once."""
         g, dg = self.gram._integer_form()
         n = self.gram.cols
-        u, du = _over_common_denominator(u)
-        v, dv = _over_common_denominator(v)
+        u, du = _integer_vector(u)
+        v, dv = _integer_vector(v)
         acc = 0
         for i, ui in enumerate(u):
             if ui:
@@ -256,16 +256,6 @@ class RootSystem:
             "simple_roots": [[str(x) for x in r] for r in self.simple_roots],
             "all_roots": [[str(x) for x in r] for r in self.all_roots],
         }
-
-
-def _over_common_denominator(values) -> tuple:
-    """``(numerators, d)`` with ``values[i] == numerators[i] / d`` for ints
-    and Fractions; integer values come back as they are, over 1."""
-    for x in values:
-        if x.__class__ is not int:
-            d = math.lcm(*[y.denominator for y in values])
-            return [y.numerator * (d // y.denominator) for y in values], d
-    return values, 1
 
 
 def _exact(x):

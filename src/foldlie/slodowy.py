@@ -167,7 +167,6 @@ def _sp4_data():
         mat({(2, 1): 1, (3, 0): 1}),                          # v1+
         mat({(2, 0): 1, (3, 1): 1}),                          # v2+
     ]
-    q = RatMatrix.from_rows([[0, 1], [1, 0]])
     conj = RatMatrix.from_rows(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     )
@@ -383,14 +382,6 @@ def xi_tilde_h(b2h, b4h):
 def xi_tilde(b2, b4):
     """Rescaled base coordinates on t/W: (b2/2, 9(b4 - b2^2/4))."""
     return (b2 * Fraction(1, 2), (b4 - b2 * b2 * Fraction(1, 4)) * 9)
-
-
-def appendix_phi(params) -> tuple:
-    """Spec operation: Phi on a rational point of the sp4 slice; the image
-    s_h parameters live in Q(i, sqrt(2/3)) and are returned as reduced
-    polynomials in the symbols i, r."""
-    consts = [MultiPoly.const(PHI_VARS, p) for p in params]
-    return tuple(_reduce_tower(u) for u in phi_parameters(*consts))
 
 
 def phi_psi_square_check(sample_count: int = 100, seed: int = 42) -> Report:

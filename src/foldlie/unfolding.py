@@ -31,8 +31,7 @@ class QuasiHomogSing:
     The weighted degree of every monomial of f equals ``degree``; for these
     equations the coprime weights satisfy w_x + w_y + w_z = degree + 1
     (+2 for the A_{2k} family), which is the numerology behind the
-    Calabi-Yau twist.  The Lie-compatible weights (doubled outside A_{2k})
-    are exposed through :func:`weight_convention`."""
+    Calabi-Yau twist."""
 
     poly: MultiPoly
     weights: tuple
@@ -261,40 +260,6 @@ def _verify_action_preserves(fam: MultiPoly, action: GroupActionData, names):
         image = image.reduce_square(var, sq)
     if image != fam.with_variables(ring):
         raise AssertionError("group action does not preserve the family polynomial")
-
-
-def family_quasi_homogeneous(df: DeformationFamily, doubled: bool = False) -> bool:
-    """The family polynomial is quasi-homogeneous of degree deg(f) under the
-    combined coordinate + base weights (doubled weights double everything)."""
-    s = df.singularity
-    scale = 2 if doubled else 1
-    wmap = dict(zip(XYZ, (w * scale for w in s.weights)))
-    for nm, w in zip(df.base_names, df.base_weights):
-        wmap[nm] = w * scale
-    return df.family_poly.weighted_degrees(wmap) == {s.degree * scale}
-
-
-# -- weight conventions -------------------------------------------------------------
-
-
-@dataclass
-class WeightTable:
-    coprime: tuple
-    lie_compatible: tuple
-    degree: int
-    lie_degree: int
-
-
-def weight_convention(t: DynkinType | str) -> WeightTable:
-    """Coprime weights plus the Lie-compatible ones: doubled for every type
-    except A_{2k}, whose coprime weights are already Lie-compatible."""
-    s = singularity(t)
-    t = s.dtype
-    if t.series == "A" and t.rank % 2 == 0:
-        return WeightTable(s.weights, s.weights, s.degree, s.degree)
-    return WeightTable(
-        s.weights, tuple(2 * w for w in s.weights), s.degree, 2 * s.degree
-    )
 
 
 # -- threefolds over the curve ---------------------------------------------------------

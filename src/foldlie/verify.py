@@ -342,7 +342,7 @@ def suite_appendix(samples: int = 100, seed: int = 42) -> Report:
     return rep
 
 
-def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Report:
+def suite_cameral(samples: int = 10, seed: int = 42) -> Report:
     from . import cameral as cam
     from . import rootsys as rs
     from . import weyl
@@ -353,7 +353,7 @@ def suite_cameral(samples: int = 10, seed: int = 42, genera=(2, 3)) -> Report:
     rng = random.Random(seed)
     fd = rs.folding_datum("A3", 2)
     fwd = weyl.folding_weyl_data(fd)
-    for g in genera:
+    for g in (2, 3):
         spec = cam.transversal_branch_spec(fwd, g)
         for _ in range(samples):
             cm = cam.random_transversal_monodromy(fwd, g, spec, rng)

@@ -13,16 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter, mul
 
 from . import kernel
-from .exactalg import RatMatrix
+from .exactalg import RatMatrix, _integer_vector
 from .rootsys import (
-    DynkinType,
     FoldingDatum,
     RootSystem,
-    build_root_system,
     classify,
     combine_rows,
     fold_coinvariants,
@@ -241,22 +238,13 @@ class WeylGroup:
         least elements, built once: the orbits of w -> s w s over the
         generators s, with w s = edges[s][w] and s u = inv[edges[s][inv[u]]]."""
         if self._classes is None:
-            inv = self.inverse_permutation()
-            seen = [False] * self.order
-            classes = []
-            for start in range(self.order):
-                if seen[start]:
-                    continue
-                seen[start] = True
-                cls = [start]
-                for w in cls:
-                    for e in self._edges:
-                        u = inv[e[inv[e[w]]]]
-                        if not seen[u]:
-                            seen[u] = True
-                            cls.append(u)
-                classes.append(tuple(sorted(cls)))
-            self._classes = tuple(classes)
+            inv, n = self.inverse_permutation(), self.order
+            label = _orbit_labels(n, [[inv[e[inv[e[w]]]] for w in range(n)]
+                                      for e in self._edges])
+            classes = [[] for _ in range(max(label) + 1)]
+            for w, k in enumerate(label):
+                classes[k].append(w)
+            self._classes = tuple(map(tuple, classes))
         return self._classes
 
     def reflections(self) -> list[int]:
@@ -283,6 +271,26 @@ class WeylGroup:
                 for v in self.invariant_vectors:
                     if tuple(kernel.mat_vec(f, v, n, n)) not in vecs:
                         raise AssertionError("element does not permute the coroot set")
+
+
+def _orbit_labels(n: int, perms) -> list[int]:
+    """Orbit label of each of range(n) under the permutations, numbered by
+    least element: one breadth-first search."""
+    label = [-1] * n
+    count = 0
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        orbit = [start]
+        for x in orbit:
+            for p in perms:
+                y = p[x]
+                if label[y] < 0:
+                    label[y] = count
+                    orbit.append(y)
+        count += 1
+    return label
 
 
 def _flat_key(matrix):
@@ -423,8 +431,7 @@ class FoldedWeylData:
     def simple_folded_reflection(self, orbit_index: int) -> int:
         """Folded-group index of the restricted product over the given
         simple-root orbit."""
-        orbit = self.orbits[orbit_index]
-        return self.restrict[self.wh._walk(self.wh.identity_index(), orbit)]
+        return self.restrict[folded_reflection(self.wh, self.orbits[orbit_index])]
 
 
 def _root_reflections(rs: RootSystem):
@@ -611,16 +618,12 @@ def _reflection_orbit_products(fd, wh, orbits, restrict) -> dict:
 # -- chambers, regularity, orbits ------------------------------------------------
 
 
-def root_pairing_rows(rs: RootSystem) -> list[tuple]:
-    """<alpha, -> as a row vector on coroot coordinates, per positive root."""
+def is_regular(rs: RootSystem, v) -> bool:
+    """<alpha, v> != 0 for every positive root alpha, v in coroot coordinates."""
     C = rs.cartan_matrix()
     coords = rs.simple_coordinates()
-    return [combine_rows(coords[r], C) for r in rs.positive_roots()]
-
-
-def is_regular(rs: RootSystem, v, pairing_rows=None) -> bool:
-    rows = pairing_rows if pairing_rows is not None else root_pairing_rows(rs)
-    return all(sum(a * b for a, b in zip(row, v)) != 0 for row in rows)
+    return all(sum(map(mul, combine_rows(coords[r], C), v)) != 0
+               for r in rs.positive_roots())
 
 
 def embed_fixed_point(fwd: FoldedWeylData, folded_coords) -> tuple:
@@ -681,23 +684,9 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
 
-def random_fixed_point(fwd: FoldedWeylData, rng: random.Random,
-                       regular: bool | None = None) -> tuple:
-    rows = None if regular is None else root_pairing_rows(fwd.fd.homogeneous)
-    while True:
-        v = embed_fixed_point(fwd, [random_rational(rng) for _ in fwd.orbits])
-        if regular is None:
-            return v
-        reg = all(sum(a * b for a, b in zip(row, v)) != 0 for row in rows)
-        if reg == regular:
-            return v
-
-
-def _clear_denominators(*points) -> list[list]:
-    """The points scaled by the lcm of all their denominators, as int lists:
-    exact orbit and fixed-point tests then need integer arithmetic only."""
-    d = lcm(*(x.denominator for p in points for x in p))
-    return [[x.numerator * (d // x.denominator) for x in p] for p in points]
+def random_fixed_point(fwd: FoldedWeylData, rng: random.Random) -> tuple:
+    """A point of (V_h^*)^C with :func:`random_rational` orbit coordinates."""
+    return embed_fixed_point(fwd, [random_rational(rng) for _ in fwd.orbits])
 
 
 def _in_orbit(wh: WeylGroup, indices, v, target) -> bool:
@@ -773,7 +762,7 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
 
     for case in range(sample_count):
         t = random_fixed_point(fwd, rng)
-        (ti,) = _clear_denominators(t)
+        ti = _integer_vector(t)[0]
         # (a) W_h-translate of t that happens to lie in the fixed Cartan
         u = rng.randrange(wh.order)
         t2 = wh.apply(u, ti)
@@ -790,7 +779,8 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
             tj, t3j = ti, wh.apply(c, ti)
         else:
             t3 = random_fixed_point(fwd, rng)
-            tj, t3j = _clear_denominators(t, t3)
+            both = _integer_vector(t + t3)[0]
+            tj, t3j = both[:wh.dim], both[wh.dim:]
         in_big = _in_orbit(wh, everything, tj, t3j)
         in_small = _in_orbit(wh, comm, tj, t3j)
         if case % 2 == 0 and not (in_big and in_small):
@@ -809,7 +799,7 @@ def quotient_invariants_iso_check(fd: FoldingDatum, sample_count: int, seed: int
                         f"fixed: {class_fixed}, translate: {translate_hits}")
         # (d) generic point of t_h: equivalence both ways
         tg = tuple(random_rational(rng) for _ in range(wh.dim))
-        (tgi,) = _clear_denominators(tg)
+        tgi = _integer_vector(tg)[0]
         fixed_class, hits = _class_fixed_and_hits(wh, row_differences, perm, tgi)
         if fixed_class != hits:
             report.fail(f"case {case}: generic t_h={tg}", "equivalence",

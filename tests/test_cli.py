@@ -110,6 +110,7 @@ class TestUsageErrors:
         ["slice", "--eval=1,0,0,x"],
         ["slice", "--eval=1,0,0,1/0"],
         ["cameral", "induce", "--type", "D4", "--order", "3", "--genus", "2"],
+        ["cameral", "bogus", "--genus", "2"],
         ["dims", "--type", "C3", "--genus", "2", "--fold-from", "A5", "--isogeny"],
         ["verify", "cameral", "--samples", "-1"],
         ["slice", "--verify-appendix", "--samples", "-1"],

@@ -1,24 +1,22 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
 from foldlie import kernel
-from foldlie.exactalg import MultiPoly, RatMatrix, SpanSolver
+from foldlie.exactalg import MultiPoly, RatMatrix, SpanSolver, char_poly_coefficients
 from foldlie.invariants import (
     QuotientActionReport,
     _signed_perm_monomial,
     _vector_of,
-    a_flip_action_signs,
-    a_restriction_to_fixed_cartan,
     compose_linear,
     d4_fixed_cartan_basis,
     d4_triality_reports,
     d_flip_action_signs,
-    esym,
     hilbert_series_coefficients,
     invariant_generator_action,
-    molien_dimensions,
     molien_dimensions_by_class,
     monomials_of_degree,
     reynolds_invariant_basis,
@@ -33,6 +31,56 @@ from foldlie.invariants import (
 from foldlie.rootsys import folding_datum
 
 
+def esym(names, k: int) -> MultiPoly:
+    """Elementary symmetric polynomial e_k."""
+    terms = {}
+    for subset in combinations(range(len(names)), k):
+        terms[tuple(int(i in subset) for i in range(len(names)))] = 1
+    return MultiPoly.from_integers(names, terms)
+
+
+def a_flip_action_signs(n_vars: int) -> dict:
+    """Action of the A-series flip (t_i -> -t_{N+1-i}) on e_k, verified
+    symbolically: returns {k: sign} with e_k o a = sign * e_k."""
+    names = var_names("t", n_vars)
+    perm = tuple(n_vars - 1 - i for i in range(n_vars))
+    signs = (-1,) * n_vars
+    out = {}
+    for k in range(1, n_vars + 1):
+        ek = esym(names, k)
+        image = signed_perm_apply(ek, perm, signs)
+        assert image in (ek, -ek), f"e_{k} is not a flip eigenvector"
+        out[k] = 1 if image == ek else -1
+    return out
+
+
+def a_restriction_to_fixed_cartan(n_vars: int, k: int) -> MultiPoly:
+    """e_k restricted to the fixed Cartan diag(u_1..u_n, -u_n..-u_1)."""
+    half = n_vars // 2
+    names = var_names("t", n_vars)
+    unames = var_names("u", half)
+    mapping = {}
+    for i in range(half):
+        mapping[names[i]] = MultiPoly.var(unames, unames[i])
+        mapping[names[n_vars - 1 - i]] = -MultiPoly.var(unames, unames[i])
+    return esym(names, k).substitute(mapping, target_variables=unames)
+
+
+def molien_dimensions(matrices, kmax: int) -> list:
+    """The Molien coefficients (1/|G|) sum_w 1/det(1 - q w) up to q^kmax,
+    summed element by element over square RatMatrix elements:
+    1/det(1 - q w) has h_0 = 1, h_k = -sum_j c_j h_(k-j) for the
+    characteristic polynomial x^n + c_1 x^(n-1) + ... + c_n of w."""
+    counts = Counter(tuple(char_poly_coefficients(m)) for m in matrices)
+    total = [Q(0)] * (kmax + 1)
+    for c, count in counts.items():
+        h = [Q(1)] + [Q(0)] * kmax
+        for k in range(1, kmax + 1):
+            h[k] = -sum(c[j] * h[k - j] for j in range(1, min(k, len(c) - 1) + 1))
+        total = [x + count * y for x, y in zip(total, h)]
+    return [x / len(matrices) for x in total]
+
+
 class TestFlipActions:
     def test_a3_signs(self):
         assert a_flip_action_signs(4) == {1: -1, 2: 1, 3: -1, 4: 1}
@@ -41,8 +89,6 @@ class TestFlipActions:
         assert a_restriction_to_fixed_cartan(4, 3).is_zero()
 
     def test_sigma2_restriction_value(self):
-        from foldlie.exactalg import MultiPoly
-
         r = a_restriction_to_fixed_cartan(4, 2)
         u1 = MultiPoly.var(r.variables, "u1")
         u2 = MultiPoly.var(r.variables, "u2")
@@ -150,8 +196,7 @@ class TestMolien:
         from foldlie.weyl import WeylGroup
 
         wg = WeylGroup.generate(build_root_system("C2"))
-        dims = molien_dimensions([wg.matrix(i) for i in range(wg.order)], 4)
-        assert dims == [1, 0, 1, 0, 2]
+        assert molien_dimensions_by_class(wg, 4) == [1, 0, 1, 0, 2]
 
 
 def _power_trace_molien(matrices, kmax):
@@ -178,6 +223,7 @@ class TestMolienIntegerPath:
 
         wg = WeylGroup.generate(build_root_system(name))
         mats = [wg.matrix(i) for i in range(wg.order)]
+        assert molien_dimensions_by_class(wg, 8) == _power_trace_molien(mats, 8)
         assert molien_dimensions(mats, 8) == _power_trace_molien(mats, 8)
 
     def test_rational_matrices(self):

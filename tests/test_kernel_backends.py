@@ -87,8 +87,7 @@ def charpoly_matches_det(coeffs, a, n):
 class TestAgreement:
     def test_backend_selected(self):
         assert kernel.BACKEND == foldlie.BACKEND == "python"
-        for name in ("mat_mul", "mat_vec", "rref", "charpoly_int", "charpoly_generic",
-                     "entries_common_denominator"):
+        for name in ("mat_mul", "mat_vec", "rref", "charpoly_int", "charpoly_generic"):
             assert getattr(kernel, name) is getattr(_kernel_py, name)
 
     def test_mat_mul(self):
@@ -145,13 +144,20 @@ class TestAgreement:
             assert charpoly_matches_det(_kernel_py.charpoly_generic(list(a), n, Q(1)), a, n)
 
     def test_common_denominator(self):
+        """``exactalg._integer_vector``: numerators over the lcm of the
+        denominators; a vector of ints passes as it is, over 1."""
+        from foldlie.exactalg import _integer_vector
+
         vals = [Q(1, 2), Q(3, 4), Q(5, 6), 7]
-        assert _kernel_py.entries_common_denominator(vals) == 12
+        assert _integer_vector(vals) == ((6, 9, 10, 84), 12)
+        assert _integer_vector([3, -1, 0]) == ((3, -1, 0), 1)
+        assert _integer_vector([Q(1, 2), "x"]) is None
         rng = random.Random(6)
         for _ in range(20):
             vals = rand_entries(rng, 1, rng.randint(1, 8))
-            assert _kernel_py.entries_common_denominator(vals) == math.lcm(
-                *(x.denominator for x in vals))
+            nums, d = _integer_vector(vals)
+            assert d == math.lcm(*(x.denominator for x in vals))
+            assert [Q(x, d) for x in nums] == vals
 
 
 class TestKroneckerCharpoly:

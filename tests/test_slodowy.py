@@ -3,17 +3,18 @@ from fractions import Fraction as Q
 
 import pytest
 
-from foldlie.exactalg import MultiPoly, RatMatrix
+from foldlie.exactalg import MultiPoly, RatMatrix, char_poly_coefficients
 from foldlie.liealg import build_algebra
 from foldlie.slodowy import (
     PHI_VARS,
     UNFOLD_VARS,
+    _reduce_tower,
     appendix_mm_matrix,
-    appendix_phi,
     build_subregular_slice,
     c_action_on_slice,
     cstar_action,
     phi_a_map,
+    phi_parameters,
     phi_psi_square_check,
     slice_quotient,
     sp4_centralizer_representatives,
@@ -173,7 +174,7 @@ class TestCentralizers:
             K = RatMatrix.from_rows([[g.entry(0, 0), g.entry(0, 1)],
                                      [g.entry(1, 0), g.entry(1, 1)]])
             assert K * K.transpose() == RatMatrix.identity(2)
-            dets.add(K.det())
+            dets.add(char_poly_coefficients(K)[-1])  # det of a 2 x 2 matrix
         assert dets == {Q(1), Q(-1)}  # both components represented
 
     def test_appendix_family_fixes_triple(self, sl4_slice):
@@ -195,6 +196,13 @@ class TestCentralizers:
         g = sp4_slice.caction.conjugator
         x, y = sp4_slice.triple.x, sp4_slice.triple.y
         assert g * x * g.inverse() == x and g * y * g.inverse() == y
+
+
+def appendix_phi(params) -> tuple:
+    """Phi at a rational point of the sp4 slice: the s_h parameters in
+    Q(i, sqrt(2/3)), as reduced polynomials in the symbols i and r."""
+    consts = [MultiPoly.const(PHI_VARS, p) for p in params]
+    return tuple(_reduce_tower(u) for u in phi_parameters(*consts))
 
 
 class TestAppendixPhi:

@@ -4,21 +4,19 @@ from foldlie.exactalg import MultiPoly
 from foldlie.unfolding import (
     XYZ,
     exceptional_divisor_components,
-    family_quasi_homogeneous,
     fixed_locus_equation,
     fixed_locus_genus,
     jacobian_basis,
     semiuniversal_family,
     singularity,
     threefold_family,
-    weight_convention,
 )
 
 
 class TestSingularities:
     def test_a3(self):
         s = singularity("A3")
-        x, y, z = MultiPoly.variables_of(XYZ)
+        x, y, z = (MultiPoly.var(XYZ, v) for v in XYZ)
         assert s.poly == x**4 - y * z
         assert s.weights == (1, 2, 2) and s.degree == 4
         assert s.slodowy_dual_label == "A3"
@@ -44,12 +42,12 @@ class TestSingularities:
 class TestJacobianBases:
     def test_a3(self):
         basis = jacobian_basis(singularity("A3"))
-        x, _, _ = MultiPoly.variables_of(XYZ)
+        x, _, _ = (MultiPoly.var(XYZ, v) for v in XYZ)
         assert basis == [x**2, x, MultiPoly.const(XYZ, 1)]
 
     def test_d4(self):
         basis = jacobian_basis(singularity("D4"))
-        x, y, _ = MultiPoly.variables_of(XYZ)
+        x, y, _ = (MultiPoly.var(XYZ, v) for v in XYZ)
         assert basis == [x * y, x, y, MultiPoly.const(XYZ, 1)]
 
     def test_a1(self):
@@ -89,30 +87,22 @@ class TestFamilies:
         assert len(df.invariant_base_indices) == len(df.base_names) == 2
 
     def test_quasi_homogeneous_both_normalizations(self):
+        """The family polynomial is quasi-homogeneous of degree deg(f) under
+        the coordinate and base weights, and of 2 deg(f) under the doubled
+        (Lie-compatible) ones."""
         for name, order in (("A3", 2), ("D4", 3), ("A5", 2)):
             df = semiuniversal_family(singularity(name), order=order)
-            assert family_quasi_homogeneous(df)
-            assert family_quasi_homogeneous(df, doubled=True)
+            s = df.singularity
+            weights = dict(zip(XYZ + df.base_names, s.weights + df.base_weights))
+            for scale in (1, 2):
+                scaled = {v: scale * w for v, w in weights.items()}
+                assert df.family_poly.weighted_degrees(scaled) == {scale * s.degree}
 
     def test_wrong_action_rejected(self):
         with pytest.raises(ValueError):
             semiuniversal_family(singularity("D4"), order=2)
         with pytest.raises(ValueError):
             semiuniversal_family(singularity("A4"), order=2)
-
-
-class TestWeightConvention:
-    def test_d4(self):
-        wt = weight_convention("D4")
-        assert wt.coprime == (2, 2, 3) and wt.lie_compatible == (4, 4, 6)
-
-    def test_a_even_not_doubled(self):
-        wt = weight_convention("A2")
-        assert wt.coprime == wt.lie_compatible == (2, 3, 3)
-
-    def test_a3_doubled(self):
-        wt = weight_convention("A3")
-        assert wt.coprime == (1, 2, 2) and wt.lie_compatible == (2, 4, 4)
 
 
 class TestThreefolds:

@@ -439,12 +439,21 @@ class TestQuotientIso:
         rep = quotient_invariants_iso_check(fwd.fd, 2, 18, fwd=fwd)
         assert rep.passed and rep.cases_run == 8
 
-    def test_regular_sampling_respects_flag(self, fwd_a3):
-        rng = random.Random(3)
+    def test_sampled_points_and_regularity(self, fwd_a3):
+        """Sampled points are fixed by a, and ``is_regular`` holds exactly
+        when the stabilizer in W_h is trivial."""
         from foldlie.weyl import is_regular
 
-        v = random_fixed_point(fwd_a3, rng, regular=True)
-        assert is_regular(fwd_a3.fd.homogeneous, v)
+        rng = random.Random(3)
+        wh = fwd_a3.wh
+        seen = set()
+        for _ in range(40):
+            v = random_fixed_point(fwd_a3, rng)
+            assert is_fixed_point(fwd_a3, v)
+            trivial = sum(wh.apply(w, v) == v for w in range(wh.order)) == 1
+            assert is_regular(fwd_a3.fd.homogeneous, v) == trivial
+            seen.add(trivial)
+        assert seen == {True, False}
 
 
 class TestIntegerPath:
