@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: fold, weyl, liealg, slice, deform, threefold, cameral, dims,
-verify.  Exit codes: 0 pass, 1 verification failure, 2 usage error.  JSON
-output is deterministic (sorted keys, no timing fields); human-readable text
-goes to stdout when --format text (the default on a TTY)."""
+verify.  Exit codes: 0 pass, 1 verification failure, 2 usage error: one
+``error:`` line from argparse or from ``main``, never a verification fault.
+JSON output is deterministic (sorted keys, no timing fields); human-readable
+text goes to stdout when --format text (the default on a TTY)."""
 
 from __future__ import annotations
 
@@ -11,14 +12,16 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
 USAGE_ERROR = 2
 
-# Largest --genus accepted.  Covers, fixed-locus Riemann-Hurwitz data and the
-# isogeny bookkeeping all grow linearly with the genus (a cameral cover over
-# genus 1000 takes about 2 s), so larger values are refused up front.
+# --genus runs from 2 (the paper's standing hypothesis) to MAX_GENUS.  Covers,
+# fixed-locus Riemann-Hurwitz data and the isogeny bookkeeping all grow
+# linearly with the genus (a cameral cover over genus 1000 takes about 2 s),
+# so larger values are refused up front.
 MAX_GENUS = 1000
 
 # Largest --samples accepted (verify, slice --verify-appendix).  Each sample
@@ -31,6 +34,20 @@ MAX_SAMPLES = 10_000
 # (on a 2-vCPU host, fold A40 took 7.4 s and liealg sl10 --dump 5.8 s), so
 # larger values are refused up front; 8 still admits so8, A7, E6 and E8.
 MAX_RANK = 8
+
+
+class UsageError(Exception):
+    """A refusal of a command's arguments, printed by ``main``."""
+
+
+@contextmanager
+def _usage():
+    """Re-raise a ValueError or KeyError of building objects from the
+    arguments as UsageError; a fault inside a verification is not one."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        raise UsageError(exc) from None
 
 
 def _emit(args, payload: dict, text_lines: list):
@@ -51,13 +68,9 @@ def _default_format() -> str:
 
 def cmd_fold(args) -> int:
     from . import rootsys as rs
-    from . import weyl
 
-    try:
+    with _usage():
         fd = rs.folding_datum(args.type, args.order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     co = rs.fold_coinvariants(fd)
     inv = rs.fold_invariants(fd)
     ch, cch = rs.folded_lattices(fd)
@@ -90,12 +103,9 @@ def cmd_weyl(args) -> int:
     from . import rootsys as rs
     from . import weyl
 
-    try:
+    with _usage():
         fd = rs.folding_datum(args.type, args.order)
         fwd = weyl.folding_weyl_data(fd)
-    except (ValueError, weyl.EnumerationBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     payload = {
         "homogeneous": str(fd.homogeneous.dtype),
         "weyl_order": fwd.wh.order,
@@ -119,23 +129,17 @@ def cmd_liealg(args) -> int:
     from . import rootsys as rs
 
     family, size = args.algebra[:2], args.algebra[2:]
-    try:
+    with _usage():
         alg = la.build_algebra(family, int(size))
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     payload = {"algebra": args.algebra, "dimension": alg.dim, "type": str(alg.dtype)}
     lines = [f"{args.algebra}: dimension {alg.dim}, type {alg.dtype}"]
     if args.dump and alg.dtype.is_simply_laced:
         cd = la.build_chevalley(alg)
         payload["chevalley"] = cd.to_json()
         if args.order > 1:
-            try:
+            with _usage():
                 a = rs.standard_automorphism(str(alg.dtype), args.order)
                 aut = la.lift_graph_aut(cd, a)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return USAGE_ERROR
             payload["automorphism_matrix"] = [
                 [str(aut.matrix.entry(i, j)) for j in range(aut.matrix.cols)]
                 for i in range(aut.matrix.rows)
@@ -162,12 +166,9 @@ def cmd_slice(args) -> int:
                               f"{len(failures)} failures"])
         return 0 if not failures else 1
     family, size = args.algebra[:2], args.algebra[2:]
-    try:
+    with _usage():
         alg = la.build_algebra(family, int(size))
         sl = sd.build_subregular_slice(alg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     payload = {
         "algebra": args.algebra,
         "dimension": sl.dimension,
@@ -183,13 +184,11 @@ def cmd_slice(args) -> int:
         try:
             params = tuple(Fraction(x) for x in args.eval.split(","))
         except (ValueError, ZeroDivisionError):
-            print(f"error: --eval takes comma-separated rationals, got {args.eval!r}",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(
+                f"--eval takes comma-separated rationals, got {args.eval!r}") from None
         if len(params) != sl.dimension:
-            print(f"error: --eval takes {sl.dimension} slice parameters, "
-                  f"got {len(params)}", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(f"--eval takes {sl.dimension} slice parameters, "
+                             f"got {len(params)}")
         values = sd.slice_quotient(sl, params)
         payload["quotient"] = [str(v) for v in values]
         lines.append(f"xi o chi{tuple(str(p) for p in params)} = "
@@ -201,12 +200,9 @@ def cmd_slice(args) -> int:
 def cmd_deform(args) -> int:
     from . import unfolding as uf
 
-    try:
+    with _usage():
         s = uf.singularity(args.type)
         df = uf.semiuniversal_family(s, order=args.order if args.fold else 1)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     payload = {
         "type": str(s.dtype),
         "dual_label": s.slodowy_dual_label,
@@ -234,14 +230,8 @@ def cmd_deform(args) -> int:
 def cmd_threefold(args) -> int:
     from . import unfolding as uf
 
-    if args.genus < 2:
-        print("error: the standing hypothesis requires genus >= 2", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+    with _usage():
         tf = uf.threefold_family(args.type)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     genus = uf.fixed_locus_genus(tf, args.genus)
     payload = {
         "folded_type": args.type,
@@ -271,28 +261,21 @@ def cmd_cameral(args) -> int:
     from . import weyl
     from .hitchin import dim_base
 
-    if args.genus < 2:
-        print("error: genus must be >= 2", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+    with _usage():
         fd = rs.folding_datum(args.type, args.order)
         # Covers are sampled for order-2 foldings only; D4 triality and
         # trivial foldings are usage errors.
         if fd.aut.order != 2:
-            raise ValueError("cameral induce folds along an involution; "
+            raise UsageError("cameral induce folds along an involution; "
                              f"got an order-{fd.aut.order} automorphism")
         fwd = weyl.folding_weyl_data(fd)
-    except (ValueError, weyl.EnumerationBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     rng = random.Random(args.seed)
     spec = cam.transversal_branch_spec(fwd, args.genus)
     try:
         cm = cam.random_transversal_monodromy(fwd, args.genus, spec, rng)
     except ValueError as exc:
-        print(f"error: no transversal W({fwd.folded.dtype})-cover to sample: {exc}",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"no transversal W({fwd.folded.dtype})-cover to sample: "
+                         f"{exc}") from None
     ind = cam.induce_cover(cm, fwd)
     geo = cam.cover_geometry(cm)
     geo_h = cam.cover_geometry(ind)
@@ -324,14 +307,8 @@ def cmd_dims(args) -> int:
     from . import hitchin as ht
     from . import rootsys as rs
 
-    if args.genus < 2:
-        print("error: the standing hypothesis requires genus >= 2", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+    with _usage():
         hb = ht.dim_base(args.type, args.genus)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     payload = {
         "type": args.type,
         "genus": args.genus,
@@ -344,22 +321,16 @@ def cmd_dims(args) -> int:
              " + ".join(f"H0(K^{d})[{s}]" for d, s in zip(hb.degrees, hb.summand_dims)) +
              f" = {hb.total}"]
     if args.fold_from:
-        try:
+        with _usage():
             fd = rs.folding_datum(args.fold_from, args.order)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
         match = ht.folded_base_match(fd, args.genus)
         payload["folded_base_match"] = {"cases_run": match.cases_run,
                                         "failures": match.failures}
         lines.append(f"folded base match from {args.fold_from}: "
                      f"{'pass' if match.passed else 'FAIL'}")
         if args.isogeny:
-            try:
+            with _usage():
                 iso = ht.isogeny_dimensions(fd, args.genus)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return USAGE_ERROR
             payload["isogeny"] = {
                 "dim_B": iso.dim_B,
                 "genus_fixed_locus": iso.genus_fixed_locus,
@@ -379,9 +350,8 @@ def cmd_verify(args) -> int:
     from .verify import SUITES, run_suite
 
     if args.suite != "all" and args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}; choose from "
-              f"{', '.join(list(SUITES) + ['all'])}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"unknown suite {args.suite!r}; choose from "
+                         f"{', '.join(list(SUITES) + ['all'])}")
     reports = run_suite(args.suite, samples=args.samples, seed=args.seed)
     payload = {"suites": [r.to_json() for r in reports]}
     lines = []
@@ -397,26 +367,17 @@ def cmd_verify(args) -> int:
     return 0 if total_failures == 0 else 1
 
 
-def _sample_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    if value > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_SAMPLES}, got {value}")
-    return value
-
-
-def _bounded_genus(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value > MAX_GENUS:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_GENUS}, got {value}")
-    return value
+def _int_in(low: int, high: int):
+    """An argparse type: an integer from ``low`` to ``high`` inclusive."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {value}")
+        return value
+    return parse
 
 
 def _bounded_rank(text: str) -> str:
@@ -461,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algebra", type=_bounded_rank, default="sp4")
     s.add_argument("--eval", help="comma-separated slice parameters")
     s.add_argument("--verify-appendix", action="store_true")
-    s.add_argument("--samples", type=_sample_count, default=100)
+    s.add_argument("--samples", type=_int_in(0, MAX_SAMPLES), default=100)
     s.add_argument("--seed", type=int, default=42)
     s.set_defaults(fn=cmd_slice)
 
@@ -473,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("threefold", help="threefold family over a curve")
     t.add_argument("--type", required=True, choices=["C2", "G2"])
-    t.add_argument("--genus", type=_bounded_genus, required=True,
+    t.add_argument("--genus", type=_int_in(2, MAX_GENUS), required=True,
                    help=f"base genus, 2..{MAX_GENUS}")
     t.set_defaults(fn=cmd_threefold)
 
@@ -481,14 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("induce", nargs="?", choices=["induce"], default="induce")
     c.add_argument("--type", type=_bounded_rank, default="A3")
     c.add_argument("--order", type=int, default=2)
-    c.add_argument("--genus", type=_bounded_genus, default=2,
+    c.add_argument("--genus", type=_int_in(2, MAX_GENUS), default=2,
                    help=f"base genus, 2..{MAX_GENUS}")
     c.add_argument("--seed", type=int, default=42)
     c.set_defaults(fn=cmd_cameral)
 
     m = sub.add_parser("dims", help="Hitchin base/fiber dimension bookkeeping")
     m.add_argument("--type", type=_bounded_rank, required=True)
-    m.add_argument("--genus", type=_bounded_genus, required=True,
+    m.add_argument("--genus", type=_int_in(2, MAX_GENUS), required=True,
                    help=f"base genus, 2..{MAX_GENUS}")
     m.add_argument("--fold-from", dest="fold_from", type=_bounded_rank)
     m.add_argument("--order", type=int, default=2)
@@ -497,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite")
-    v.add_argument("--samples", type=_sample_count, default=10)
+    v.add_argument("--samples", type=_int_in(0, MAX_SAMPLES), default=10)
     v.add_argument("--seed", type=int, default=42)
     v.set_defaults(fn=cmd_verify)
 
@@ -521,6 +482,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except BrokenPipeError:
         return 0
 

@@ -30,8 +30,8 @@ from .verify import Report
 ENUMERATION_BUDGET = 60_000
 
 
-class EnumerationBudgetExceeded(RuntimeError):
-    pass
+class EnumerationBudgetExceeded(ValueError):
+    """A refusal of the input: its Weyl group exceeds ENUMERATION_BUDGET."""
 
 
 def _flat_identity(n: int) -> tuple:

@@ -1,15 +1,17 @@
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldlie import cli
+from foldlie import cli, weyl
 from foldlie.cli import MAX_GENUS, MAX_RANK, main
 from foldlie.weyl import ENUMERATION_BUDGET
 
@@ -94,6 +96,18 @@ class TestVerify:
         assert out["induced"]["components"] == 3
         assert out["fiber_rank"] == out["two_dim_base"] == 20
 
+    def test_raising_folded_reflection_fails_the_suite(self, monkeypatch, capsys):
+        def broken(wh, orbit):
+            raise ValueError("orbit roots are not pairwise orthogonal")
+
+        monkeypatch.setattr(weyl, "folded_reflection", broken)
+        rc = main(["--format", "json", "verify", "weyl", "--samples", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1 and "Traceback" not in captured.err
+        failures = json.loads(captured.out)["suites"][0]["failures"]
+        assert {f["operation"] for f in failures} == {"folded_reflection"}
+        assert all(f["got"] == "orbit roots are not pairwise orthogonal" for f in failures)
+
     @pytest.mark.parametrize("genus, rank", [(2, 42), (3, 84)])
     def test_cameral_a5_fiber_rank(self, genus, rank):
         p = run_cli(["--format", "json", "cameral", "induce", "--type", "A5",
@@ -121,6 +135,9 @@ class TestUsageErrors:
         ["dims", "--type", "C2", "--genus", "1000000000", "--fold-from", "A3",
          "--isogeny"],
         ["threefold", "--type", "C2", "--genus", "two"],
+        ["threefold", "--type", "G2", "--genus", "1"],
+        ["cameral", "induce", "--type", "A3", "--genus", "0"],
+        ["dims", "--type", "C2", "--genus", "-1"],
         ["weyl", "E7", "1"],
         ["cameral", "induce", "--type", "E8", "--order", "1"],
         ["liealg", "sl3", "--dump", "--order", "2"],
@@ -167,6 +184,32 @@ class TestUsageErrors:
         p = run_cli(["--format", "json", "liealg", f"so{MAX_RANK}"])
         assert p.returncode == 0
         assert json.loads(p.stdout)["algebra"] == f"so{MAX_RANK}"
+
+
+def _is_error_text(node) -> bool:
+    """A string constant or f-string that starts with ``error:``."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("error:"))
+
+
+def test_only_main_reports_usage_errors():
+    """Commands refuse input by raising UsageError: outside ``main`` no
+    function of cli.py returns USAGE_ERROR or prints an ``error:`` line."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Return) and isinstance(node.value, ast.Name)
+                    and node.value.id == "USAGE_ERROR"):
+                found.append(f"{fn.name}: return USAGE_ERROR")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "print" and node.args and _is_error_text(node.args[0])):
+                found.append(f"{fn.name}: print(error: ...)")
+    assert found == []
 
 
 def _opt(flag, values):
