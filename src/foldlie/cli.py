@@ -323,6 +323,10 @@ def cmd_dims(args) -> int:
     if args.fold_from:
         with _usage():
             fd = rs.folding_datum(args.fold_from, args.order)
+        co, inv = rs.fold_coinvariants(fd).dtype, rs.fold_invariants(fd).dtype
+        if hb.group_type not in (co, inv):
+            raise UsageError(f"{fd.homogeneous.dtype} with an order-{fd.aut.order} "
+                             f"automorphism folds to {co} or {inv}, not {hb.group_type}")
         match = ht.folded_base_match(fd, args.genus)
         payload["folded_base_match"] = {"cases_run": match.cases_run,
                                         "failures": match.failures}

@@ -101,23 +101,15 @@ class IsogenyDims:
 def isogeny_dimensions(fd: FoldingDatum, g: int) -> IsogenyDims:
     """dim J^2(Z) = dim B(folded) + (|a| - 1) * genus(X^C), plus the
     third-Betti-number bookkeeping h^3(Z) = 2 dim B + 2(|a| - 1) g(X^C).
-    Implemented for the families with a worked fixed locus: (A3, Z/2) and
-    (D4, Z/3)."""
+    Implemented for the folded types with a worked threefold family
+    (:func:`~foldlie.unfolding.threefold_family` refuses the others)."""
     from .unfolding import fixed_locus_genus, threefold_family
 
-    t = fd.homogeneous.dtype
     order = fd.aut.order
     if order == 1:
-        base = dim_base(t, g).total
+        base = dim_base(fd.homogeneous.dtype, g).total
         return IsogenyDims(base, 0, 1, base, 2 * base)
-    if (t.series, t.rank, order) == ("A", 3, 2):
-        folded = "C2"
-    elif (t.series, t.rank, order) == ("D", 4, 3):
-        folded = "G2"
-    else:
-        raise ValueError(
-            "fixed-locus genus is only worked out for the A3/Z2 and D4/Z3 families"
-        )
+    folded = str(fold_coinvariants(fd).dtype)
     tf = threefold_family(folded)
     gx = fixed_locus_genus(tf, g)
     base = dim_base(folded, g).total

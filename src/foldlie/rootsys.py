@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 
 from .exactalg import RatMatrix, _integer_vector
 from .verify import Report
@@ -146,18 +145,18 @@ class DynkinType:
         return C
 
     def simple_length_sq(self) -> list[Fraction]:
-        """Squared lengths of the simple roots, long roots normalized to 2."""
-        n = self.rank
-        two = Fraction(2)
-        if self.is_simply_laced:
-            return [two] * n
-        if self.series == "B":
-            return [two] * (n - 1) + [Fraction(1)]
-        if self.series == "C":
-            return [Fraction(1)] * (n - 1) + [two]
-        if self.series == "F":
-            return [two, two, Fraction(1), Fraction(1)]
-        return [Fraction(2, 3), two]  # G2
+        """Squared lengths of the simple roots, long roots normalized to 2: as
+        C[i][j] = 2(a_i, a_j)/(a_j, a_j), |a_j|^2 = |a_i|^2 C[j][i]/C[i][j]
+        along each edge of the diagram, walked from node 0."""
+        C = self.cartan_rows()
+        lengths = [Fraction(1)] + [None] * (self.rank - 1)
+        reached = [0]
+        for i in reached:
+            for j, c in enumerate(C[i]):
+                if c and lengths[j] is None:
+                    lengths[j] = lengths[i] * C[j][i] / c
+                    reached.append(j)
+        return [x * 2 / max(lengths) for x in lengths]
 
 
 class RootSystem:
@@ -288,18 +287,18 @@ def permutation_order(perm) -> int:
 @dataclass(frozen=True)
 class GraphAut:
     """A Dynkin-diagram automorphism, given as a permutation of the simple
-    root indices (0-based)."""
+    root indices (0-based); its order is read off the permutation."""
 
     permutation: tuple
-    order: int
 
     def __post_init__(self):
         p = self.permutation
         if sorted(p) != list(range(len(p))):
             raise ValueError("not a permutation")
-        k = permutation_order(p)
-        if k != self.order:
-            raise ValueError(f"declared order {self.order} but actual order {k}")
+
+    @property
+    def order(self) -> int:
+        return permutation_order(self.permutation)
 
     @property
     def is_trivial(self) -> bool:
@@ -345,24 +344,16 @@ class GraphAut:
 
 @dataclass(frozen=True)
 class FoldingDatum:
+    """A simply-laced R_h and a diagram automorphism a of it.  No list of
+    foldings is kept: ``validate_on`` refuses the rest (such as A_{2n} flips)."""
+
     homogeneous: RootSystem
     aut: GraphAut
 
     def __post_init__(self):
-        rs, a = self.homogeneous, self.aut
-        if not rs.dtype.is_simply_laced:
+        if not self.homogeneous.dtype.is_simply_laced:
             raise ValueError("folding requires a simply-laced (ADE) system")
-        a.validate_on(rs)
-        if not a.is_trivial:
-            t = rs.dtype
-            ok = (
-                (t.series == "A" and t.rank % 2 == 1 and t.rank >= 3 and a.order == 2)
-                or (t.series == "D" and t.rank >= 4 and a.order == 2)
-                or (t.series == "D" and t.rank == 4 and a.order == 3)
-                or (t.series == "E" and t.rank == 6 and a.order == 2)
-            )
-            if not ok:
-                raise ValueError(f"no folding of {t} by an order-{a.order} automorphism")
+        self.aut.validate_on(self.homogeneous)
 
 
 @dataclass(frozen=True)
@@ -440,25 +431,15 @@ def _build_root_system(t: DynkinType) -> RootSystem:
 
 
 def standard_automorphism(t: DynkinType | str, order: int) -> GraphAut:
-    """The standard Dynkin graph automorphism of the given order (trivial,
-    the A/D/E6 flip, or D4 triality)."""
+    """The lexicographically least automorphism of the given order of the
+    Cartan matrix of t: the identity, a flip (A_n, D_n, E6) or D4 triality."""
     if isinstance(t, str):
         t = DynkinType.parse(t)
-    n = t.rank
-    if order == 1:
-        return GraphAut(tuple(range(n)), 1)
-    if t.series == "A" and order == 2:
-        return GraphAut(tuple(n - 1 - i for i in range(n)), 2)
-    if t.series == "D" and order == 2:
-        p = list(range(n))
-        p[n - 2], p[n - 1] = p[n - 1], p[n - 2]
-        return GraphAut(tuple(p), 2)
-    if t.series == "D" and t.rank == 4 and order == 3:
-        # rotate the three outer nodes 1 -> 3 -> 4 -> 1 (Bourbaki labels)
-        return GraphAut((2, 1, 3, 0), 3)
-    if t.series == "E" and t.rank == 6 and order == 2:
-        return GraphAut((5, 1, 4, 3, 2, 0), 2)
-    raise ValueError(f"no standard order-{order} automorphism of {t}")
+    C = t.cartan_rows()
+    for p in _cartan_isomorphisms(C, C):
+        if permutation_order(p) == order:
+            return GraphAut(p)
+    raise ValueError(f"no order-{order} automorphism of {t}")
 
 
 def folding_datum(type_text: str, order: int) -> FoldingDatum:
@@ -578,41 +559,37 @@ def folded_lattices(fd: FoldingDatum) -> tuple[Lattice, Lattice]:
 
 
 def _candidate_types(rank: int) -> list[DynkinType]:
-    out = [DynkinType("A", rank)]
-    if rank == 2:
-        out = [DynkinType("C", 2), DynkinType("B", 2), DynkinType("A", 2), DynkinType("G", 2)]
-        return out
-    if rank >= 2:
-        out += [DynkinType("C", rank), DynkinType("B", rank)]
-    if rank >= 4:
-        out.append(DynkinType("D", rank))
-    if rank == 4:
-        out.append(DynkinType("F", 4))
-    if rank in (6, 7, 8):
-        out.append(DynkinType("E", rank))
-    return out
+    """Every Dynkin type of the rank but D3, a relabelled A3 that is named A3;
+    C before B, so that a relabelled double bond of rank 2 reads C2."""
+    out = []
+    for series in "CBADEFG":
+        try:
+            out.append(DynkinType(series, rank))
+        except ValueError:
+            pass
+    return [t for t in out if str(t) != "D3"]
 
 
-def _match_perm(C, D) -> tuple | None:
-    """A permutation p with D[p[i]][p[j]] == C[i][j], or None."""
+def _cartan_isomorphisms(C, D):
+    """Every permutation p with D[p[i]][p[j]] == C[i][j], in lexicographic
+    order, by extending a partial p one index at a time while it matches on
+    the indices placed so far."""
     n = len(C)
+    p = []
 
-    def row_profile(M, i):
-        return tuple(sorted((M[i][j], M[j][i]) for j in range(n) if j != i))
+    def extend():
+        if len(p) == n:
+            yield tuple(p)
+            return
+        i = len(p)
+        for q in range(n):
+            if q not in p and all(D[q][pj] == C[i][j] and D[pj][q] == C[j][i]
+                                  for j, pj in enumerate(p + [q])):
+                p.append(q)
+                yield from extend()
+                p.pop()
 
-    profC = [row_profile(C, i) for i in range(n)]
-    profD = [row_profile(D, i) for i in range(n)]
-    for p in permutations(range(n)):
-        good = True
-        for i in range(n):
-            if profC[i] != profD[p[i]]:
-                good = False
-                break
-        if not good:
-            continue
-        if all(D[p[i]][p[j]] == C[i][j] for i in range(n) for j in range(n)):
-            return p
-    return None
+    yield from extend()
 
 
 def classify_with_perm(cartan) -> tuple[DynkinType, tuple]:
@@ -630,7 +607,7 @@ def classify_with_perm(cartan) -> tuple[DynkinType, tuple]:
         if C == t.cartan_rows():
             return t, tuple(range(rank))
     for t in cands:
-        p = _match_perm(C, t.cartan_rows())
+        p = next(_cartan_isomorphisms(C, t.cartan_rows()), None)
         if p is not None:
             return t, p
     raise ValueError("Cartan matrix is not of irreducible ABCDEFG type")
@@ -645,4 +622,4 @@ def isomorphic(rs1: RootSystem, rs2: RootSystem) -> bool:
     isomorphic, only labeled differently)."""
     if rs1.rank != rs2.rank or len(rs1.all_roots) != len(rs2.all_roots):
         return False
-    return _match_perm(rs1.cartan_matrix(), rs2.cartan_matrix()) is not None
+    return next(_cartan_isomorphisms(rs1.cartan_matrix(), rs2.cartan_matrix()), None) is not None

@@ -42,6 +42,17 @@ class TestFold:
         out = json.loads(p.stdout)
         assert out["coinvariants"] == "G2" and out["invariants"] == "G2"
 
+    def test_d3_is_a3(self):
+        """D3 is A3 with its nodes relabelled, so its flip folds it to B2."""
+        p = run_cli(["--format", "json", "fold", "D3", "2"])
+        assert p.returncode == 0
+        out = json.loads(p.stdout)
+        assert out["coinvariants"] == "B2" and out["invariants"] == "C2"
+        assert out["weyl_order_homogeneous"] == 24 and out["weyl_order_folded"] == 8
+        p = run_cli(["--format", "json", "weyl", "D3", "2"])
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["commutant_order"] == 8
+
     def test_invalid_input_exit_2(self):
         p = run_cli(["fold", "Q9", "2"])
         assert p.returncode == 2
@@ -149,6 +160,9 @@ class TestUsageErrors:
         ["cameral", "induce", "--type", "A9"],
         ["dims", "--type", "C9", "--genus", "2"],
         ["dims", "--type", "C2", "--genus", "2", "--fold-from", "A9"],
+        ["dims", "--type", "C2", "--genus", "2", "--fold-from", "D4", "--order", "3",
+         "--isogeny"],
+        ["dims", "--type", "A1", "--genus", "2", "--fold-from", "E6"],
         ["deform", "--type", "A80"],
     ], ids=lambda a: " ".join(a))
     def test_exit_2_without_traceback(self, args):
@@ -165,7 +179,10 @@ class TestUsageErrors:
         # refused for its automorphism before any group is built
         (["cameral", "induce", "--type", "E8", "--order", "1"],
          "cameral induce folds along an involution; got an order-1 automorphism"),
-    ], ids=["weyl E7 1", "cameral D7 2", "cameral E8 1"])
+        (["fold", "A1", "2"], "no order-2 automorphism of A1"),
+        (["dims", "--type", "C2", "--genus", "2", "--fold-from", "D4", "--order", "3"],
+         "D4 with an order-3 automorphism folds to G2 or G2, not C2"),
+    ], ids=["weyl E7 1", "cameral D7 2", "cameral E8 1", "fold A1 2", "dims C2 from D4 3"])
     def test_refusal_text(self, args, message):
         p = run_cli(args)
         assert p.returncode == 2
