@@ -3,13 +3,14 @@
 All routines operate on flat, row-major sequences.  Rational matrices
 arrive as integer numerators over one denominator (see
 :class:`foldlie.exactalg.RatMatrix`), so products, row reduction and
-characteristic polynomials run on ints; ``rref`` and ``charpoly_int`` take
-ints only.  ``rref`` is fraction-free elimination and ``charpoly_int`` one
-Bareiss determinant read off in a large integer base.  ``mat_mul``,
-``mat_vec`` and ``charpoly_generic`` also accept any commutative ring
-element supporting ``+``, ``-``, ``*`` (and ``/`` by small integers for the
-characteristic polynomial), which is how matrices with polynomial entries
-are handled.  Callers import them through ``foldlie.kernel``.
+characteristic polynomials run on ints: ``mat_mul``, ``mat_vec``, ``rref``
+and ``charpoly_int`` are called with ints only.  ``rref`` is fraction-free
+elimination and ``charpoly_int`` one Bareiss determinant read off in a large
+integer base.  ``charpoly_generic`` accepts any commutative ring element
+supporting ``+``, ``-``, ``*`` (and ``/`` by small integers), which is how
+the characteristic polynomial of a matrix with polynomial entries (see
+:class:`foldlie.exactalg.PolyMatrix`) is taken.  Callers import them
+through ``foldlie.kernel``.
 """
 
 from __future__ import annotations

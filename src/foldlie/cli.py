@@ -325,8 +325,9 @@ def cmd_dims(args) -> int:
             fd = rs.folding_datum(args.fold_from, args.order)
         co, inv = rs.fold_coinvariants(fd).dtype, rs.fold_invariants(fd).dtype
         if hb.group_type not in (co, inv):
+            folded = co if co == inv else f"{co} or {inv}"
             raise UsageError(f"{fd.homogeneous.dtype} with an order-{fd.aut.order} "
-                             f"automorphism folds to {co} or {inv}, not {hb.group_type}")
+                             f"automorphism folds to {folded}, not {hb.group_type}")
         match = ht.folded_base_match(fd, args.genus)
         payload["folded_base_match"] = {"cases_run": match.cases_run,
                                         "failures": match.failures}
@@ -393,6 +394,11 @@ def _bounded_rank(text: str) -> str:
     return text
 
 
+# The folding order: D4 triality has the largest order (3) of any diagram
+# automorphism, and 1 is the trivial folding.
+_order = _int_in(1, 3)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="foldlie",
@@ -405,20 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fold", help="fold a simply-laced type both ways")
     f.add_argument("type", type=_bounded_rank)
-    f.add_argument("order", type=int, nargs="?", default=2)
+    f.add_argument("order", type=_order, nargs="?", default=2)
     f.add_argument("--roots", action="store_true", help="include full root data")
     f.set_defaults(fn=cmd_fold)
 
     w = sub.add_parser("weyl", help="Weyl-group folding isomorphism data")
     w.add_argument("type", type=_bounded_rank)
-    w.add_argument("order", type=int, nargs="?", default=2)
+    w.add_argument("order", type=_order, nargs="?", default=2)
     w.set_defaults(fn=cmd_weyl)
 
     l = sub.add_parser("liealg", help="matrix Lie algebra data")
     l.add_argument("algebra", type=_bounded_rank,
                    help=f"e.g. sl4, sp4, so8; size at most {MAX_RANK}")
     l.add_argument("--dump", action="store_true", help="dump Chevalley constants")
-    l.add_argument("--order", type=int, default=1, help="also dump the lift of the "
+    l.add_argument("--order", type=_order, default=1, help="also dump the lift of the "
                    "standard automorphism of this order")
     l.set_defaults(fn=cmd_liealg)
 
@@ -433,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("deform", help="semi-universal deformation of a singularity")
     d.add_argument("--type", type=_bounded_rank, required=True)
     d.add_argument("--fold", action="store_true")
-    d.add_argument("--order", type=int, default=2)
+    d.add_argument("--order", type=_order, default=2)
     d.set_defaults(fn=cmd_deform)
 
     t = sub.add_parser("threefold", help="threefold family over a curve")
@@ -445,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cameral", help="random transversal cameral cover and folding")
     c.add_argument("induce", nargs="?", choices=["induce"], default="induce")
     c.add_argument("--type", type=_bounded_rank, default="A3")
-    c.add_argument("--order", type=int, default=2)
+    c.add_argument("--order", type=_order, default=2)
     c.add_argument("--genus", type=_int_in(2, MAX_GENUS), default=2,
                    help=f"base genus, 2..{MAX_GENUS}")
     c.add_argument("--seed", type=int, default=42)
@@ -456,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--genus", type=_int_in(2, MAX_GENUS), required=True,
                    help=f"base genus, 2..{MAX_GENUS}")
     m.add_argument("--fold-from", dest="fold_from", type=_bounded_rank)
-    m.add_argument("--order", type=int, default=2)
+    m.add_argument("--order", type=_order, default=2)
     m.add_argument("--isogeny", action="store_true")
     m.set_defaults(fn=cmd_dims)
 

@@ -1,14 +1,13 @@
 """Exact rational arithmetic kernel: matrices, nullspaces, characteristic
 polynomials, exterior-power traces, and sparse multivariate polynomials.
 
-No floating point appears anywhere.  Rational matrices and polynomials are
-both stored as integer numerators over one positive denominator, in
-canonical form, so their arithmetic runs on ints and equal values have
-equal storage; scalars are handed out at the boundary as
-``fractions.Fraction`` (exported as :data:`Rat`).  Matrix entries may also
-be :class:`MultiPoly` values for symbolic computations (e.g. characteristic
-polynomials of matrices with polynomial entries); operations that only
-make sense over the rationals check for that.
+No floating point appears anywhere.  Rational matrices (:class:`RatMatrix`)
+and polynomials (:class:`MultiPoly`) are both stored as integer numerators
+over one positive denominator, in canonical form, so their arithmetic runs
+on ints and equal values have equal storage; scalars are handed out at the
+boundary as ``fractions.Fraction`` (exported as :data:`Rat`).  A matrix
+with polynomial entries, needed only for symbolic adjoint quotients, is a
+:class:`PolyMatrix`: it is built and read, never computed with.
 """
 
 from __future__ import annotations
@@ -25,12 +24,6 @@ Rat = Fraction
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)  # shared by every zero entry handed out
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 def _integer_vector(values):
@@ -51,15 +44,6 @@ def _integer_vector(values):
     if d == 1:
         return tuple(x.numerator for x in values), 1
     return tuple(x.numerator * (d // x.denominator) for x in values), d
-
-
-def _scalar_vector(values):
-    """:func:`_integer_vector` of ``values`` after reading strings and floats
-    as Fractions; None if a value is a :class:`MultiPoly`."""
-    form = _integer_vector(values)
-    if form is None and not any(isinstance(x, MultiPoly) for x in values):
-        form = _integer_vector([_frac(x) for x in values])
-    return form
 
 
 def _canonical(nums, d) -> tuple:
@@ -85,19 +69,15 @@ def _from_ints(rows: int, cols: int, nums, d) -> "RatMatrix":
 
 
 class RatMatrix:
-    """Immutable matrix with exact entries, stored row-major.
+    """Immutable matrix with rational entries, stored row-major.
 
-    A rational matrix is stored as integer numerators over one denominator,
-    in canonical form: the denominator is positive and has no factor common
-    to every numerator, so equal matrices have equal storage.  Sums,
-    products, brackets, :meth:`apply`, row reduction, equality and hashing
-    run on these ints and bring each result to canonical form once.
-    ``entries``, :meth:`entry` and :meth:`row` hand out Fractions, built on
-    first use and cached.
-
-    :class:`MultiPoly` entries are accepted for symbolic work: such a matrix
-    keeps its entries as given (rational ones as Fractions) and takes the
-    generic path of each method; its integer form is ``None``.
+    The entries are ints and Fractions, stored as integer numerators over
+    one denominator, in canonical form: the denominator is positive and has
+    no factor common to every numerator, so equal matrices have equal
+    storage.  Sums, products, brackets, :meth:`apply`, row reduction,
+    equality and hashing run on these ints and bring each result to
+    canonical form once.  ``entries``, :meth:`entry` and :meth:`row` hand
+    out Fractions, built on first use and cached.
     """
 
     __slots__ = ("rows", "cols", "_ints", "_entries")
@@ -106,12 +86,13 @@ class RatMatrix:
         ent = tuple(entries)
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
-        form = _scalar_vector(ent)
+        form = _integer_vector(ent)
+        if form is None:
+            raise TypeError("RatMatrix entries must be ints or Fractions")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_ints", form)
-        object.__setattr__(self, "_entries", None if form is not None else tuple(
-            x if isinstance(x, MultiPoly) else _frac(x) for x in ent))
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -182,13 +163,11 @@ class RatMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        if self._ints is not None:
-            return not any(self._ints[0])
-        return all(x == 0 for x in self.entries)
+        return not any(self._ints[0])
 
-    def _integer_form(self):
+    def _integer_form(self) -> tuple:
         """``(numerators, d)`` with ``entries == numerators / d`` in canonical
-        form, or None if an entry is a MultiPoly."""
+        form."""
         return self._ints
 
     # -- algebra ----------------------------------------------------------
@@ -200,13 +179,9 @@ class RatMatrix:
 
     def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
         """self + sign * other."""
-        self._same_shape(other)
-        fa, fb = self._ints, other._ints
-        if fa is None or fb is None:
-            ent = zip(self.entries, other.entries)
-            return RatMatrix(self.rows, self.cols,
-                             [a + b for a, b in ent] if sign > 0 else [a - b for a, b in ent])
-        (a, da), (b, db) = fa, fb
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        (a, da), (b, db) = self._ints, other._ints
         if da == db:
             nums = [x + y for x, y in zip(a, b)] if sign > 0 else [x - y for x, y in zip(a, b)]
             return _from_ints(self.rows, self.cols, nums, da)
@@ -215,8 +190,6 @@ class RatMatrix:
         return _from_ints(self.rows, self.cols, [x * ka + y * kb for x, y in zip(a, b)], d)
 
     def __neg__(self) -> "RatMatrix":
-        if self._ints is None:
-            return RatMatrix(self.rows, self.cols, [-a for a in self.entries])
         nums, d = self._ints
         return _from_ints(self.rows, self.cols, [-x for x in nums], d)
 
@@ -225,11 +198,6 @@ class RatMatrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
             fa, fb = self._ints, other._ints
-            if fa is None or fb is None:
-                ent = kernel.mat_mul(
-                    list(self.entries), list(other.entries), self.rows, self.cols, other.cols
-                )
-                return RatMatrix(self.rows, other.cols, ent)
             ent = kernel.mat_mul(fa[0], fb[0], self.rows, self.cols, other.cols)
             return _from_ints(self.rows, other.cols, ent, fa[1] * fb[1])
         return self.scale(other)
@@ -238,30 +206,26 @@ class RatMatrix:
         return self.scale(other)
 
     def scale(self, c) -> "RatMatrix":
-        if self._ints is None or isinstance(c, MultiPoly):
-            return RatMatrix(self.rows, self.cols, [x * c for x in self.entries])
-        c = _frac(c)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"a RatMatrix scales by an int or a Fraction, not {type(c).__name__}")
         p = c.numerator
         nums, d = self._ints
         return _from_ints(self.rows, self.cols, [x * p for x in nums], d * c.denominator)
 
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector, returned as a tuple (of Fractions for
-        a rational matrix and vector)."""
+        """Matrix times a column vector of ints and Fractions, returned as a
+        tuple of Fractions."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         fm, fv = self._ints, _integer_vector(vec)
-        if fm is None or fv is None:
-            return tuple(kernel.mat_vec(list(self.entries), list(vec), self.rows, self.cols))
+        if fv is None:
+            raise TypeError("the vector must have int or Fraction entries")
         out = kernel.mat_vec(fm[0], fv[0], self.rows, self.cols)
         d = fm[1] * fv[1]
         return tuple(Fraction(x, d) for x in out)
 
     def transpose(self) -> "RatMatrix":
         r, c = self.rows, self.cols
-        if self._ints is None:
-            ent = self.entries
-            return RatMatrix(c, r, [ent[j * c + i] for i in range(c) for j in range(r)])
         nums, d = self._ints
         return _from_ints(c, r, [nums[j * c + i] for i in range(c) for j in range(r)], d)
 
@@ -269,22 +233,17 @@ class RatMatrix:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
         n = self.rows
-        if self._ints is not None:
-            nums, d = self._ints
-            return Fraction(sum(nums[i * n + i] for i in range(n)), d)
-        acc = self.entries[0]
-        for i in range(1, n):
-            acc = acc + self.entries[i * n + i]
-        return acc
+        nums, d = self._ints
+        return Fraction(sum(nums[i * n + i] for i in range(n)), d)
 
     def bracket(self, other: "RatMatrix") -> "RatMatrix":
         """Commutator [self, other]; both products share one denominator and
         run over the non-zero numerators of each row only (basis matrices of
         a Lie algebra have one or two)."""
         n = self.rows
+        if (self.cols, other.rows, other.cols) != (n, n, n):
+            raise ValueError("bracket of matrices of different shapes")
         fa, fb = self._ints, other._ints
-        if fa is None or fb is None or (self.cols, other.rows, other.cols) != (n, n, n):
-            return self * other - other * self
         ra, rb = _sparse_rows(fa[0], n), _sparse_rows(fb[0], n)
         out = [0] * (n * n)
         for i in range(n):
@@ -298,23 +257,18 @@ class RatMatrix:
         return _from_ints(n, n, out, fa[1] * fb[1])
 
     # -- linear algebra ----------------------------------------------------
-    def _rational_ints(self) -> tuple:
-        if self._ints is None:
-            raise TypeError("row reduction needs rational entries")
-        return self._ints
-
     def rref(self) -> tuple["RatMatrix", list]:
-        nums, den, pivots = kernel.rref(self._rational_ints()[0], self.rows, self.cols)
+        nums, den, pivots = kernel.rref(self._ints[0], self.rows, self.cols)
         return _from_ints(self.rows, self.cols, nums, den), pivots
 
     def rank(self) -> int:
-        return len(kernel.rref(self._rational_ints()[0], self.rows, self.cols)[2])
+        return len(kernel.rref(self._ints[0], self.rows, self.cols)[2])
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        nums, d = self._rational_ints()
+        nums, d = self._ints
         # row-reducing [N | d I] to [I | X] gives X = d N^-1, the inverse of N / d
         red, den, pivots = kernel.rref(_augment(nums, n, n, d), n, 2 * n)
         if pivots[:n] != list(range(n)):
@@ -325,22 +279,38 @@ class RatMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix) or (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if self._ints is not None and other._ints is not None:
-            return self._ints == other._ints
-        return self.entries == other.entries
+        return self._ints == other._ints
 
     def __hash__(self) -> int:
-        if self._ints is not None:
-            return hash((self.rows, self.cols, self._ints))
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self._ints))
 
     def __repr__(self) -> str:
         rows = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {rows})"
 
-    def _same_shape(self, other: "RatMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+
+class PolyMatrix:
+    """A square matrix with polynomial entries, for symbolic adjoint
+    quotients: ``entries`` row-major, each a :class:`MultiPoly` of the ring
+    ``variables`` or an exact rational, at least one a polynomial.  It is
+    built from its rows and only read, by :func:`char_poly_coefficients`
+    and by the membership test of a matrix Lie algebra."""
+
+    __slots__ = ("rows", "cols", "entries", "variables")
+
+    def __init__(self, rows: Sequence[Sequence]):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("a PolyMatrix is square")
+        ent = tuple(x for row in rows for x in row)
+        if not all(isinstance(x, (int, Fraction, MultiPoly)) for x in ent):
+            raise TypeError("PolyMatrix entries must be MultiPolys, ints or Fractions")
+        rings = {x.variables for x in ent if isinstance(x, MultiPoly)}
+        if len(rings) != 1:
+            raise ValueError("PolyMatrix entries must include polynomials of one ring")
+        self.rows = self.cols = n
+        self.entries = ent
+        (self.variables,) = rings
 
 
 def _sparse_rows(nums, n: int) -> list:
@@ -755,7 +725,7 @@ def _accumulate(terms: dict, items, scale: int = 1) -> None:
 def nullspace(m: RatMatrix) -> list[RatMatrix]:
     """Basis of ker(m) as column vectors; rank-nullity is verified."""
     cols = m.cols
-    red, den, pivots = kernel.rref(m._rational_ints()[0], m.rows, cols)
+    red, den, pivots = kernel.rref(m._integer_form()[0], m.rows, cols)
     pivot_set = set(pivots)
     basis = []
     for f in range(cols):
@@ -774,28 +744,26 @@ def nullspace(m: RatMatrix) -> list[RatMatrix]:
     return basis
 
 
-def char_poly_coefficients(m: RatMatrix) -> list:
+def char_poly_coefficients(m: RatMatrix | PolyMatrix) -> list:
     """Coefficients [c_0=1, c_1, ..., c_n] of det(x*I - m) ordered from x^n
-    down to x^0.  Entries may be Fractions or MultiPoly values."""
-    if not m.is_square:
-        raise ValueError("characteristic polynomial of a non-square matrix")
+    down to x^0: Fractions for a RatMatrix, MultiPolys for a PolyMatrix."""
     n = m.rows
-    form = m._integer_form()
-    if form is None:
-        vs = next(x for x in m.entries if isinstance(x, MultiPoly)).variables
-        one = MultiPoly.const(vs, 1)
+    if isinstance(m, PolyMatrix):
+        one = MultiPoly.const(m.variables, 1)
         ent = [x if isinstance(x, MultiPoly) else one * x for x in m.entries]
         return kernel.charpoly_generic(ent, n, one)
-    ints, d = form
+    if not m.is_square:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    ints, d = m._integer_form()
     coeffs = kernel.charpoly_int(ints, n)
     return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
 
-def exterior_traces(m: RatMatrix, ks: Sequence[int]) -> tuple:
+def exterior_traces(m: RatMatrix | PolyMatrix, ks: Sequence[int]) -> tuple:
     """tr(Lambda^k m) for every k in ``ks``, from one characteristic
     polynomial: e_k(eigenvalues) is (-1)^k times the coefficient of x^(n-k);
-    exact, possibly symbolic."""
-    if not m.is_square:
+    exact, symbolic for a PolyMatrix."""
+    if m.rows != m.cols:
         raise ValueError("exterior_traces of a non-square matrix")
     n = m.rows
     for k in ks:
@@ -855,7 +823,7 @@ class SpanSolver:
 
 def _vector_form(vector) -> tuple:
     """Integer numerators and denominator of a rational vector or matrix."""
-    form = vector._ints if isinstance(vector, RatMatrix) else _scalar_vector(list(vector))
+    form = vector._ints if isinstance(vector, RatMatrix) else _integer_vector(list(vector))
     if form is None:
         raise TypeError("a span needs rational vectors")
     return form

@@ -19,7 +19,14 @@ from functools import cache, cached_property
 from math import factorial, lcm
 
 from . import kernel
-from .exactalg import MultiPoly, RatMatrix, SpanSolver, _scalar_vector, exterior_traces
+from .exactalg import (
+    MultiPoly,
+    PolyMatrix,
+    RatMatrix,
+    SpanSolver,
+    _integer_vector,
+    exterior_traces,
+)
 from .rootsys import (
     DynkinType,
     FoldingDatum,
@@ -52,7 +59,8 @@ def _combination(basis: tuple, coeffs) -> list:
     """The flat entries of sum_k coeffs[k] N_k, where N_k are the integer
     numerators of a basis from :func:`_integer_basis` (so the combination
     of the basis matrices is this over the basis denominator).  The
-    coefficients may be ints, Fractions or MultiPolys."""
+    coefficients may be ints, Fractions or MultiPolys (the symbolic
+    coordinates of a PolyMatrix)."""
     size, terms, _ = basis
     acc = [0] * (size * size)
     for c, term in zip(coeffs, terms):
@@ -69,14 +77,11 @@ def _linear_combination(basis: tuple, numerators, d: int = 1) -> RatMatrix:
 
 
 def _from_coefficients(basis: tuple, coeffs) -> RatMatrix:
-    """sum_k coeffs[k] B_k: on the coefficients' numerators when they are
-    rational, the same sparse combination when some are MultiPolys."""
-    form = _scalar_vector(coeffs)
-    if form is not None:
-        return _linear_combination(basis, *form)
-    size, _, den = basis
-    m = RatMatrix(size, size, _combination(basis, coeffs))
-    return m if den == 1 else m.scale(Fraction(1, den))
+    """sum_k coeffs[k] B_k for rational coefficients."""
+    form = _integer_vector(coeffs)
+    if form is None:
+        raise TypeError("coordinates must be ints or Fractions")
+    return _linear_combination(basis, *form)
 
 
 class MatrixLieAlgebra:
@@ -175,7 +180,7 @@ class MatrixLieAlgebra:
             raise AssertionError(f"dimension {self.dim} != classical {expected}")
 
     # -- coordinates ----------------------------------------------------------
-    def coords(self, m: RatMatrix):
+    def coords(self, m: RatMatrix | PolyMatrix):
         """Coordinates in the basis, or None if m is not in the algebra."""
         found = self._coords(m)
         if found is None:
@@ -183,20 +188,20 @@ class MatrixLieAlgebra:
         out, d = found
         return tuple(out) if d is None else tuple(Fraction(x, d) for x in out)
 
-    def _coords(self, m: RatMatrix):
+    def _coords(self, m: RatMatrix | PolyMatrix):
         """(coordinates, d), or None if m is not in the algebra: integer
-        numerators over d for a rational m, and d = None with polynomial
-        coordinates for a matrix with polynomial entries.
+        numerators over d for a RatMatrix, and d = None with polynomial
+        coordinates for a PolyMatrix.
 
         The coordinates are read off the pivot entries and m is a member
         exactly when the basis combination with them reconstructs m.  For a
-        rational m both steps run on its integer numerators; for a matrix
-        with polynomial entries the same sparse combination runs on the
-        polynomial coordinates and is compared with the entries."""
+        RatMatrix both steps run on its integer numerators; for a PolyMatrix
+        the same sparse combination runs on the polynomial coordinates and
+        is compared with the entries."""
         if m.rows != self.size or m.cols != self.size:
             return None
-        form = m._integer_form()
-        ent, d = form if form is not None else (m.entries, 1)
+        symbolic = isinstance(m, PolyMatrix)
+        ent, d = (m.entries, None) if symbolic else m._integer_form()
         n = self.size
         out = []
         pivots = self._pivots
@@ -207,7 +212,7 @@ class MatrixLieAlgebra:
                 out.append(partial)
             pivots = pivots[len(self.cartan_indices):]
         out.extend(ent[i * n + j] for i, j in pivots)
-        if form is None:
+        if symbolic:
             den = self._int_basis[2]
             target = ent if den == 1 else [x * den for x in ent]
             got = _combination(self._int_basis, out)
@@ -297,14 +302,12 @@ class ChevalleyData:
 
     def chev_coords(self, m: RatMatrix):
         """Chevalley coordinates of m, or None if m is not in the algebra.
-        The integer coordinates of a rational m go straight through the
-        integer form of the change of basis: one Fraction per output."""
+        The integer coordinates of m go straight through the integer form
+        of the change of basis: one Fraction per output."""
         found = self.algebra._coords(m)
         if found is None:
             return None
         fam, d = found
-        if d is None:
-            return self._chev_from_family.apply(fam)
         nums, den = self._chev_from_family._integer_form()
         d *= den
         return tuple(Fraction(x, d) for x in kernel.mat_vec(nums, fam, len(fam), len(fam)))
@@ -317,22 +320,16 @@ class ChevalleyData:
         return _integer_basis(self.basis_matrices)
 
     def to_json(self) -> dict:
-        rs = self.root_system
+        """The basis as ``["h", i]`` and ``["e", root]``, and the structure
+        constants as a sorted list of ``[alpha, beta, c]``: roots as lists
+        of integer weight coordinates, c an int."""
         return {
-            "type": str(rs.dtype),
-            "basis": [str((k[0], _dump_key(k[1]))) for k in self.basis_keys],
-            "constants": {
-                f"{a}|{b}": str(c) for (a, b), c in sorted(
-                    ((_dump_key(a), _dump_key(b)), c) for (a, b), c in self.constants.items()
-                )
-            },
+            "type": str(self.root_system.dtype),
+            "basis": [[kind, list(key) if kind == "e" else key]
+                      for kind, key in self.basis_keys],
+            "constants": [[list(a), list(b), int(c)]
+                          for (a, b), c in sorted(self.constants.items())],
         }
-
-
-def _dump_key(key):
-    """A root key as the dump writes it, a tuple of Fractions; other keys
-    (the index of a Cartan basis element) as they are."""
-    return tuple(map(Fraction, key)) if isinstance(key, tuple) else key
 
 
 def _simple_triples(alg: MatrixLieAlgebra):
@@ -645,7 +642,7 @@ class AdjointQuotientValue:
     weights: tuple
 
 
-def adjoint_quotient(alg: MatrixLieAlgebra, m: RatMatrix) -> AdjointQuotientValue:
+def adjoint_quotient(alg: MatrixLieAlgebra, m: RatMatrix | PolyMatrix) -> AdjointQuotientValue:
     """xi o chi: the exterior-power traces in the invariant degrees of the
     algebra's type, which generate its invariant ring (degrees 2..n for
     sl_n; even degrees for sp_2n and so_{2n+1}), with the C*-weight vector
@@ -678,18 +675,9 @@ def exp_nilpotent(m: RatMatrix) -> RatMatrix:
 # -- the base isomorphism check ---------------------------------------------------------
 
 
-def _diag_poly_matrix(values, names) -> RatMatrix:
+def _diag_poly_matrix(values) -> PolyMatrix:
     n = len(values)
-    zero = MultiPoly.zero(names)
-    ent = [zero] * (n * n)
-    out = list(ent)
-    for i, v in enumerate(values):
-        out[i * n + i] = v
-    return RatMatrix(n, n, out)
-
-
-def _is_zero(x) -> bool:
-    return x == 0 or (hasattr(x, "is_zero") and x.is_zero())
+    return PolyMatrix([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
 
 
 def base_iso_check(fd: FoldingDatum, sample_count: int = 100, seed: int = 42) -> Report:
@@ -715,9 +703,9 @@ def base_iso_check(fd: FoldingDatum, sample_count: int = 100, seed: int = 42) ->
         unames = inv.var_names("u", half)
         uvars = [MultiPoly.var(unames, u) for u in unames]
         # fixed Cartan in sl_N: diag(u_1..u_n, -u_n..-u_1)
-        th = _diag_poly_matrix(uvars + [-u for u in reversed(uvars)], unames)
+        th = _diag_poly_matrix(uvars + [-u for u in reversed(uvars)])
         # sp_N Cartan: diag(u_1..u_n, -u_1..-u_n)
-        tc = _diag_poly_matrix(uvars + [-u for u in uvars], unames)
+        tc = _diag_poly_matrix(uvars + [-u for u in uvars])
         degrees = t.degrees()
         even = [k for k in degrees if k % 2 == 0]
         th_traces = dict(zip(degrees, exterior_traces(th, degrees)))
@@ -726,7 +714,7 @@ def base_iso_check(fd: FoldingDatum, sample_count: int = 100, seed: int = 42) ->
             report.cases_run += 1
             lhs = th_traces[k]
             if k % 2 == 1:
-                if not _is_zero(lhs):
+                if not lhs.is_zero():
                     report.fail(f"sigma_{k} on fixed Cartan", "0", lhs)
             elif lhs != tc_traces[k]:
                 report.fail(f"sigma_{k} restricted vs folded", tc_traces[k], lhs)
@@ -761,8 +749,8 @@ def _a3_paper_identity(report: Report):
     names = ("u", "v")
     u = MultiPoly.var(names, "u")
     v = MultiPoly.var(names, "v")
-    th = _diag_poly_matrix([u, v, -v, -u], names)
-    tc = _diag_poly_matrix([-u, v, u, -v], names)
+    th = _diag_poly_matrix([u, v, -v, -u])
+    tc = _diag_poly_matrix([-u, v, u, -v])
     expected2 = -(u**2) - v**2
     expected4 = (u**2) * (v**2)
     h2, s3, h4 = exterior_traces(th, (2, 3, 4))
@@ -771,7 +759,7 @@ def _a3_paper_identity(report: Report):
                   expected2, f"{h2} / {c2}")
     report.expect(h4 == expected4 and c4 == expected4, "paper identity degree 4",
                   expected4, f"{h4} / {c4}")
-    report.expect(_is_zero(s3), "sigma_3 on fixed Cartan", "0", s3)
+    report.expect(s3.is_zero(), "sigma_3 on fixed Cartan", "0", s3)
 
 
 def _d4_restricted_invariants(report: Report):

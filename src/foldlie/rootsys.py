@@ -59,15 +59,17 @@ class DynkinType:
         return f"{self.series}{self.rank}"
 
     @property
+    @cache
     def is_simply_laced(self) -> bool:
-        return self.series in ("A", "D", "E")
+        """Every off-diagonal Cartan entry is 0 or -1 (memoized per type)."""
+        return all(c in (0, -1) for i, row in enumerate(self.cartan_rows())
+                   for j, c in enumerate(row) if i != j)
 
+    @cache
     def dual(self) -> "DynkinType":
-        if self.series == "B":
-            return DynkinType("C", self.rank)
-        if self.series == "C":
-            return DynkinType("B", self.rank)
-        return self
+        """The type of the transposed Cartan matrix, the dual root system
+        (memoized per type)."""
+        return classify(list(zip(*self.cartan_rows())))
 
     def root_count(self) -> int:
         n, s = self.rank, self.series
@@ -337,9 +339,8 @@ class GraphAut:
             ar = self.apply_to_weight_coords(r)
             val = rs.inner(ar, r)
             if val != 0 and val != rs.inner(r, r):
-                raise ValueError(
-                    "not a Dynkin graph automorphism: (a(alpha), alpha) outside {0, |alpha|^2}"
-                )
+                raise ValueError(f"{rs.dtype} has no order-{self.order} folding: "
+                                 "(a(alpha), alpha) outside {0, |alpha|^2}")
 
 
 @dataclass(frozen=True)

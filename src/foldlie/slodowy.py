@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
-from .exactalg import MultiPoly, RatMatrix, SpanSolver, nullspace
+from .exactalg import MultiPoly, PolyMatrix, RatMatrix, SpanSolver, nullspace
 from .liealg import MatrixLieAlgebra, _E, adjoint_quotient, build_algebra
 from .verify import Report
 
@@ -101,13 +102,20 @@ class SlodowySlice:
     def dimension(self) -> int:
         return len(self.directions)
 
-    def matrix_at(self, params) -> RatMatrix:
+    def matrix_at(self, params) -> RatMatrix | PolyMatrix:
+        """x + sum params * directions: a RatMatrix at rational parameters,
+        a PolyMatrix when a parameter is a MultiPoly."""
         if len(params) != self.dimension:
             raise ValueError(f"expected {self.dimension} parameters")
-        acc = self.base_point
+        if not any(isinstance(p, MultiPoly) for p in params):
+            acc = self.base_point
+            for p, d in zip(params, self.directions):
+                acc = acc + d.scale(p)
+            return acc
+        ent = self.base_point.entries
         for p, d in zip(params, self.directions):
-            acc = acc + d.scale(p)
-        return acc
+            ent = [a + p * b if b else a for a, b in zip(ent, d.entries)]
+        return _matrix(ent)
 
     def params_of(self, m: RatMatrix) -> tuple:
         c = self._solver.coordinates(m - self.base_point)
@@ -335,43 +343,40 @@ def phi_parameters(v1m, v2m, v1p, v2p):
     return u1m, u2m, u1p, u2p
 
 
-def sh_fixed_base_matrix(u1m, u2m, u1p, u2p) -> RatMatrix:
+def sh_fixed_base_matrix(u1m, u2m, u1p, u2p) -> RatMatrix | PolyMatrix:
     """The s_h parametrization of chi_h^{-1}((t_h/W_h)^C): the slice matrix
     with u3- = -4 u1-^3 + 2 u1- (u1+ + u2+)."""
     u3m = u1m**3 * (-4) + u1m * (u1p + u2p) * 2
     return sh_matrix(u1m, u2m, u3m, u1p, u2p)
 
 
-def sh_matrix(u1m, u2m, u3m, u1p, u2p) -> RatMatrix:
-    one = _as_poly_const(u1m, 1)
-    zero = one - one
-    return RatMatrix.from_rows(
-        [
-            [u1m, one, one, zero],
-            [u1p - u2m, -u1m, u1m * 2, -one],
-            [u2p + u2m, u1m * 2, -u1m, -one],
-            [u3m, u2m - u2p, -u1p - u2m, u1m],
-        ]
-    )
+def sh_matrix(u1m, u2m, u3m, u1p, u2p) -> RatMatrix | PolyMatrix:
+    """The sl4 slice matrix at (u1-, u2-, u3-, u1+, u2+)."""
+    return _matrix([
+        u1m, 1, 1, 0,
+        u1p - u2m, -u1m, u1m * 2, -1,
+        u2p + u2m, u1m * 2, -u1m, -1,
+        u3m, u2m - u2p, -u1p - u2m, u1m,
+    ])
 
 
-def s_matrix(v1m, v2m, v1p, v2p) -> RatMatrix:
-    one = _as_poly_const(v1m, 1)
-    zero = one - one
-    return RatMatrix.from_rows(
-        [
-            [zero, v1m, one, zero],
-            [-v1m, zero, zero, one],
-            [v2p + v2m, v1p, zero, v1m],
-            [v1p, v2p - v2m, -v1m, zero],
-        ]
-    )
+def s_matrix(v1m, v2m, v1p, v2p) -> RatMatrix | PolyMatrix:
+    """The sp4 slice matrix at (v1-, v2-, v1+, v2+)."""
+    return _matrix([
+        0, v1m, 1, 0,
+        -v1m, 0, 0, 1,
+        v2p + v2m, v1p, 0, v1m,
+        v1p, v2p - v2m, -v1m, 0,
+    ])
 
 
-def _as_poly_const(template, c):
-    if isinstance(template, MultiPoly):
-        return MultiPoly.const(template.variables, c)
-    return Fraction(c)
+def _matrix(entries) -> RatMatrix | PolyMatrix:
+    """The square matrix with these row-major entries: a PolyMatrix when
+    one is a MultiPoly, else a RatMatrix."""
+    n = isqrt(len(entries))
+    if any(isinstance(x, MultiPoly) for x in entries):
+        return PolyMatrix([entries[i:i + n] for i in range(0, n * n, n)])
+    return RatMatrix(n, n, entries)
 
 
 def xi_tilde_h(b2h, b4h):
@@ -546,7 +551,5 @@ def sp4_fixed_locus_relations() -> tuple[MultiPoly, MultiPoly]:
 def _exact_sqrt(n: int):
     if n < 0:
         return None
-    import math
-
-    r = math.isqrt(n)
+    r = isqrt(n)
     return r if r * r == n else None

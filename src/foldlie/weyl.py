@@ -298,8 +298,8 @@ def _flat_key(matrix):
     flat sequence; None for a RatMatrix with a non-integer entry."""
     if not isinstance(matrix, RatMatrix):
         return tuple(matrix)
-    form = matrix._integer_form()
-    return form[0] if form is not None and form[1] == 1 else None
+    nums, d = matrix._integer_form()
+    return nums if d == 1 else None
 
 
 def _key(flat, n) -> tuple:

@@ -164,6 +164,9 @@ class TestUsageErrors:
          "--isogeny"],
         ["dims", "--type", "A1", "--genus", "2", "--fold-from", "E6"],
         ["deform", "--type", "A80"],
+        ["fold", "D4", "-1"],
+        ["weyl", "A3", "0"],
+        ["fold", "D4", "4"],
     ], ids=lambda a: " ".join(a))
     def test_exit_2_without_traceback(self, args):
         p = run_cli(["--format", "json", *args])
@@ -181,12 +184,23 @@ class TestUsageErrors:
          "cameral induce folds along an involution; got an order-1 automorphism"),
         (["fold", "A1", "2"], "no order-2 automorphism of A1"),
         (["dims", "--type", "C2", "--genus", "2", "--fold-from", "D4", "--order", "3"],
-         "D4 with an order-3 automorphism folds to G2 or G2, not C2"),
-    ], ids=["weyl E7 1", "cameral D7 2", "cameral E8 1", "fold A1 2", "dims C2 from D4 3"])
+         "D4 with an order-3 automorphism folds to G2, not C2"),
+        (["fold", "A4", "2"],
+         "A4 has no order-2 folding: (a(alpha), alpha) outside {0, |alpha|^2}"),
+        (["liealg", "sl5", "--dump", "--order", "2"],
+         "A4 has no order-2 folding: (a(alpha), alpha) outside {0, |alpha|^2}"),
+    ], ids=["weyl E7 1", "cameral D7 2", "cameral E8 1", "fold A1 2", "dims C2 from D4 3",
+            "fold A4 2", "liealg sl5 2"])
     def test_refusal_text(self, args, message):
         p = run_cli(args)
         assert p.returncode == 2
         assert p.stderr == f"error: {message}\n"
+
+    def test_order_is_range_checked(self):
+        p = run_cli(["--format", "json", "fold", "D4", "-1"])
+        assert p.returncode == 2 and "must be in 1..3, got -1" in p.stderr
+        p = run_cli(["--format", "json", "fold", "D4", "3"])
+        assert p.returncode == 0 and json.loads(p.stdout)["coinvariants"] == "G2"
 
     def test_genus_bound_is_inclusive(self):
         p = run_cli(["--format", "json", "threefold", "--type", "C2",
@@ -330,6 +344,24 @@ class TestOtherCommands:
         assert "constants" in out["chevalley"]
         assert len(out["automorphism_matrix"]) == 15
 
+    @pytest.mark.parametrize("algebra", ["sl4", "so8"])
+    def test_liealg_dump_json(self, algebra):
+        p = run_cli(["--format", "json", "liealg", algebra, "--dump"])
+        chev = json.loads(p.stdout)["chevalley"]
+        roots = {tuple(key) for kind, key in chev["basis"] if kind == "e"}
+        assert [key for kind, key in chev["basis"] if kind == "h"] == list(range(len(
+            chev["basis"]) - len(roots)))
+        table = {}
+        for alpha, beta, c in chev["constants"]:
+            total = tuple(a + b for a, b in zip(alpha, beta))
+            assert {tuple(alpha), tuple(beta), total} <= roots
+            assert c in (1, -1) and type(c) is int
+            table[tuple(alpha), tuple(beta)] = c
+        assert table and chev["constants"] == sorted(chev["constants"])
+        for (alpha, beta), c in table.items():
+            neg = tuple(-x for x in alpha), tuple(-x for x in beta)
+            assert table[neg] == -c
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"
         p = run_cli(["--format", "json", "--out", str(target), "fold", "A3", "2"])
@@ -405,15 +437,15 @@ GOLDEN_SHA256 = [
     (("weyl", "E6", "2"),
      "d3f93a19435badea9cbb56c2689f407eaef0d082e1475c649b9336381c99026b"),
     (("liealg", "so8", "--dump", "--order", "3"),
-     "6319ce4c3328154760e57189a409f587a82f658bfd25b6371403707c7e79e7e4"),
+     "9a74675e4d95960de9e6a1479bf9a11268f94a8870eef44f438872a8bb4058d9"),
     (("liealg", "sl4", "--dump", "--order", "2"),
-     "c7f2bfb55a622ed5f55c3a32ae133b556a36b0ecd2e734a24a80fbb808aeb714"),
+     "5be10f24f40c63994d17272348e16fa3c7fcae845da8ce686c932bb7cf49d384"),
     (("fold", "E8", "1", "--roots"),
      "762266e06f4c69768ccbf5f95dd04d0eb625a54f055b8d1999a698fd09892ba8"),
     (("fold", "A3", "1", "--roots"),
      "1660980ae8becf30cf69628722e6e87318f83577c6fe8826d813cfcbda4b99d4"),
     (("liealg", "sl4", "--dump"),
-     "0f150274f9a7fd869550154069c7aec670c3504f05930155cbe45bb1c118fc60"),
+     "152e50b623e65b881fa0e63cdad058fb7a763d31f7c9821d9013719fc8bfa544"),
     # the symbolic layer: MultiPoly arithmetic, polynomial membership and
     # the appendix's commuting square and normal form
     (("verify", "all", "--samples", "10", "--seed", "42"),

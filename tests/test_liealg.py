@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from foldlie.exactalg import MultiPoly, RatMatrix, exterior_traces
+from foldlie.exactalg import MultiPoly, PolyMatrix, RatMatrix, exterior_traces
 from foldlie.liealg import (
     adjoint_quotient,
     averaging_projection,
@@ -18,6 +18,15 @@ from foldlie.liealg import (
     verify_bracket_preservation,
 )
 from foldlie.rootsys import folding_datum, standard_automorphism
+
+
+def generic_element(alg, cs):
+    """sum_k cs[k] B_k over the algebra's basis, as a PolyMatrix."""
+    n = alg.size
+    ent = [0] * (n * n)
+    for c, b in zip(cs, alg.basis):
+        ent = [a + c * x if x else a for a, x in zip(ent, b.entries)]
+    return PolyMatrix([ent[i * n:(i + 1) * n] for i in range(n)])
 
 
 def verify_closure(alg):
@@ -208,7 +217,7 @@ class TestAdjointQuotient:
     def test_sp4_lambda3_vanishes_symbolically(self, sp4):
         names = tuple(f"c{i}" for i in range(10))
         cs = [MultiPoly.var(names, n) for n in names]
-        generic = sp4.from_coords(cs)
+        generic = generic_element(sp4, cs)
         assert exterior_traces(generic, (3,))[0].is_zero()
 
     def test_ad_invariance(self, sl4, cd_sl4):
@@ -258,12 +267,12 @@ class TestSymbolicCoords:
 
     def test_sl4_roundtrip(self, sl4):
         a, b, c = (MultiPoly.var(self.NAMES, n) for n in self.NAMES)
-        m = RatMatrix(4, 4, [a, b * Q(1, 2), 0, c**2,
-                             1, c - a, a * b, 0,
-                             Q(2, 3), 0, b - c, a - Q(1, 6),
-                             c, 0, a * a, -b])
+        m = PolyMatrix([[a, b * Q(1, 2), 0, c**2],
+                        [1, c - a, a * b, 0],
+                        [Q(2, 3), 0, b - c, a - Q(1, 6)],
+                        [c, 0, a * a, -b]])
         coords = sl4.coords(m)
-        assert coords is not None and sl4.from_coords(coords) == m
+        assert coords is not None and generic_element(sl4, coords).entries == m.entries
         # the symbolic coordinates specialize to those of the specialized matrix
         point = {"a": Q(1, 2), "b": Q(-3), "c": Q(2, 5)}
         special = RatMatrix(4, 4, [x.evaluate(point) if isinstance(x, MultiPoly) else x
@@ -273,14 +282,14 @@ class TestSymbolicCoords:
 
     def test_traceful_matrix_is_not_in_sl4(self, sl4):
         a, b, _ = (MultiPoly.var(self.NAMES, n) for n in self.NAMES)
-        m = RatMatrix(4, 4, [a, b, 0, 0] + [0] * 12)
+        m = PolyMatrix([[a, b, 0, 0]] + [[0] * 4] * 3)
         assert sl4.coords(m) is None and not sl4.contains(m)
 
     def test_entry_outside_the_sp4_pattern(self, sp4):
         names = tuple(f"c{i}" for i in range(10))
         cs = [MultiPoly.var(names, n) for n in names]
-        generic = sp4.from_coords(cs)
+        generic = generic_element(sp4, cs)
         assert sp4.coords(generic) == tuple(cs)
         ent = list(generic.entries)
         ent[0 * 4 + 3] = ent[0 * 4 + 3] + cs[0]  # breaks the symmetry of the b block
-        assert sp4.coords(RatMatrix(4, 4, ent)) is None
+        assert sp4.coords(PolyMatrix([ent[i:i + 4] for i in range(0, 16, 4)])) is None

@@ -82,6 +82,17 @@ class TestDynkinType:
         assert str(DynkinType.parse("C3").dual()) == "B3"
         assert str(DynkinType.parse("F4").dual()) == "F4"
 
+    @pytest.mark.parametrize("name,dual,simply_laced", [
+        ("A1", "A1", True), ("A4", "A4", True), ("B2", "C2", False), ("C2", "B2", False),
+        ("B5", "C5", False), ("C8", "B8", False), ("D3", "A3", True), ("D4", "D4", True),
+        ("D8", "D8", True), ("E6", "E6", True), ("E7", "E7", True), ("E8", "E8", True),
+        ("F4", "F4", False), ("G2", "G2", False),
+    ])
+    def test_dual_and_lacing_from_the_cartan_matrix(self, name, dual, simply_laced):
+        t = DynkinType.parse(name)
+        assert str(t.dual()) == dual
+        assert t.is_simply_laced is simply_laced
+
     def test_counts(self):
         assert DynkinType.parse("A3").root_count() == 12
         assert DynkinType.parse("G2").root_count() == 12

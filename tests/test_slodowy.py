@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from foldlie.exactalg import MultiPoly, RatMatrix, char_poly_coefficients
+from foldlie.exactalg import MultiPoly, PolyMatrix, RatMatrix, char_poly_coefficients
 from foldlie.liealg import build_algebra
 from foldlie.slodowy import (
     PHI_VARS,
@@ -261,6 +261,19 @@ class TestFixedLocus:
             assert len(pts) <= 4
             for p in pts:
                 assert slice_quotient(sp4_slice, p) == (b2, b4)
+
+    @pytest.mark.parametrize("names", [("v1m", "v2m", "v1p", "v2p"), UNFOLD_VARS])
+    def test_symbolic_matrix_at_specializes(self, names, sp4_slice, sl4_slice):
+        sl = sp4_slice if len(names) == 4 else sl4_slice
+        symbolic = sl.matrix_at([MultiPoly.var(names, n) for n in names])
+        assert isinstance(symbolic, PolyMatrix)
+        rng = random.Random(len(names))
+        for _ in range(5):
+            point = {n: Q(rng.randint(-9, 9), rng.randint(1, 4)) for n in names}
+            at_point = sl.matrix_at([point[n] for n in names])
+            assert isinstance(at_point, RatMatrix)
+            assert at_point.entries == tuple(
+                x.evaluate(point) if isinstance(x, MultiPoly) else x for x in symbolic.entries)
 
     def test_sl4_fixed_locus_display(self, sl4_slice):
         # S_h^C: minus parameters zero, two free plus parameters
