@@ -6,9 +6,11 @@ arrive as integer numerators over one denominator (see
 characteristic polynomials run on ints: ``mat_mul``, ``mat_vec``, ``rref``
 and ``charpoly_int`` are called with ints only.  ``rref`` is fraction-free
 elimination and ``charpoly_int`` one Bareiss determinant read off in a large
-integer base.  ``charpoly_generic`` accepts any commutative ring element
-supporting ``+``, ``-``, ``*`` (and ``/`` by small integers), which is how
-the characteristic polynomial of a matrix with polynomial entries (see
+integer base.  ``charpoly_generic`` takes the characteristic polynomial of
+a matrix over Z[x_1, ..., x_v], each entry a dict from a packed exponent
+(the exponent vector in fixed-width fields of one int) to an int, by
+Faddeev-LeVerrier with exact division by k; this is how the characteristic
+polynomial of a matrix with polynomial entries (see
 :class:`foldlie.exactalg.PolyMatrix`) is taken.  Callers import them
 through ``foldlie.kernel``.
 """
@@ -144,39 +146,68 @@ def charpoly_int(entries, n):
     return [1] + coeffs[::-1]
 
 
-def charpoly_generic(entries, n, one):
-    """Characteristic polynomial over any commutative Q-algebra.
+def charpoly_generic(entries, n):
+    """Characteristic polynomial of a matrix A over Z[x_1, ..., x_v], by the
+    Faddeev-LeVerrier recursion M_1 = I, c_k = -tr(A M_k) / k,
+    M_(k+1) = A M_k + c_k I; returns ``[c_0 = 1, c_1, ..., c_n]``.
 
-    ``one`` is the multiplicative identity of the coefficient ring; the
-    recursion divides only by the integers 1..n (as exact scalars).  The
-    products A M_k run over the non-zero entries of each row of A; the first
-    is A itself (M_1 = I), and the last forms only the diagonal its trace
-    needs.
+    A polynomial is a dict {packed exponent: non-zero int}: the exponent
+    vector packed into one int, a fixed-width field per variable, so a
+    monomial product is one int addition.  The caller picks a field width
+    that holds every exponent up to n times the largest total degree of an
+    entry, so no field carries into the next.  Every c_k of an integer
+    matrix is an integer polynomial, so each division by k is exact; a
+    remainder raises ``ArithmeticError``.  The products A M_k run over the
+    non-zero entries of each row of A; the first is A itself, and the last
+    forms only the diagonal its trace needs.  The input is not mutated.
     """
-    if n == 0:
-        return [one]
-    zero = one - one
-    a = list(entries)
-    rows = [[(t, x) for t, x in enumerate(a[i * n:(i + 1) * n]) if x != zero]
+    rows = [[(t, x) for t, x in enumerate(entries[i * n:(i + 1) * n]) if x]
             for i in range(n)]
-    coeffs = [one]
-    am = a[:]
+    coeffs = [{0: 1}]
+    am = list(entries)
     for k in range(1, n + 1):
-        tr = zero
+        tr = {}
         for i in range(n):
-            tr = tr + am[i * n + i]
-        c = (-tr) / k if k > 1 else -tr
+            _add_into(tr, am[i * n + i].items())
+        c = {}
+        for e, x in tr.items():
+            q, r = divmod(-x, k)
+            if r:
+                raise ArithmeticError("Faddeev-LeVerrier division by k is not exact")
+            c[e] = q
         coeffs.append(c)
         if k == n:
             break
         m = am
         for i in range(n):
-            m[i * n + i] = m[i * n + i] + c
-        am = [zero] * (n * n)
+            d = m[i * n + i] = dict(m[i * n + i])
+            _add_into(d, c.items())
+        am = [None] * (n * n)
         for i in range(n):
             for j in (range(n) if k + 1 < n else (i,)):
-                acc = zero
+                acc = {}
+                get = acc.get
                 for t, x in rows[i]:
-                    acc = acc + x * m[t * n + j]
+                    y = m[t * n + j].items()
+                    for e1, c1 in x.items():
+                        for e2, c2 in y:
+                            e = e1 + e2
+                            s = get(e, 0) + c1 * c2
+                            if s:
+                                acc[e] = s
+                            else:
+                                del acc[e]
                 am[i * n + j] = acc
     return coeffs
+
+
+def _add_into(acc, items):
+    """Add the (packed exponent, int) pairs into ``acc``, dropping every term
+    that cancels to zero."""
+    get = acc.get
+    for e, x in items:
+        s = get(e, 0) + x
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]

@@ -234,8 +234,15 @@ def _least_elements(label) -> list[int]:
     return reps
 
 
-def section_value_tables(fwd: FoldedWeylData,
-                         local_monodromy: int | None) -> tuple[list[int], list[list]]:
+def _embedded_matrices(fwd: FoldedWeylData) -> list[tuple]:
+    """The flat integer matrix of embed(t) on Lambda_h for every t in W, in
+    index order, from one :meth:`WeylGroup.flat_matrices` call, so every
+    ancestor in the closure tree of W_h is built once."""
+    return fwd.wh.flat_matrices([fwd.embed[t] for t in range(fwd.folded.order)])
+
+
+def section_value_tables(fwd: FoldedWeylData, local_monodromy: int | None,
+                         embedded: list[tuple]) -> tuple[list[int], list[list]]:
     """The fiber W/<c> over a point with local monodromy c (None: a generic
     point, c = 1), and a basis of Hom_W(W/<c>, Lambda_h) as value tables,
     W acting on the lattice Lambda_h of the homogeneous side through the
@@ -246,14 +253,13 @@ def section_value_tables(fwd: FoldedWeylData,
     Left translation is transitive on W/<c>, and the coset <c> has
     stabilizer <c>.  So a section is a vector v fixed by c, with value t v at
     the coset t<c>, read at the coset's least element t.  The matrices of c
-    and of the least elements come from one :meth:`WeylGroup.flat_matrices`
-    call, so their ancestors are built once."""
-    folded, wh, embed = fwd.folded, fwd.wh, fwd.embed
+    and of the least elements are read from ``embedded``, the output of
+    :func:`_embedded_matrices`."""
+    folded, n = fwd.folded, fwd.wh.dim
     c = folded.identity_index() if local_monodromy is None else local_monodromy
     label = _orbit_labels(folded.order, [folded.right_multiplication_permutation(c)])
-    n = wh.dim
-    flat_c, *flats = wh.flat_matrices([embed[c], *(embed[t] for t in _least_elements(label))])
-    basis = _fixed_space_basis([RatMatrix.from_integers(n, n, flat_c)])
+    basis = _fixed_space_basis([RatMatrix.from_integers(n, n, embedded[c])])
+    flats = [embedded[t] for t in _least_elements(label)]
     return label, [[tuple(kernel.mat_vec(f, v, n, n)) for f in flats] for v in basis]
 
 
@@ -277,16 +283,18 @@ def pushforward_sections_check(cm: CoverMonodromy, fwd: FoldedWeylData) -> Repor
     wh, folded, embed = fwd.wh, fwd.folded, fwd.embed
     ident = folded.identity_index()
     gens = [folded.index_of(g) for g in folded.generators]
-    eye = RatMatrix.identity(wh.dim)
+    n = wh.dim
+    eye = RatMatrix.identity(n)
+    embedded = _embedded_matrices(fwd)
     for c in [None, *sorted(set(cm.branch_images))]:
         report.cases_run += 1
         where = f"fiber at local monodromy {c}"
-        label, tables = section_value_tables(fwd, c)
-        ch = embed[ident if c is None else c]
+        label, tables = section_value_tables(fwd, c, embedded)
+        ch = ident if c is None else c
         base = label[ident]
-        if any(wh.apply(ch, t[base]) != t[base] for t in tables):
+        if any(wh.apply(embed[ch], t[base]) != t[base] for t in tables):
             report.fail(where, "value at <c> fixed by c", "a moved value")
-        fixed_dim = wh.dim - (wh.matrix(ch) - eye).rank()
+        fixed_dim = n - (RatMatrix.from_integers(n, n, embedded[ch]) - eye).rank()
         rank = RatMatrix.from_rows([[x for v in t for x in v] for t in tables]).rank()
         if not len(tables) == rank == fixed_dim:
             report.fail(where, f"{fixed_dim} independent sections",

@@ -7,14 +7,16 @@ over one positive denominator, in canonical form, so their arithmetic runs
 on ints and equal values have equal storage; scalars are handed out at the
 boundary as ``fractions.Fraction`` (exported as :data:`Rat`).  A matrix
 with polynomial entries, needed only for symbolic adjoint quotients, is a
-:class:`PolyMatrix`: it is built and read, never computed with.
+:class:`PolyMatrix`: it is built and read, never computed with; its
+characteristic polynomial packs each entry's exponent tuples into ints over
+one denominator and runs on integer polynomials in the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import kernel
@@ -74,10 +76,10 @@ class RatMatrix:
     The entries are ints and Fractions, stored as integer numerators over
     one denominator, in canonical form: the denominator is positive and has
     no factor common to every numerator, so equal matrices have equal
-    storage.  Sums, products, brackets, :meth:`apply`, row reduction,
-    equality and hashing run on these ints and bring each result to
-    canonical form once.  ``entries``, :meth:`entry` and :meth:`row` hand
-    out Fractions, built on first use and cached.
+    storage.  Sums, products, brackets, row reduction, equality and hashing
+    run on these ints and bring each result to canonical form once.
+    ``entries``, :meth:`entry` and :meth:`row` hand out Fractions, built on
+    first use and cached.
     """
 
     __slots__ = ("rows", "cols", "_ints", "_entries")
@@ -211,18 +213,6 @@ class RatMatrix:
         p = c.numerator
         nums, d = self._ints
         return _from_ints(self.rows, self.cols, [x * p for x in nums], d * c.denominator)
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times a column vector of ints and Fractions, returned as a
-        tuple of Fractions."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        fm, fv = self._ints, _integer_vector(vec)
-        if fv is None:
-            raise TypeError("the vector must have int or Fraction entries")
-        out = kernel.mat_vec(fm[0], fv[0], self.rows, self.cols)
-        d = fm[1] * fv[1]
-        return tuple(Fraction(x, d) for x in out)
 
     def transpose(self) -> "RatMatrix":
         r, c = self.rows, self.cols
@@ -749,14 +739,41 @@ def char_poly_coefficients(m: RatMatrix | PolyMatrix) -> list:
     down to x^0: Fractions for a RatMatrix, MultiPolys for a PolyMatrix."""
     n = m.rows
     if isinstance(m, PolyMatrix):
-        one = MultiPoly.const(m.variables, 1)
-        ent = [x if isinstance(x, MultiPoly) else one * x for x in m.entries]
-        return kernel.charpoly_generic(ent, n, one)
+        return _symbolic_char_poly(m)
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     ints, d = m._integer_form()
     coeffs = kernel.charpoly_int(ints, n)
     return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
+
+
+def _symbolic_char_poly(m: PolyMatrix) -> list:
+    """The characteristic polynomial of a PolyMatrix, as MultiPolys: the
+    entries are brought over one denominator d and their exponent tuples
+    packed into ints, and c_k(N / d) = c_k(N) / d^k is read off the integer
+    coefficients the kernel returns for the numerator matrix N.
+
+    A field of w bits per variable holds every exponent of every product
+    the kernel forms: each is at most n times the largest total degree of
+    an entry."""
+    n, vs = m.rows, m.variables
+    forms = []
+    for x in m.entries:
+        if isinstance(x, MultiPoly):
+            forms.append(x._integer_form())
+        else:
+            p, q = _ratio(x)
+            forms.append(({(0,) * len(vs): p} if p else {}, q))
+    d = lcm(*(den for _, den in forms))
+    top = max((sum(e) for nums, _ in forms for e in nums), default=0)
+    w = (n * top).bit_length()
+    shifts = [w * i for i in range(len(vs))]
+    place = [1 << b for b in shifts]
+    ent = [{sum(map(mul, e, place)): c * (d // den) for e, c in nums.items()}
+           for nums, den in forms]
+    mask = (1 << w) - 1
+    return [_poly(vs, {tuple([p >> b & mask for b in shifts]): c for p, c in ck.items()}, d**k)
+            for k, ck in enumerate(kernel.charpoly_generic(ent, n))]
 
 
 def exterior_traces(m: RatMatrix | PolyMatrix, ks: Sequence[int]) -> tuple:

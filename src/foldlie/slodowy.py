@@ -503,7 +503,7 @@ def unfolding_equivariance_check() -> Report:
     pw = (2, 4, 6, 4, 4)
     scaled = [p * lam**w for p, w in zip(ul, pw)]
     out_scaled = unfolding_coordinates(scaled)
-    out_plain = unfolding_coordinates(ul)
+    out_plain = [p.with_variables(lvars) for p in out]
     weights = (2, 4, 4, 4, 6, 8)  # x, y, z, b2, b3, b4
     report.expect(all(a == b * lam**w for a, b, w in zip(out_scaled, out_plain, weights)),
                   "C*-equivariance of the coordinate change", f"weights {weights}",

@@ -4,6 +4,7 @@ import pytest
 
 from foldlie.cameral import (
     CoverMonodromy,
+    _embedded_matrices,
     _relation_product,
     cover_geometry,
     hitchin_fiber_rank,
@@ -245,6 +246,30 @@ class TestPushforward:
         assert rep.passed, rep.failures
         assert rep.cases_run == 1 + len(set(cm.branch_images))
 
+    def test_stalks_share_the_embedded_matrices(self, folding, monkeypatch):
+        """One D5/2 check builds the W_h matrices it reads once: its column
+        updates on Lambda_h are no more than those of one flat_matrices call
+        over every embedded element of W (the folded group's own lookups act
+        on a lattice of lower rank and are not counted)."""
+        import foldlie.weyl as weyl
+
+        fwd = folding("D5", 2)
+        assert fwd.folded.dim < fwd.wh.dim
+        cm = random_transversal_monodromy(fwd, 2, transversal_branch_spec(fwd, 2),
+                                          random.Random(1))
+        real, calls = weyl._times_generator, []
+
+        def counted(w, moved, n):
+            calls.append(n)
+            return real(w, moved, n)
+
+        monkeypatch.setattr(weyl, "_times_generator", counted)
+        fwd.wh.flat_matrices([fwd.embed[t] for t in range(fwd.folded.order)])
+        one_call = len(calls)
+        calls.clear()
+        assert pushforward_sections_check(cm, fwd).passed
+        assert 0 < calls.count(fwd.wh.dim) <= one_call
+
     @pytest.mark.parametrize("mutation", ["identity fixed space", "constant table"])
     @pytest.mark.parametrize("hom,order", [("A3", 2), ("D4", 3)])
     def test_faulty_sections_fail_the_report(self, folding, monkeypatch, hom, order,
@@ -261,8 +286,8 @@ class TestPushforward:
         else:
             tables = cam.section_value_tables
 
-            def constant(fwd, c):
-                label, found = tables(fwd, c)
+            def constant(fwd, c, embedded):
+                label, found = tables(fwd, c, embedded)
                 return label, [[t[0]] * len(t) for t in found]
 
             monkeypatch.setattr(cam, "section_value_tables", constant)
@@ -286,8 +311,9 @@ class TestPushforward:
         cm = random_transversal_monodromy(fwd, 2, transversal_branch_spec(fwd, 2),
                                           random.Random(59))
         gens = {s: wh.matrix(fwd.embed[s]) for s in map(group.index_of, group.generators)}
+        embedded = _embedded_matrices(fwd)
         for c in [None, *sorted(set(cm.branch_images))]:
-            label, tables = section_value_tables(fwd, c)
+            label, tables = section_value_tables(fwd, c, embedded)
             m = wh.matrix(fwd.embed[group.identity_index() if c is None else c])
             fixed_dim = m.rows - (m - RatMatrix.identity(m.rows)).rank()
             assert len(tables) == fixed_dim
@@ -297,11 +323,12 @@ class TestPushforward:
                 assert len(table) == max(label) + 1
                 for s, ms in gens.items():
                     for w in range(group.order):
+                        value = table[label[w]]
                         assert table[label[group.multiply(s, w)]] == \
-                            ms.apply(table[label[w]]), (c, s, w)
+                            (ms * RatMatrix(len(value), 1, value)).entries, (c, s, w)
 
     def test_generic_fiber_ranks(self, fwd_a3):
-        assert len(section_value_tables(fwd_a3, None)[1]) == 3
+        assert len(section_value_tables(fwd_a3, None, _embedded_matrices(fwd_a3))[1]) == 3
 
 
 def _whole_subgroup_fixed_space(cm) -> list:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldlie import kernel
 from foldlie.exactalg import (
     MultiPoly,
     PolyMatrix,
@@ -90,6 +91,50 @@ class TestCharPoly:
         assert cp[2] == Q(1, 2) * Q(1, 7) - Q(1, 3) * Q(1, 5)
         # det(m) = (-1)^n c_n
         assert cp[2] == m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
+
+
+def rand_poly_matrix(rng, n, names):
+    """A random n x n PolyMatrix over the ring ``names``: sparse entries with
+    Fraction coefficients, rational constants, and single monomials of
+    degree 40 and above (on the diagonal, so their powers reach c_n)."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            kind = rng.random()
+            if kind < 0.35:
+                continue
+            if kind < 0.5:
+                rows[i][j] = Q(rng.randint(-9, 9), rng.randint(1, 4))
+                continue
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(0, 2) for _ in names)
+                terms[e] = Q(rng.randint(-9, 9), rng.randint(1, 4))
+            rows[i][j] = MultiPoly(names, terms)
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        e = [0] * len(names)
+        e[rng.randrange(len(names))] = rng.randint(40, 70)
+        rows[i][i] = MultiPoly(names, {tuple(e): Q(rng.randint(1, 5), rng.randint(1, 3))})
+    rows[0][0] = MultiPoly.var(names, names[0]) + rows[0][0]
+    return PolyMatrix(rows)
+
+
+class TestSymbolicCharPoly:
+    def test_evaluation_commutes_with_the_rational_path(self):
+        """char_poly_coefficients(P) evaluated at a rational point equals
+        the rational characteristic polynomial (``charpoly_int``) of P
+        evaluated there."""
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            names = tuple(f"x{i}" for i in range(rng.randint(1, 6)))
+            pm = rand_poly_matrix(rng, n, names)
+            point = {v: Q(rng.randint(-5, 5), rng.randint(1, 3)) for v in names}
+            at = RatMatrix(n, n, [x.evaluate(point) if isinstance(x, MultiPoly) else x
+                                  for x in pm.entries])
+            coeffs = char_poly_coefficients(pm)
+            assert all(c.variables == names for c in coeffs)
+            assert [c.evaluate(point) for c in coeffs] == char_poly_coefficients(at)
 
 
 class TestExteriorTrace:
@@ -307,19 +352,6 @@ class TestIntegerPath:
             assert _normalized(br.entries)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_apply(self, kind):
-        rng = random.Random(f"apply-{kind}")
-        for _ in range(40):
-            n, k = rng.randint(1, 8), rng.randint(1, 8)
-            a, v = _entries(rng, n, k, kind), _entries(rng, k, 1, kind)
-            out = RatMatrix(n, k, a).apply(v)
-            assert list(out) == _ref_mul(a, v, n, k, 1)
-            assert _normalized(out)
-            # plain ints in the vector take the same path
-            ints = [rng.randint(-5, 5) for _ in range(k)]
-            assert list(RatMatrix(n, k, a).apply(ints)) == _ref_mul(a, ints, n, k, 1)
-
-    @pytest.mark.parametrize("kind", KINDS)
     def test_span_solver_coordinates(self, kind):
         rng = random.Random(f"span-{kind}")
         for _ in range(25):
@@ -437,7 +469,8 @@ class TestIntegerStorage:
         v = data.draw(st.lists(scalars, min_size=k, max_size=k))
         prod = RatMatrix(r, k, a) * RatMatrix(k, m, b)
         assert list(prod.entries) == _ref_mul(a, b, r, k, m) and _canonical_storage(prod)
-        assert list(RatMatrix(r, k, a).apply(v)) == _ref_mul(a, v, r, k, 1)
+        nums, d = RatMatrix(r, k, a)._integer_form()
+        assert [Q(x) / d for x in kernel.mat_vec(nums, v, r, k)] == _ref_mul(a, v, r, k, 1)
         if r == k:
             sq = RatMatrix(r, r, a)
             assert sq.trace() == sum((a[i * r + i] for i in range(r)), Q(0))

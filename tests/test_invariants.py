@@ -112,7 +112,7 @@ class TestTriality:
         assert len(basis) == 2
         A = triality_matrix_eps()
         for v in basis:
-            assert A.apply(v) == tuple(Q(x) for x in v)
+            assert (A * RatMatrix(len(v), 1, v)).entries == tuple(Q(x) for x in v)
 
     def test_quotient_reports(self):
         reports = {r.degree: r for r in d4_triality_reports()}

@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction as Q
 
+import pytest
+
 import foldlie
 from foldlie import _kernel_py, kernel
 
@@ -131,17 +133,33 @@ class TestAgreement:
             assert charpoly_matches_det(coeffs, a, n)
 
     def test_charpoly_generic(self):
+        """Rational matrices as constant polynomials over their common
+        denominator d: the kernel's c_k of the numerators, over d^k."""
+        def check(a, n):
+            d = math.lcm(*(x.denominator for x in a))
+            ent = [{0: int(x * d)} if x else {} for x in a]
+            out = _kernel_py.charpoly_generic(ent, n)
+            assert all(set(c) <= {0} and all(type(x) is int and x for x in c.values())
+                       for c in out)
+            coeffs = [Q(c.get(0, 0), d**k) for k, c in enumerate(out)]
+            assert charpoly_matches_det(coeffs, a, n)
+
         rng = random.Random(4)
         for _ in range(10):
             n = rng.randint(1, 4)
-            a = rand_entries(rng, n, n)
-            assert charpoly_matches_det(_kernel_py.charpoly_generic(list(a), n, Q(1)), a, n)
+            check(rand_entries(rng, n, n), n)
         # mostly-zero matrices, including zero rows, exercise the sparse rows
         for _ in range(20):
             n = rng.randint(1, 5)
-            a = [Q(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.3 else Q(0)
-                 for _ in range(n * n)]
-            assert charpoly_matches_det(_kernel_py.charpoly_generic(list(a), n, Q(1)), a, n)
+            check([Q(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.3 else Q(0)
+                   for _ in range(n * n)], n)
+
+    def test_charpoly_generic_inexact_division_raises(self):
+        """Each c_k = -tr(A M_k) / k is an exact division, checked: outside
+        Z[x], diag(1/2, 1/2) gives tr(A M_2) = -1/2, not a multiple of 2."""
+        half = {0: Q(1, 2)}
+        with pytest.raises(ArithmeticError):
+            _kernel_py.charpoly_generic([half, {}, {}, half], 2)
 
     def test_common_denominator(self):
         """``exactalg._integer_vector``: numerators over the lcm of the

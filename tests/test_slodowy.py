@@ -16,6 +16,8 @@ from foldlie.slodowy import (
     phi_a_map,
     phi_parameters,
     phi_psi_square_check,
+    s_matrix,
+    sh_fixed_base_matrix,
     slice_quotient,
     sp4_centralizer_representatives,
     sp4_fixed_locus_fiber,
@@ -309,9 +311,33 @@ class TestWorkCount:
         rc = main(["--format", "json", "slice", "--verify-appendix", "--samples", "10",
                    "--seed", "3"])
         assert rc == 0 and '"failures": []' in capsys.readouterr().out
-        # one per symbolic matrix: two in the square check, five in the
-        # unfolding check (four coordinate changes and the residual)
-        assert len(calls) <= 7 and set(calls) == {4}
+        # one per symbolic matrix: two in the square check, four in the
+        # unfolding check (three coordinate changes and the residual)
+        assert len(calls) == 6 and set(calls) == {4}
+
+    def test_symbolic_charpoly_does_no_multipoly_arithmetic(self, monkeypatch, sl4_slice,
+                                                           sp4_slice):
+        """The symbolic characteristic polynomial runs on packed integer
+        polynomials: with MultiPoly products and sums made to raise, the sl4
+        and sp4 slice matrices and the appendix's Phi-square matrices still
+        give the same coefficients."""
+        def names(k):
+            return tuple(f"t{i}" for i in range(k))
+
+        v = [MultiPoly.var(PHI_VARS, n) for n in ("v1m", "v2m", "v1p", "v2p")]
+        matrices = [sl.matrix_at([MultiPoly.var(names(sl.dimension), n)
+                                  for n in names(sl.dimension)])
+                    for sl in (sl4_slice, sp4_slice)]
+        matrices += [sh_fixed_base_matrix(*phi_parameters(*v)), s_matrix(*v)]
+        assert all(isinstance(m, PolyMatrix) for m in matrices)
+        expected = [char_poly_coefficients(m) for m in matrices]
+
+        def forbidden(*args):
+            raise AssertionError("MultiPoly arithmetic in the symbolic charpoly")
+
+        for attr in ("__mul__", "__rmul__", "_combine"):
+            monkeypatch.setattr(MultiPoly, attr, forbidden)
+        assert [char_poly_coefficients(m) for m in matrices] == expected
 
     def test_adjoint_quotient_one_charpoly_per_call(self, monkeypatch, sl4, sp4):
         from foldlie.liealg import adjoint_quotient
