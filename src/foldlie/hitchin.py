@@ -34,16 +34,6 @@ class HitchinBase:
     degrees: list
     summand_dims: list
 
-    def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError("genus must be >= 2")
-        expected = invariant_degrees(self.group_type)
-        if sorted(self.degrees) != sorted(expected):
-            raise AssertionError("degrees do not match the root-height degrees")
-        for d, s in zip(self.degrees, self.summand_dims):
-            if s != h0_canonical_power(self.genus, d):
-                raise AssertionError("summand dimension violates Riemann-Roch")
-
     @property
     def total(self) -> int:
         return sum(self.summand_dims)
@@ -92,10 +82,6 @@ class IsogenyDims:
     aut_order: int
     dim_J2Z: int
     h3_Z: int
-
-    def __post_init__(self):
-        if self.dim_J2Z != self.dim_B + (self.aut_order - 1) * self.genus_fixed_locus:
-            raise AssertionError("isogeny dimension identity violated")
 
 
 def isogeny_dimensions(fd: FoldingDatum, g: int) -> IsogenyDims:

@@ -6,14 +6,13 @@ Three consumers:
   (sigma_odd vanishing on the fixed Cartan, restricted generators matching
   folded generators),
 * the surviving-degree computation behind the Hitchin-base dimension match
-  (which fundamental invariants restrict to zero / fail to be C-invariant),
+  (which fundamental invariants the folding automorphism fixes),
 * the Molien-series cross-check of the root-height degrees.
 
-The A- and D-series closed forms act on generator sets (elementary
-symmetric polynomials, their squares, and the Pfaffian); the D4 triality
-case runs an honest Reynolds-operator computation over the 192-element
-signed-permutation group, with decomposables quotiented out exactly.  The
-A and E6 flips are -w0 and need no generators.
+The D-series flip acts on generator sets (elementary symmetric polynomials
+of the squares, and the Pfaffian); the A and E6 flips are -w0 and need no
+generators.  Any other folding (among the table rows, D4 triality alone)
+reads its survivors off the twisted Molien series of the enumerated W_h.
 """
 
 from __future__ import annotations
@@ -21,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
-from math import prod
+from itertools import combinations
 
 from . import kernel
-from .exactalg import MultiPoly, RatMatrix, SpanSolver, _integer_vector
-from .rootsys import DynkinType, FoldingDatum
+from .exactalg import MultiPoly, RatMatrix, _integer_vector
+from .rootsys import FoldingDatum
 
 
 def var_names(prefix: str, n: int) -> tuple:
@@ -110,17 +108,7 @@ def d_flip_action_signs(n_vars: int) -> dict:
     return out
 
 
-# -- generic Reynolds machinery -----------------------------------------------------
-
-
-def signed_permutation_group_d(n: int) -> list:
-    """W(D_n) as signed permutations with an even number of sign flips."""
-    out = []
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            if signs.count(-1) % 2 == 0:
-                out.append((perm, signs))
-    return out
+# -- polynomial spans --------------------------------------------------------------
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -158,113 +146,10 @@ def _pivot_columns(vectors) -> list[int]:
     return kernel.rref(nums, n, len(vectors))[2]
 
 
-def reynolds_invariant_basis(group, names, degree: int) -> list:
-    """Basis of the degree-d invariants of a signed-permutation group."""
-    names = tuple(names)
-    n = len(names)
-    monos = monomials_of_degree(n, degree)
-    monos_index = {m: i for i, m in enumerate(monos)}
-    order = len(group)
-    # t^e goes to +-t^{perm(e)}, the sign being the product of the signs at
-    # e's odd exponents; so each permutation's sign vectors are summed once
-    # per pattern of odd positions, and the orbit sum loops over permutations.
-    sign_sets = {}
-    for perm, signs in group:
-        sign_sets.setdefault(perm, []).append(signs)
-    sign_sums = {}
-    seen_exps = set()
-    vectors, polys = [], []
-    for mono in monos:
-        if mono in seen_exps:
-            continue
-        odd = tuple(i for i, k in enumerate(mono) if k % 2)
-        sums = sign_sums.get(odd)
-        if sums is None:
-            sums = sign_sums[odd] = [sum(prod(s[i] for i in odd) for s in sets)
-                                     for sets in sign_sets.values()]
-        # orbit sum of the monomial as integer counts; one MultiPoly per orbit
-        counts = {}
-        for perm, total in zip(sign_sets, sums):
-            key = [0] * n
-            for i, k in enumerate(mono):
-                key[perm[i]] += k
-            key = tuple(key)
-            counts[key] = counts.get(key, 0) + total
-        avg = MultiPoly.from_integers(names, counts, order)
-        seen_exps.update(avg._integer_form()[0])
-        if avg.is_zero():
-            continue
-        vectors.append(_vector_of(avg, monos_index))
-        polys.append(avg)
-    return [polys[j] for j in _pivot_columns(vectors)]
-
-
 def span_rank(polys, names, degree) -> int:
     monos = monomials_of_degree(len(names), degree)
     idx = {m: i for i, m in enumerate(monos)}
     return len(_pivot_columns([_vector_of(p, idx) for p in polys]))
-
-
-@dataclass
-class QuotientActionReport:
-    degree: int
-    invariant_dim: int
-    decomposable_dim: int
-    generator_multiplicity: int
-    surviving_multiplicity: int
-
-
-def invariant_generator_action(group, a_map, names, degrees) -> list[QuotientActionReport]:
-    """For each degree: invariants modulo decomposables carry an action of
-    the folding automorphism; the surviving multiplicity is the dimension of
-    its eigenvalue-1 subspace.  ``a_map`` sends a polynomial to its pullback
-    under the automorphism."""
-    names = tuple(names)
-    inv_bases = {}
-    needed = sorted(set(degrees))
-    for d in range(2, max(needed) + 1):
-        inv_bases[d] = reynolds_invariant_basis(group, names, d)
-    reports = []
-    for d in needed:
-        basis = inv_bases[d]
-        monos = monomials_of_degree(len(names), d)
-        idx = {m: i for i, m in enumerate(monos)}
-        # decomposables: products of lower-degree invariants
-        dec_polys = []
-        for d1 in range(2, d // 2 + 1):
-            d2 = d - d1
-            for p in inv_bases.get(d1, []):
-                for q in inv_bases.get(d2, []):
-                    dec_polys.append(p * q)
-        # the pivot columns of [decomposables | invariant basis]: those in the
-        # first block span the decomposables, those in the second the quotient
-        vectors = [_vector_of(p, idx) for p in dec_polys + basis]
-        pivots = _pivot_columns(vectors)
-        nd = len(dec_polys)
-        dec_kept = [dec_polys[j] for j in pivots if j < nd]
-        q_polys = [basis[j - nd] for j in pivots if j >= nd]
-        gen_mult = len(q_polys)
-
-        # matrix of the a-action on the quotient
-        if gen_mult == 0:
-            reports.append(QuotientActionReport(d, len(basis), len(dec_kept), 0, 0))
-            continue
-        # solve coordinates of a*p in (decomposables + quotient basis)
-        solver = SpanSolver([vectors[j] for j in pivots])
-        act = []
-        for p in q_polys:
-            image = a_map(p)
-            coords = solver.coordinates(_vector_of(image, idx))
-            if coords is None:
-                raise AssertionError("automorphism does not preserve the invariant ring")
-            act.append(coords[len(dec_kept):])
-        # act[i][j]: coefficient of q_polys[j] in image of q_polys[i] -> transpose
-        m = RatMatrix(gen_mult, gen_mult,
-                      [act[j][i] for i in range(gen_mult) for j in range(gen_mult)])
-        eye = RatMatrix.identity(gen_mult)
-        surviving = gen_mult - (m - eye).rank()
-        reports.append(QuotientActionReport(d, len(basis), len(dec_kept), gen_mult, surviving))
-    return reports
 
 
 # -- surviving degrees per folding family ----------------------------------------------
@@ -279,10 +164,11 @@ class SurvivingDegrees:
 
 def surviving_invariant_degrees(fd: FoldingDatum) -> SurvivingDegrees:
     """Which fundamental-invariant degrees of the homogeneous type survive
-    folding.  D/2 checks the Pfaffian symbolically and D4/3 runs a Reynolds
-    computation.  A/2 and E6/2 fold by a = -w0: as w0 fixes every
-    W-invariant, a acts on a degree-d generator as (-1)^d, so exactly the
-    even degrees survive."""
+    folding.  D/2 checks the Pfaffian symbolically.  A/2 and E6/2 fold by
+    a = -w0: as w0 fixes every W-invariant, a acts on a degree-d generator
+    as (-1)^d, so exactly the even degrees survive.  Any other folding (D4
+    triality) reads the survivors off the twisted Molien series of the
+    enumerated W_h (:func:`_twisted_survivors`)."""
     t = fd.homogeneous.dtype
     order = fd.aut.order
     if order == 1:
@@ -295,15 +181,10 @@ def surviving_invariant_degrees(fd: FoldingDatum) -> SurvivingDegrees:
         survivors = _count(degree[key] for key, sign in signs.items() if sign == 1)
         return SurvivingDegrees(sorted(degree.values()), survivors,
                                 "symbolic-pfaffian-action")
-    if t.series == "D" and t.rank == 4 and order == 3:
-        reports = d4_triality_reports()
-        degrees = [r.degree for r in reports for _ in range(r.generator_multiplicity)]
-        survivors = {r.degree: r.surviving_multiplicity for r in reports}
-        return SurvivingDegrees(degrees, survivors, "reynolds-quotient-action")
     if fd.aut.permutation == t.opposition():
         ds = t.degrees()
         return SurvivingDegrees(ds, _count(d for d in ds if d % 2 == 0), "minus-w0")
-    raise ValueError(f"no folding family for {t} with order {order}")
+    return SurvivingDegrees(t.degrees(), _twisted_survivors(fd), "twisted-molien")
 
 
 def _count(xs) -> dict:
@@ -329,19 +210,6 @@ def triality_matrix_eps() -> RatMatrix:
     return M * B.inverse()
 
 
-@cache
-def d4_triality_reports() -> list[QuotientActionReport]:
-    group = signed_permutation_group_d(4)
-    names = var_names("t", 4)
-    Ai = triality_matrix_eps().inverse()
-
-    def a_map(p):
-        return compose_linear(p, Ai, names)
-
-    degrees = sorted(set(DynkinType("D", 4).degrees()))
-    return invariant_generator_action(group, a_map, names, degrees)
-
-
 def d4_fixed_cartan_basis() -> list[tuple]:
     """Basis of the triality-fixed plane in epsilon-coordinates."""
     from .exactalg import nullspace
@@ -364,33 +232,87 @@ def hilbert_series_coefficients(degrees, kmax: int) -> list[int]:
     return coeffs
 
 
+def _series_sum(charpolys: dict, kmax: int) -> list[int]:
+    """sum count/det(1 - q w) over {characteristic polynomial of w: count},
+    up to q^kmax.  det(1 - q w) = 1 + c_1 q + ... + c_n q^n for the
+    characteristic polynomial x^n + c_1 x^(n-1) + ... + c_n of w, so
+    1/det(1 - q w) has coefficients h_0 = 1, h_k = -sum_j c_j h_(k-j)."""
+    total = [0] * (kmax + 1)
+    for c, count in charpolys.items():
+        h = [1] + [0] * kmax
+        for k in range(1, kmax + 1):
+            h[k] = -sum(c[j] * h[k - j] for j in range(1, min(k, len(c) - 1) + 1))
+        for k in range(kmax + 1):
+            total[k] += count * h[k]
+    return total
+
+
 def molien_dimensions_by_class(weyl_group, kmax: int) -> list[Fraction]:
     """dim of the degree-k invariants of an enumerated group, k = 0..kmax,
     as the coefficients of its Molien series (1/|G|) sum_w 1/det(1 - q w),
     from one integer characteristic polynomial per conjugacy class,
     weighted by the class size: 18 polynomials for the 1,920 elements of
-    W(D5).
-
-    det(1 - q w) = 1 + c_1 q + ... + c_n q^n for the characteristic
-    polynomial x^n + c_1 x^(n-1) + ... + c_n of w, so 1/det(1 - q w) has
-    coefficients h_0 = 1, h_k = -sum_j c_j h_(k-j).  The classes fill one
-    table from characteristic polynomial to element count, and each series
-    is expanded once; everything is integer up to the final division by
-    |G|."""
+    W(D5).  The classes fill one table from characteristic polynomial to
+    element count, and each series is expanded once; everything is integer
+    up to the final division by |G|."""
     classes = weyl_group.conjugacy_classes()
     reps = weyl_group.flat_matrices([cls[0] for cls in classes])
     counts: dict = {}
     for cls, flat in zip(classes, reps):
         key = tuple(kernel.charpoly_int(flat, weyl_group.dim))
         counts[key] = counts.get(key, 0) + len(cls)
-    total = [0] * (kmax + 1)
-    for c, count in counts.items():
-        h = [1] + [0] * kmax
-        for k in range(1, kmax + 1):
-            h[k] = -sum(c[j] * h[k - j] for j in range(1, min(k, len(c) - 1) + 1))
-        for k in range(kmax + 1):
-            total[k] += count * h[k]
-    return [Fraction(x) / weyl_group.order for x in total]
+    return [Fraction(x) / weyl_group.order for x in _series_sum(counts, kmax)]
+
+
+@cache
+def _twisted_survivors(fd: FoldingDatum) -> dict:
+    """{degree: multiplicity of a-fixed generators}, from the twisted Molien
+    series of the enumerated W_h (Springer, "Regular elements of finite
+    reflection groups", Invent. Math. 1974):
+
+        M(q) = (1/|W_h|) sum_w 1/det(1 - q w a) = prod_d 1/(1 - eps_d q^d),
+
+    eps_d the eigenvalue of a on a generator of degree d.  So q M'/M has
+    coefficient sum_{d | k} d tr(a^(k/d) | V_d) at q^k, V_d the span of
+    the n_d generators of degree d.  For a of prime order p, tr(a^m | V_d)
+    is n_d when p divides m and one integer tau_d otherwise (a rational
+    trace is the same for every primitive p-th root), so tau_d is solved
+    degree by degree and the a-fixed part of V_d has dimension
+    (n_d + (p - 1) tau_d)/p.  A term at a non-degree, or a dimension that
+    is not an integer in [0, n_d], raises: the degrees do not fit the
+    enumerated group.  Built once per datum and process."""
+    from .weyl import WeylGroup
+
+    p, perm = fd.aut.order, fd.aut.permutation
+    n = len(perm)
+    wh = WeylGroup.generate(fd.homogeneous)
+    # a permutes the simple coroots, a e_c = e_perm[c], so column c of w a
+    # is column perm[c] of w
+    charpolys = _count(
+        tuple(kernel.charpoly_int([f[r * n + perm[c]] for r in range(n) for c in range(n)], n))
+        for f in wh.flat_matrices(range(wh.order)))
+    counts = _count(fd.homogeneous.dtype.degrees())
+    kmax = max(counts)
+    m = _series_sum(charpolys, kmax)
+    log = [Fraction(0)] * (kmax + 1)  # q M'/M, from k m_k = sum_j m_j log_(k-j)
+    tau, survivors = {}, {}
+    for k in range(1, kmax + 1):
+        log[k] = Fraction(k * m[k] - sum(m[j] * log[k - j] for j in range(1, k)), m[0])
+        lower = sum(d * (counts[d] if k // d % p == 0 else tau[d])
+                    for d in tau if k % d == 0)
+        trace = (log[k] - lower) / k
+        if k not in counts:
+            if trace:
+                raise AssertionError(f"twisted Molien series of {fd.homogeneous.dtype}"
+                                     f"/{p} has a term at degree {k}, not a degree")
+            continue
+        tau[k] = trace
+        kept = (counts[k] + (p - 1) * trace) / p
+        if kept.denominator != 1 or not 0 <= kept <= counts[k]:
+            raise AssertionError(f"twisted Molien series of {fd.homogeneous.dtype}/{p} "
+                                 f"gives multiplicity {kept} at degree {k}")
+        survivors[k] = int(kept)
+    return survivors
 
 
 def verify_degrees_by_molien(weyl_group, degrees) -> bool:

@@ -281,22 +281,18 @@ class ThreefoldFamily:
 
 
 def threefold_family(folded: str) -> ThreefoldFamily:
-    """The two worked families: C2 (from A3, Z/2) and G2 (from D4, Z/3)."""
+    """The two worked families: C2 (from A3, Z/2) and G2 (from D4, Z/3).
+    The coordinates x, y, z are sections of K to their coprime weights."""
     if folded == "C2":
         df = semiuniversal_family(singularity("A3"), order=2)
-        twists = (1, 2, 2)
     elif folded == "G2":
         df = semiuniversal_family(singularity("D4"), order=3)
-        twists = (2, 2, 3)
     else:
         raise ValueError("threefold families implemented for C2 and G2")
     base_twists = {
         df.base_names[j]: df.base_weights[j] for j in df.invariant_base_indices
     }
-    tf = ThreefoldFamily(df, twists, base_twists, folded)
-    if tuple(df.singularity.weights) != twists:
-        raise AssertionError("coordinate twists must equal the coprime weights")
-    return tf
+    return ThreefoldFamily(df, df.singularity.weights, base_twists, folded)
 
 
 def fixed_locus_equation(tf: ThreefoldFamily) -> MultiPoly:

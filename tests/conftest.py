@@ -9,11 +9,12 @@ def cold_builder_memo():
     """Start every test with the per-process builder memo empty, so each
     test builds what it uses, and a test that patches a builder's helper
     sees that builder run."""
-    from foldlie import cli, liealg, rootsys, slodowy
+    from foldlie import cli, invariants, liealg, rootsys, slodowy
 
     for helper in (rootsys._build_root_system, rootsys._folding_datum,
                    rootsys._fold_coinvariants, rootsys._fold_invariants,
-                   liealg._build_algebra, slodowy._build_subregular_slice, cli._parser):
+                   invariants._twisted_survivors, liealg._build_algebra,
+                   slodowy._build_subregular_slice, cli._parser):
         helper.cache_clear()
 
 

@@ -1,34 +1,31 @@
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from foldlie import kernel
 from foldlie.exactalg import MultiPoly, RatMatrix, SpanSolver, char_poly_coefficients
 from foldlie.invariants import (
-    QuotientActionReport,
     _signed_perm_monomial,
+    _twisted_survivors,
     _vector_of,
     compose_linear,
     d4_fixed_cartan_basis,
-    d4_triality_reports,
     d_flip_action_signs,
     hilbert_series_coefficients,
-    invariant_generator_action,
     molien_dimensions_by_class,
     monomials_of_degree,
-    reynolds_invariant_basis,
     signed_perm_apply,
-    signed_permutation_group_d,
     span_rank,
     surviving_invariant_degrees,
     triality_matrix_eps,
     var_names,
     verify_degrees_by_molien,
 )
-from foldlie.rootsys import folding_datum
+from foldlie.rootsys import DynkinType, GraphAut, folding_datum
 
 
 def esym(names, k: int) -> MultiPoly:
@@ -114,18 +111,23 @@ class TestTriality:
         for v in basis:
             assert (A * RatMatrix(len(v), 1, v)).entries == tuple(Q(x) for x in v)
 
-    def test_quotient_reports(self):
-        reports = {r.degree: r for r in d4_triality_reports()}
-        assert reports[2].generator_multiplicity == 1
-        assert reports[2].surviving_multiplicity == 1
+    def test_reynolds_generator_action(self):
+        """The package's survivors, from the twisted Molien series, against
+        the invariants modulo decomposables of the 192-element
+        signed-permutation group and the triality action on them."""
+        names = var_names("t", 4)
+        Ai = triality_matrix_eps().inverse()
+        reports = {r.degree: r for r in _reference_generator_action(
+            _signed_permutation_group_d(4), lambda p: compose_linear(p, Ai, names), names,
+            [2, 4, 6])}
         assert reports[4].invariant_dim == 3
-        assert reports[4].generator_multiplicity == 2
-        assert reports[4].surviving_multiplicity == 0
-        assert reports[6].generator_multiplicity == 1
-        assert reports[6].surviving_multiplicity == 1
+        assert {d: r.generator_multiplicity for d, r in reports.items()} == \
+            Counter(DynkinType("D", 4).degrees())
+        assert surviving_invariant_degrees(folding_datum("D4", 3)).survivors == \
+            {d: r.surviving_multiplicity for d, r in reports.items()} == {2: 1, 4: 0, 6: 1}
 
     def test_group_order(self):
-        assert len(signed_permutation_group_d(4)) == 192
+        assert len(_signed_permutation_group_d(4)) == 192
 
 
 class TestSurvivingDegrees:
@@ -164,6 +166,22 @@ class TestSurvivingDegrees:
         if rank % 2:
             sd = surviving_invariant_degrees(folding_datum(str(t), 2))
             assert (sd.survivors, sd.method) == (symbolic, "minus-w0")
+
+    @pytest.mark.parametrize("th", ["A3", "A5", "D4", "D5"])
+    def test_twisted_series_matches_flip_routes(self, th):
+        """The series reports every degree, the -w0 and Pfaffian routes only
+        the surviving ones."""
+        fd = folding_datum(th, 2)
+        series = {d: k for d, k in _twisted_survivors(fd).items() if k}
+        assert series == surviving_invariant_degrees(fd).survivors
+
+    def test_twisted_series_refuses_a_wrong_order(self, monkeypatch):
+        """Triality read as an order-2 automorphism: the degree-4 pair would
+        keep half a generator."""
+        fd = folding_datum("D4", 3)
+        monkeypatch.setattr(GraphAut, "order", property(lambda self: 2))
+        with pytest.raises(AssertionError, match="multiplicity 1/2 at degree 4"):
+            _twisted_survivors(fd)
 
     def test_symbolic_methods_elsewhere(self):
         for th, order in (("A3", 2), ("D5", 2), ("D4", 3)):
@@ -301,11 +319,16 @@ class TestTwistedMolien:
     a folding of prime order p the generators a moves come in Galois orbits
     eps = z, ..., z^(p-1), whose factors multiply to 1 + q^d + ... +
     q^((p-1)d): 1 + q^d for order 2, and 1 + q^4 + q^8 for the two degree-4
-    generators of D4 under triality (eps = omega, omega^2).  The enumeration of W_h
-    makes this independent of the -w0, Pfaffian and Reynolds routes it
-    checks.  E6/2 and A7/2 are left out to keep the suite short: enumerating
-    their W_h takes about 1 s each, and one characteristic polynomial per
-    element about 2 s more."""
+    generators of D4 under triality (eps = omega, omega^2).  The enumeration
+    of W_h makes this independent of the -w0 and Pfaffian routes it checks
+    on A/2 and D/2.  The package reads the D4/3 survivors off this same
+    series (``_twisted_survivors``), so for D4/3 the independent routes are
+    the test-side Reynolds action (``TestTriality``) and the restriction to
+    the triality-fixed plane in ``liealg``; here the D4/3 row re-derives
+    the series element by element in Fractions, from the survivors the
+    package reports.  E6/2 and A7/2 are left out to keep the suite short:
+    enumerating their W_h takes about 1 s each, and one characteristic
+    polynomial per element about 2 s more."""
 
     @pytest.mark.parametrize("name", ["A3", "A5", "D4", "D5", "D4/3"])
     def test_matches_survivors(self, name):
@@ -365,6 +388,21 @@ def _reduce_mod(vec, rows):
             f = row[lead] / prow[lead]
             row = [a - f * b for a, b in zip(row, prow)]
     return row
+
+
+def _signed_permutation_group_d(n: int) -> list:
+    """W(D_n) as signed permutations with an even number of sign flips."""
+    return [(perm, signs) for perm in permutations(range(n))
+            for signs in product((1, -1), repeat=n) if signs.count(-1) % 2 == 0]
+
+
+@dataclass
+class QuotientActionReport:
+    degree: int
+    invariant_dim: int
+    decomposable_dim: int
+    generator_multiplicity: int
+    surviving_multiplicity: int
 
 
 def _reference_reynolds_basis(group, names, degree):
@@ -455,28 +493,3 @@ class TestPivotColumnsMatchGreedy:
         vectors = _random_vectors(rng, rng.randint(1, 12), rng.randint(1, 8))
         kept, _ = _independent_subset(vectors, list(range(len(vectors))))
         assert _pivot_columns(vectors) == kept
-
-    @pytest.mark.parametrize("n,degree", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 4), (4, 6)])
-    def test_reynolds_basis(self, n, degree):
-        group = signed_permutation_group_d(n)
-        # averages over two or three elements are often zero or dependent
-        subsets = [group] + [random.Random(s).sample(group, k)
-                             for s in range(8) for k in (2, 3)]
-        names = var_names("t", n)
-        for sub in subsets:
-            assert (reynolds_invariant_basis(sub, names, degree)
-                    == _reference_reynolds_basis(sub, names, degree))
-
-    def test_d4_generator_action(self):
-        group = signed_permutation_group_d(4)
-        names = var_names("t", 4)
-        Ai = triality_matrix_eps().inverse()
-        expected = _reference_generator_action(
-            group, lambda p: compose_linear(p, Ai, names), names, [2, 4, 6])
-        assert d4_triality_reports() == expected
-
-        def flip(p):  # t4 -> -t4
-            return signed_perm_apply(p, (0, 1, 2, 3), (1, 1, 1, -1))
-
-        assert (invariant_generator_action(group, flip, names, [2, 4, 6])
-                == _reference_generator_action(group, flip, names, [2, 4, 6]))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from foldlie import cli, liealg, rootsys, slodowy, verify, weyl
+from foldlie import cli, invariants, liealg, rootsys, slodowy, verify, weyl
 from foldlie.rootsys import DynkinType, FoldingDatum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,6 +106,13 @@ class TestWorkCount:
         assert co.misses == len(rows) + 1 and inv.misses == len(rows)
         # check_folding_duality takes both folded systems from the memo
         assert co.hits >= len(rows) and inv.hits == len(rows)
+
+    def test_suite_dims_builds_the_d4_triality_survivors_once(self):
+        # folded_base_match asks for them at g = 2, 3 and 4; D4/3 is the one
+        # table row that reaches the twisted Molien series
+        verify.suite_dims()
+        info = invariants._twisted_survivors.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_slice_eval_builds_the_sp4_slice_once(self):
         for point in ("1,0,0,0", "0,1,0,0", "1/2,-3,0,7"):
