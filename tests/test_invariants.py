@@ -111,20 +111,24 @@ class TestTriality:
         for v in basis:
             assert (A * RatMatrix(len(v), 1, v)).entries == tuple(Q(x) for x in v)
 
-    def test_reynolds_generator_action(self):
-        """The package's survivors, from the twisted Molien series, against
-        the invariants modulo decomposables of the 192-element
-        signed-permutation group and the triality action on them."""
-        names = var_names("t", 4)
-        Ai = triality_matrix_eps().inverse()
+    def test_quotient_reports(self):
+        """The invariants modulo decomposables of the 192-element
+        signed-permutation group and the triality action on them, computed
+        by the test-side Reynolds reference, against the survivors the
+        package reads off the twisted Molien series."""
         reports = {r.degree: r for r in _reference_generator_action(
-            _signed_permutation_group_d(4), lambda p: compose_linear(p, Ai, names), names,
-            [2, 4, 6])}
+            _signed_permutation_group_d(4), _triality_map(), var_names("t", 4), [2, 4, 6])}
+        assert reports[2].generator_multiplicity == 1
+        assert reports[2].surviving_multiplicity == 1
         assert reports[4].invariant_dim == 3
+        assert reports[4].generator_multiplicity == 2
+        assert reports[4].surviving_multiplicity == 0
+        assert reports[6].generator_multiplicity == 1
+        assert reports[6].surviving_multiplicity == 1
         assert {d: r.generator_multiplicity for d, r in reports.items()} == \
             Counter(DynkinType("D", 4).degrees())
         assert surviving_invariant_degrees(folding_datum("D4", 3)).survivors == \
-            {d: r.surviving_multiplicity for d, r in reports.items()} == {2: 1, 4: 0, 6: 1}
+            {d: r.surviving_multiplicity for d, r in reports.items()}
 
     def test_group_order(self):
         assert len(_signed_permutation_group_d(4)) == 192
@@ -405,6 +409,12 @@ class QuotientActionReport:
     surviving_multiplicity: int
 
 
+def _triality_map():
+    names = var_names("t", 4)
+    Ai = triality_matrix_eps().inverse()
+    return lambda p: compose_linear(p, Ai, names)
+
+
 def _reference_reynolds_basis(group, names, degree):
     monos = monomials_of_degree(len(names), degree)
     monos_index = {m: i for i, m in enumerate(monos)}
@@ -493,3 +503,18 @@ class TestPivotColumnsMatchGreedy:
         vectors = _random_vectors(rng, rng.randint(1, 12), rng.randint(1, 8))
         kept, _ = _independent_subset(vectors, list(range(len(vectors))))
         assert _pivot_columns(vectors) == kept
+
+    def test_d4_generator_action(self):
+        """The Reynolds reference's action of the D4 flip (t4 -> -t4) and of
+        triality on the generators, against both package routes: the
+        survivors it reports and the twisted Molien series."""
+        def flip(p):
+            return signed_perm_apply(p, (0, 1, 2, 3), (1, 1, 1, -1))
+
+        group, names = _signed_permutation_group_d(4), var_names("t", 4)
+        for order, a_map in ((2, flip), (3, _triality_map())):
+            expected = {r.degree: r.surviving_multiplicity
+                        for r in _reference_generator_action(group, a_map, names, [2, 4, 6])}
+            fd = folding_datum("D4", order)
+            assert _twisted_survivors(fd) == expected
+            assert surviving_invariant_degrees(fd).survivors == expected
