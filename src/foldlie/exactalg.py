@@ -247,10 +247,6 @@ class RatMatrix:
         return _from_ints(n, n, out, fa[1] * fb[1])
 
     # -- linear algebra ----------------------------------------------------
-    def rref(self) -> tuple["RatMatrix", list]:
-        nums, den, pivots = kernel.rref(self._ints[0], self.rows, self.cols)
-        return _from_ints(self.rows, self.cols, nums, den), pivots
-
     def rank(self) -> int:
         return len(kernel.rref(self._ints[0], self.rows, self.cols)[2])
 

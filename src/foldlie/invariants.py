@@ -111,15 +111,20 @@ def d_flip_action_signs(n_vars: int) -> dict:
 # -- polynomial spans --------------------------------------------------------------
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list:
+def monomials_of_degree(weights, degree: int) -> list:
+    """The exponent tuples e with sum(w * k for w, k in zip(weights, e)) ==
+    degree, in increasing lexicographic order."""
     out = []
+    last = len(weights) - 1
 
     def rec(pos, remaining, cur):
-        if pos == nvars - 1:
-            out.append(tuple(cur + [remaining]))
+        w = weights[pos]
+        if pos == last:
+            if remaining % w == 0:
+                out.append(tuple(cur + [remaining // w]))
             return
-        for k in range(remaining + 1):
-            rec(pos + 1, remaining - k, cur + [k])
+        for k in range(remaining // w + 1):
+            rec(pos + 1, remaining - k * w, cur + [k])
 
     rec(0, degree, [])
     return out
@@ -147,7 +152,7 @@ def _pivot_columns(vectors) -> list[int]:
 
 
 def span_rank(polys, names, degree) -> int:
-    monos = monomials_of_degree(len(names), degree)
+    monos = monomials_of_degree((1,) * len(names), degree)
     idx = {m: i for i, m in enumerate(monos)}
     return len(_pivot_columns([_vector_of(p, idx) for p in polys]))
 

@@ -13,15 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .exactalg import MultiPoly
 from .rootsys import DynkinType
 
 XYZ = ("x", "y", "z")
-
-
-def _xyz():
-    return (MultiPoly.var(XYZ, "x"), MultiPoly.var(XYZ, "y"), MultiPoly.var(XYZ, "z"))
 
 
 @dataclass
@@ -59,7 +56,7 @@ def singularity(t: DynkinType | str) -> QuasiHomogSing:
     D_n (n >= 5): x^(n-1) + x y^2 + z^2; E6: x^4 + y^3 + z^2."""
     if isinstance(t, str):
         t = DynkinType.parse(t)
-    x, y, z = _xyz()
+    x, y, z = (MultiPoly.var(XYZ, v) for v in XYZ)
     if t.series == "A":
         n = t.rank
         poly = x ** (n + 1) - y * z
@@ -85,65 +82,37 @@ def singularity(t: DynkinType | str) -> QuasiHomogSing:
 
 
 def jacobian_basis(s: QuasiHomogSing) -> list[MultiPoly]:
-    """Monomials representing a basis of the Jacobian ring C[x,y,z]/(df).
+    """A monomial basis of the Jacobian ring C[x,y,z]/(df), by graded
+    elimination.
 
-    For the A-series and D4 the partial-derivative ideals are monomial, so
-    the reduced monomials are computed and verified by exact normal-form
-    reduction; for the data-driven D_n (n >= 5) and E6 equations only the
-    count (= rank) and quasi-homogeneity are verified."""
-    t = s.dtype
-    x, y, z = _xyz()
-    if t.series == "A":
-        n = t.rank
-        lead = [(n, 0, 0), (0, 1, 0), (0, 0, 1)]  # x^n, y, z
-        basis = [x**k for k in range(n - 1, -1, -1)]
-    elif t.series == "D" and t.rank == 4:
-        lead = [(2, 0, 0), (0, 2, 0), (0, 0, 1)]  # x^2, y^2, z
-        basis = [x * y, x, y, MultiPoly.const(XYZ, 1)]
-    elif t.series == "D":
-        basis = [MultiPoly.const(XYZ, 1), x, y] + [x**k for k in range(2, t.rank - 1)]
-        lead = None
-    elif t.series == "E" and t.rank == 6:
-        basis = [MultiPoly.const(XYZ, 1), x, x**2, y, x * y, x**2 * y]
-        lead = None
-    else:
-        raise ValueError(f"no Jacobian basis for {t}")
-    if len(basis) != t.rank:
-        raise AssertionError("Jacobian basis size != rank")
-    if lead is not None:
-        _verify_monomial_quotient_basis(s, lead, basis)
+    The ring is graded by the weights of ``s``.  Walking the weighted
+    degrees k from the socle degree sum(d - 2 w_i) down to 0, the basis
+    takes the monomials of degree k, in decreasing exponent order, that lie
+    outside the span of the products m * df/dv of degree k and of the
+    monomials taken before them; so it runs by non-increasing weighted
+    degree.  The count is checked against the Milnor number
+    prod((d - w_i) / w_i) (Milnor-Orlik) and the rank, for every type."""
+    from .invariants import _pivot_columns, _vector_of, monomials_of_degree
+
+    w, d = s.weights, s.degree
+    partials = [(s.poly.diff(v), d - wv) for v, wv in zip(XYZ, w)]
+    basis = []
+    for k in range(sum(d - 2 * wi for wi in w), -1, -1):
+        monos = monomials_of_degree(w, k)[::-1]
+        idx = {e: i for i, e in enumerate(monos)}
+        vectors = [_vector_of(MultiPoly.from_integers(XYZ, {e: 1}) * p, idx)
+                   for p, dp in partials for e in monomials_of_degree(w, k - dp)]
+        offset = len(vectors)
+        vectors += [[int(i == j) for i in range(len(monos))] for j in range(len(monos))]
+        basis += [MultiPoly.from_integers(XYZ, {monos[j - offset]: 1})
+                  for j in _pivot_columns(vectors) if j >= offset]
+    mu = prod(Fraction(d - wi, wi) for wi in w)
+    if not len(basis) == mu == s.dtype.rank:
+        raise AssertionError(
+            f"{s.dtype}: {len(basis)} Jacobian basis monomials, Milnor number {mu}, "
+            f"rank {s.dtype.rank}"
+        )
     return basis
-
-
-def _verify_monomial_quotient_basis(s: QuasiHomogSing, lead, basis):
-    """The leading monomials generate the partial-derivative ideal up to
-    units, and the stated basis is exactly the reduced monomial staircase."""
-    partials = [s.poly.diff(v) for v in XYZ]
-    partial_leads = set()
-    for p in partials:
-        if len(p.terms) != 1:
-            raise AssertionError("partial derivative is not a monomial")
-        partial_leads.add(next(iter(p.terms)))
-    if partial_leads != set(lead):
-        raise AssertionError("partial derivatives differ from the expected monomials")
-
-    def reduced(e):
-        return all(any(ei < li for ei, li in zip(e, ell)) for ell in lead)
-
-    staircase = set()
-    bound = max(max(ell) for ell in lead) + 1
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            for c in range(bound + 1):
-                if reduced((a, b, c)):
-                    staircase.add((a, b, c))
-    basis_exps = set()
-    for q in basis:
-        if len(q.terms) != 1:
-            raise AssertionError("basis entries must be monomials")
-        basis_exps.add(next(iter(q.terms)))
-    if basis_exps != staircase:
-        raise AssertionError("stated basis differs from the reduced staircase")
 
 
 @dataclass
@@ -194,7 +163,7 @@ def semiuniversal_family(s: QuasiHomogSing, order: int = 1) -> DeformationFamily
     preserve the family polynomial exactly."""
     basis = jacobian_basis(s)
     wmap = dict(zip(XYZ, s.weights))
-    degs = [next(iter(g.weighted_degrees(wmap))) if not g.is_zero() else 0 for g in basis]
+    degs = [next(iter(g.weighted_degrees(wmap))) for g in basis]
     weights = [s.degree - d for d in degs]
     names = []
     used = {}
@@ -276,8 +245,24 @@ class ThreefoldFamily:
     folded_label: str
 
     def fixed_locus_twist(self) -> int:
-        """The fixed curve is alpha^2 = (top base section) in tot(K^m)."""
-        return max(self.coordinate_twists)
+        """m for the fixed curve alpha^2 = s in tot(K^m), read off
+        :func:`fixed_locus_equation`: exactly one coordinate alpha is left,
+        m is its twist, and the equation is quadratic in alpha and of twist
+        2m under the coordinate and base twists."""
+        eq = fixed_locus_equation(self)
+        left = [v for v in XYZ if eq.depends_on(v)]
+        if len(left) != 1:
+            raise AssertionError(f"{self.folded_label}: fixed locus {eq} = 0 keeps "
+                                 f"coordinates {left}, not one")
+        alpha = left[0]
+        m = self.coordinate_twists[XYZ.index(alpha)]
+        df = self.deformation
+        twists = dict(zip(XYZ + df.base_names, self.coordinate_twists + df.base_weights))
+        in_alpha = eq.weighted_degrees({v: int(v == alpha) for v in eq.variables})
+        if max(in_alpha) != 2 or eq.weighted_degrees(twists) != {2 * m}:
+            raise AssertionError(f"{self.folded_label}: fixed locus {eq} = 0 is not "
+                                 f"quadratic in {alpha} of twist {2 * m}")
+        return m
 
 
 def threefold_family(folded: str) -> ThreefoldFamily:

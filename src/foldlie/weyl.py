@@ -256,22 +256,6 @@ class WeylGroup:
         return [i for i, f in zip(involutions, self.flat_matrices(involutions))
                 if (RatMatrix.from_integers(n, n, f) - eye).rank() == 1]
 
-    def verify(self, check_coroots: bool = True):
-        if self.dtype is not None and self.order != self.dtype.weyl_order():
-            raise AssertionError(
-                f"group order {self.order} != product of the degrees {self.dtype.weyl_order()}"
-            )
-        ident = RatMatrix.identity(self.dim)
-        for g in self.generators:
-            if g * g != ident:
-                raise AssertionError("generator is not an involution")
-        if check_coroots and self.invariant_vectors:
-            n, vecs = self.dim, set(self.invariant_vectors)
-            for f in self.flat_matrices(range(self.order)):
-                for v in self.invariant_vectors:
-                    if tuple(kernel.mat_vec(f, v, n, n)) not in vecs:
-                        raise AssertionError("element does not permute the coroot set")
-
 
 def _orbit_labels(n: int, perms) -> list[int]:
     """Orbit label of each of range(n) under the permutations, numbered by

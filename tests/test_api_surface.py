@@ -11,55 +11,98 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "foldlie"
 HARNESS = ROOT / "perfbench"
 
-# Public names no caller reaches by name, with the reason each is kept.
+# Public names no caller reaches by name, with the reason each is kept: a
+# method whose name another definition shares names the caller that reaches
+# it through an instance.
 ALLOWED = {
     "weyl.WeylGroup.word": "the spelling of an element, documented in the README",
+    "exactalg.RatMatrix.is_zero": "called by exactalg.nullspace",
+    "exactalg.RatMatrix.rank": "called by weyl.WeylGroup.reflections",
+    "exactalg.RatMatrix.inverse": "called by invariants.triality_matrix_eps",
+    "exactalg.MultiPoly.is_zero": "called by unfolding.exceptional_divisor_components",
+    "liealg.MatrixLieAlgebra.contains": "called by verify.suite_liealg",
+    "liealg.ChevalleyData.to_json": "called by cli.cmd_liealg",
+    "liealg.LieAut.apply": "called by liealg.verify_bracket_preservation",
+    "rootsys.RootSystem.rank": "read by weyl.WeylGroup.generate",
+    "rootsys.RootSystem.to_json": "called by cli.cmd_fold",
+    "verify.Report.to_json": "called by cli.cmd_verify",
+    "weyl.WeylGroup.contains": "called by weyl._commutant_indices",
+    "weyl.WeylGroup.inverse": "called by cameral._relation_product",
+    "weyl.WeylGroup.apply": "called by verify.suite_weyl",
 }
 
 
-def _references(node) -> tuple[Counter, Counter]:
-    """Bare names (and imported names) and attribute names used under ``node``."""
-    names, attrs = Counter(), Counter()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            names[n.id] += 1
-        elif isinstance(n, ast.Attribute):
-            attrs[n.attr] += 1
-        elif isinstance(n, ast.alias):
-            names[n.asname or n.name.rsplit(".", 1)[-1]] += 1
-    return names, attrs
+def _references(node, cls=None, refs=None) -> tuple[Counter, Counter, Counter]:
+    """Bare names (and imported names) and attribute names used under
+    ``node``, and the attribute reads keyed by (owner, name): ``owner.name``,
+    and ``self.name`` or ``cls.name`` with the enclosing class ``cls`` as
+    owner."""
+    names, attrs, owned = refs or (Counter(), Counter(), Counter())
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    if isinstance(node, ast.Name):
+        names[node.id] += 1
+    elif isinstance(node, ast.Attribute):
+        attrs[node.attr] += 1
+        if isinstance(node.value, ast.Name):
+            owner = cls if node.value.id in ("self", "cls") else node.value.id
+            owned[owner, node.attr] += 1
+    elif isinstance(node, ast.alias):
+        names[node.asname or node.name.rsplit(".", 1)[-1]] += 1
+    for child in ast.iter_child_nodes(node):
+        _references(child, cls, (names, attrs, owned))
+    return names, attrs, owned
 
 
 def _public_definitions():
-    """(qualified name, short name, definition node, is a method) for every
-    public module-level function or class and every public method."""
+    """(qualified name, short name, definition node, owning class or None)
+    for every public module-level function or class and every public
+    method."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
                 continue
-            yield f"{path.stem}.{node.name}", node.name, node, False
+            yield f"{path.stem}.{node.name}", node.name, node, None
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name, item, True
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name, item, node.name
+
+
+def _defined_names() -> Counter:
+    """How often each name is defined in the package, as a module-level
+    function or class or as a method."""
+    defined = Counter()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] += 1
+            if isinstance(node, ast.ClassDef):
+                defined.update(item.name for item in node.body
+                               if isinstance(item, ast.FunctionDef))
+    return defined
 
 
 def unreferenced() -> list[str]:
     """Public definitions referenced nowhere in the package or the harness
-    outside their own body.  A method counts only as an attribute
-    (``x.name``); a function or class as a bare name, an import or an
-    attribute (``module.name``)."""
-    names, attrs = Counter(), Counter()
+    outside their own body.  A function or class counts as a bare name, an
+    import or an attribute (``module.name``).  A method counts as an
+    attribute (``x.name``), unless another definition shares its name: then
+    only reads resolved to its class count (``Class.name``, and ``self.name``
+    inside the class)."""
+    names, attrs, owned = Counter(), Counter(), Counter()
     for path in [*PACKAGE.glob("*.py"), *HARNESS.glob("*.py")]:
-        n, a = _references(ast.parse(path.read_text()))
-        names += n
-        attrs += a
+        _references(ast.parse(path.read_text()), refs=(names, attrs, owned))
+    defined = _defined_names()
     out = []
-    for qualified, name, node, method in _public_definitions():
-        own_names, own_attrs = _references(node)
-        uses = attrs[name] - own_attrs[name]
-        if not method:
-            uses += names[name] - own_names[name]
+    for qualified, name, node, owner in _public_definitions():
+        own_names, own_attrs, own_owned = _references(node, owner)
+        if owner is None:
+            uses = names[name] - own_names[name] + attrs[name] - own_attrs[name]
+        elif defined[name] == 1:
+            uses = attrs[name] - own_attrs[name]
+        else:
+            uses = owned[owner, name] - own_owned[owner, name]
         if uses <= 0:
             out.append(qualified)
     return out

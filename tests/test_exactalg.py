@@ -416,6 +416,13 @@ def _canonical_storage(m):
     return d > 0 and math.gcd(d, *nums) == 1 and type(nums) is tuple
 
 
+def _rref(m):
+    """The reduced row echelon form of ``m`` through ``kernel.rref``, and its
+    pivot columns."""
+    nums, den, pivots = kernel.rref(m._integer_form()[0], m.rows, m.cols)
+    return RatMatrix.from_integers(m.rows, m.cols, nums, den), pivots
+
+
 def _ref_rref(a, rows, cols):
     """Gauss-Jordan over Fractions on row lists: (flat reduced form, pivots)."""
     m = [list(a[i * cols:(i + 1) * cols]) for i in range(rows)]
@@ -486,7 +493,7 @@ class TestIntegerStorage:
     def test_rref_rank_and_nullspace(self, mat):
         r, c, a = mat
         m = RatMatrix(r, c, a)
-        red, pivots = m.rref()
+        red, pivots = _rref(m)
         assert (list(red.entries), pivots) == _ref_rref(a, r, c)
         assert _canonical_storage(red) and m.rank() == len(pivots)
         basis = nullspace(m)
@@ -535,7 +542,7 @@ class TestIntegerStorage:
             z = RatMatrix(r, c, [Q(0)] * (r * c))
             assert z._integer_form() == ((0,) * (r * c), 1)
             assert z == RatMatrix.zeros(r, c) and hash(z) == hash(RatMatrix.zeros(r, c))
-            assert z.is_zero() and z.rref() == (z, []) and len(nullspace(z)) == c
+            assert z.is_zero() and _rref(z) == (z, []) and len(nullspace(z)) == c
         m = RatMatrix(2, 2, [Q(1, 3), Q(-1, 6), 2, 0])
         assert (m - m)._integer_form() == ((0, 0, 0, 0), 1)
         assert m.scale(0) == RatMatrix.zeros(2, 2)

@@ -416,7 +416,7 @@ def _triality_map():
 
 
 def _reference_reynolds_basis(group, names, degree):
-    monos = monomials_of_degree(len(names), degree)
+    monos = monomials_of_degree((1,) * len(names), degree)
     monos_index = {m: i for i, m in enumerate(monos)}
     seen_exps, vectors, polys = set(), [], []
     for mono in monos:
@@ -442,7 +442,7 @@ def _reference_generator_action(group, a_map, names, degrees):
     reports = []
     for d in needed:
         basis = inv_bases[d]
-        idx = {m: i for i, m in enumerate(monomials_of_degree(len(names), d))}
+        idx = {m: i for i, m in enumerate(monomials_of_degree((1,) * len(names), d))}
         dec_polys = [p * q for d1 in range(2, d // 2 + 1)
                      for p in inv_bases.get(d1, []) for q in inv_bases.get(d - d1, [])]
         dec_kept, dec_rows = _independent_subset([_vector_of(p, idx) for p in dec_polys],
@@ -489,7 +489,7 @@ class TestPivotColumnsMatchGreedy:
     def test_span_rank(self, seed):
         rng = random.Random(seed)
         names, degree = ("t1", "t2", "t3"), rng.randint(1, 3)
-        monos = monomials_of_degree(3, degree)
+        monos = monomials_of_degree((1, 1, 1), degree)
         vectors = _random_vectors(rng, rng.randint(1, 12), len(monos))
         polys = [MultiPoly(names, {m: c for m, c in zip(monos, v) if c}) for v in vectors]
         kept, _ = _independent_subset(vectors, list(range(len(vectors))))

@@ -1,8 +1,12 @@
 import pytest
 
+import foldlie.unfolding as uf
+from foldlie import verify
 from foldlie.exactalg import MultiPoly
+from foldlie.rootsys import DynkinType
 from foldlie.unfolding import (
     XYZ,
+    QuasiHomogSing,
     exceptional_divisor_components,
     fixed_locus_equation,
     fixed_locus_genus,
@@ -53,16 +57,40 @@ class TestJacobianBases:
     def test_a1(self):
         assert jacobian_basis(singularity("A1")) == [MultiPoly.const(XYZ, 1)]
 
-    def test_sizes_match_rank(self):
-        for name, rank in (("A5", 5), ("D5", 5), ("E6", 6), ("A2", 2)):
-            assert len(jacobian_basis(singularity(name))) == rank
+    @pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 9)]
+                             + [f"D{n}" for n in range(4, 9)] + ["E6"])
+    def test_graded_basis(self, name):
+        """Rank-many monomials by non-increasing weighted degree, the same
+        monomial sets as the hand-typed per-series bases, and base weights
+        equal to the degrees of the Weyl invariants (Kostant's root heights),
+        doubled for A_even."""
+        s = singularity(name)
+        t, basis = s.dtype, jacobian_basis(s)
+        assert len(basis) == t.rank
+        assert all(len(g.terms) == 1 for g in basis)
+        wmap = dict(zip(XYZ, s.weights))
+        degrees = [d for g in basis for d in g.weighted_degrees(wmap)]
+        assert degrees == sorted(degrees, reverse=True)
+        if t.series == "A":
+            typed = {(k, 0, 0) for k in range(t.rank)}
+        elif t.series == "E":
+            typed = {(a, b, 0) for a in range(3) for b in range(2)}
+        elif t.rank == 4:
+            typed = {(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0)}
+        else:
+            typed = {(0, 1, 0)} | {(k, 0, 0) for k in range(t.rank - 1)}
+        assert {next(iter(g.terms)) for g in basis} == typed
+        scale = 2 if t.series == "A" and t.rank % 2 == 0 else 1
+        weights = sorted(semiuniversal_family(s).base_weights)
+        assert weights == [scale * d for d in t.degrees()]
 
-    def test_data_driven_quasi_homogeneous(self):
-        for name in ("D5", "E6"):
-            s = singularity(name)
-            wmap = dict(zip(XYZ, s.weights))
-            for g in jacobian_basis(s):
-                assert len(g.weighted_degrees(wmap)) <= 1
+    def test_milnor_number_checked(self):
+        """x^3 + y^3 + z^2 under the D5 label passes the weight checks, but
+        its Milnor number is 4, not the rank 5."""
+        x, y, z = (MultiPoly.var(XYZ, v) for v in XYZ)
+        s = QuasiHomogSing(x**3 + y**3 + z**2, (2, 2, 3), 6, DynkinType.parse("D5"), "D5")
+        with pytest.raises(AssertionError, match="Milnor number 4, rank 5"):
+            jacobian_basis(s)
 
 
 class TestFamilies:
@@ -127,6 +155,18 @@ class TestThreefolds:
         z = MultiPoly.var(ring2, "z")
         b6 = MultiPoly.var(ring2, "b6")
         assert eq2 == z**2 + b6
+
+    def test_fixed_locus_twist_from_equation(self):
+        assert threefold_family("C2").fixed_locus_twist() == 2
+        assert threefold_family("G2").fixed_locus_twist() == 3
+
+    def test_unsubstituted_fixed_locus_caught(self, monkeypatch):
+        """An elimination that substitutes nothing leaves all of x, y, z in
+        the equation; the dims suite must not read a twist off it."""
+        monkeypatch.setattr(uf, "fixed_locus_equation",
+                            lambda tf: tf.deformation.invariant_family_poly())
+        with pytest.raises(AssertionError, match="keeps coordinates"):
+            verify.suite_dims(samples=1)
 
     def test_unsupported_family(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ class TestGenerate:
     def test_orders(self, name, order):
         w = WeylGroup.generate(build_root_system(name))
         assert w.order == order
-        w.verify(check_coroots=(order <= 48))
+        _verify_group(w)
 
     def test_words_multiply_out(self):
         w = WeylGroup.generate(build_root_system("C2"))
@@ -56,6 +56,19 @@ class TestGenerate:
             rs = build_root_system(name)
             w = WeylGroup.generate(rs)
             assert len(w.reflections()) == len(rs.all_roots) // 2
+
+
+def _verify_group(group):
+    """|W| is the product of the degrees, the generators are involutions
+    and every element permutes the invariant (coroot) vectors."""
+    if group.dtype is not None:
+        assert group.order == group.dtype.weyl_order()
+    ident = RatMatrix.identity(group.dim)
+    assert all(g * g == ident for g in group.generators)
+    n, vecs = group.dim, set(group.invariant_vectors)
+    for f in group.flat_matrices(range(group.order)):
+        for v in group.invariant_vectors:
+            assert tuple(kernel.mat_vec(f, v, n, n)) in vecs
 
 
 def _verify_word(group, i) -> bool:
@@ -350,7 +363,7 @@ class TestFoldingIsomorphism:
             _commutant_indices(fwd_a3.wh, (1, 0, 2))
 
     def test_folded_permutes_coroots(self, fwd_a3):
-        fwd_a3.folded.verify()
+        _verify_group(fwd_a3.folded)
 
     def test_trivial_automorphism(self):
         fwd = folding_weyl_data(folding_datum("A3", 1))
