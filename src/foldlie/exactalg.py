@@ -5,11 +5,11 @@ No floating point appears anywhere.  Rational matrices (:class:`RatMatrix`)
 and polynomials (:class:`MultiPoly`) are both stored as integer numerators
 over one positive denominator, in canonical form, so their arithmetic runs
 on ints and equal values have equal storage; scalars are handed out at the
-boundary as ``fractions.Fraction`` (exported as :data:`Rat`).  A matrix
-with polynomial entries, needed only for symbolic adjoint quotients, is a
-:class:`PolyMatrix`: it is built and read, never computed with; its
-characteristic polynomial packs each entry's exponent tuples into ints over
-one denominator and runs on integer polynomials in the kernel.
+boundary as ``fractions.Fraction``.  A matrix with polynomial entries,
+needed only for symbolic adjoint quotients, is a :class:`PolyMatrix`: it is
+built and read, never computed with; its characteristic polynomial packs
+each entry's exponent tuples into ints over one denominator and runs on
+integer polynomials in the kernel.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import kernel
-
-Rat = Fraction
 
 Scalar = Union[int, Fraction]
 

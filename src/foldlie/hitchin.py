@@ -30,7 +30,6 @@ def h0_canonical_power(g: int, d: int) -> int:
 @dataclass
 class HitchinBase:
     group_type: DynkinType
-    genus: int
     degrees: list
     summand_dims: list
 
@@ -45,7 +44,7 @@ def dim_base(t: DynkinType | str, g: int) -> HitchinBase:
         t = DynkinType.parse(t)
     degrees = invariant_degrees(t)
     dims = [h0_canonical_power(g, d) for d in degrees]
-    return HitchinBase(t, g, degrees, dims)
+    return HitchinBase(t, degrees, dims)
 
 
 def fiber_dim(t: DynkinType | str, g: int) -> int:

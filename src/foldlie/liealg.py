@@ -294,7 +294,6 @@ class ChevalleyData:
     algebra: MatrixLieAlgebra
     root_system: RootSystem
     root_vectors: dict
-    coroot_vectors: list
     basis_keys: list
     basis_matrices: list
     constants: dict
@@ -446,7 +445,6 @@ def build_chevalley(alg: MatrixLieAlgebra) -> ChevalleyData:
         algebra=alg,
         root_system=rs,
         root_vectors=vectors,
-        coroot_vectors=list(hs),
         basis_keys=basis_keys,
         basis_matrices=basis_matrices,
         constants=constants,
@@ -546,8 +544,6 @@ class FixedSubalgebra:
     """g_h^C: basis matrices, the fixed Cartan, and the verified folded
     root-space decomposition."""
 
-    cd: ChevalleyData
-    aut: LieAut
     basis: list
     cartan_basis: list
     root_space_weights: list
@@ -562,7 +558,7 @@ def fixed_subalgebra(cd: ChevalleyData, aut: LieAut) -> FixedSubalgebra:
     keys = cd.basis_keys
     basis = []
     cartan_basis = []
-    e_orbit_reps = []
+    e_sums = []
     for orbit in permutation_cycles(aut.perm):
         acc = cd.basis_matrices[orbit[0]]
         for k in orbit[1:]:
@@ -571,7 +567,7 @@ def fixed_subalgebra(cd: ChevalleyData, aut: LieAut) -> FixedSubalgebra:
         if keys[orbit[0]][0] == "h":
             cartan_basis.append(acc)
         else:
-            e_orbit_reps.append((acc, orbit))
+            e_sums.append(acc)
 
     solver = SpanSolver(basis)
     for i, x in enumerate(basis):
@@ -581,26 +577,14 @@ def fixed_subalgebra(cd: ChevalleyData, aut: LieAut) -> FixedSubalgebra:
 
     # root-space decomposition relative to the fixed Cartan
     weights = []
-    for mat, orbit in e_orbit_reps:
-        lam = []
-        for h in cartan_basis:
-            br = h.bracket(mat)
-            found = None
-            for cand_num, cand_den in _ratio_candidates(br, mat):
-                found = Fraction(cand_num, cand_den)
-                break
-            if br.is_zero():
-                lam.append(Fraction(0))
-            else:
-                if found is None or mat.scale(found) != br:
-                    raise AssertionError("fixed vector is not a Cartan eigenvector")
-                lam.append(found)
-        weights.append(tuple(lam))
+    for mat in e_sums:
+        lam = tuple(ad_eigenvalue(h, mat) for h in cartan_basis)
+        if None in lam:
+            raise AssertionError("fixed vector is not a Cartan eigenvector")
+        weights.append(lam)
     if len(set(weights)) != len(weights):
         raise AssertionError("root spaces of the fixed subalgebra are not 1-dimensional")
     return FixedSubalgebra(
-        cd=cd,
-        aut=aut,
         basis=basis,
         cartan_basis=cartan_basis,
         root_space_weights=weights,
@@ -608,11 +592,12 @@ def fixed_subalgebra(cd: ChevalleyData, aut: LieAut) -> FixedSubalgebra:
     )
 
 
-def _ratio_candidates(br: RatMatrix, mat: RatMatrix):
-    for b, m in zip(br.entries, mat.entries):
-        if m != 0:
-            yield b, m
-            return
+def ad_eigenvalue(h: RatMatrix, x: RatMatrix) -> Fraction | None:
+    """The c with [h, x] = c x, read off the first non-zero entry of x;
+    None if x is zero or not an eigenvector of ad_h."""
+    br = h.bracket(x)
+    c = next((b / e for b, e in zip(br.entries, x.entries) if e), None)
+    return c if c is not None and x.scale(c) == br else None
 
 
 def averaging_projection(cd: ChevalleyData, aut: LieAut, xi: RatMatrix) -> RatMatrix:
@@ -636,24 +621,16 @@ def sp4_from_fixed_sl4(m: RatMatrix) -> RatMatrix:
 # -- adjoint quotients -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdjointQuotientValue:
-    values: tuple
-    weights: tuple
-
-
-def adjoint_quotient(alg: MatrixLieAlgebra, m: RatMatrix | PolyMatrix) -> AdjointQuotientValue:
+def adjoint_quotient(alg: MatrixLieAlgebra, m: RatMatrix | PolyMatrix) -> tuple:
     """xi o chi: the exterior-power traces in the invariant degrees of the
     algebra's type, which generate its invariant ring (degrees 2..n for
-    sl_n; even degrees for sp_2n and so_{2n+1}), with the C*-weight vector
-    attached."""
+    sl_n; even degrees for sp_2n and so_{2n+1}), in increasing degree; the
+    C*-weight of each value is its degree, ``alg.dtype.degrees()``."""
     if alg.coords(m) is None:
         raise ValueError("matrix is not an element of the algebra")
     if alg.family == "so" and alg.size % 2 == 0:
         raise ValueError("adjoint quotient via exterior traces: sl_n, sp_2n, so_{2n+1}")
-    degrees = tuple(alg.dtype.degrees())
-    vals = exterior_traces(m, degrees)
-    return AdjointQuotientValue(values=vals, weights=degrees)
+    return exterior_traces(m, tuple(alg.dtype.degrees()))
 
 
 def exp_nilpotent(m: RatMatrix) -> RatMatrix:

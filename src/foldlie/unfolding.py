@@ -116,28 +116,11 @@ def jacobian_basis(s: QuasiHomogSing) -> list[MultiPoly]:
 
 
 @dataclass
-class GroupActionData:
-    """The folding action on coordinates and deformation parameters.
-
-    ``coordinate_images`` are polynomials in (x, y, z) over an extension ring
-    (signs for order 2; the ring Q[mu]/(mu^2 + mu + 1) for order 3);
-    ``base_multipliers`` multiply each deformation parameter."""
-
-    order: int
-    ring_vars: tuple
-    reduction: tuple | None  # (variable, square value as MultiPoly) for mu
-    coordinate_images: tuple
-    base_multipliers: tuple
-
-
-@dataclass
 class DeformationFamily:
     singularity: QuasiHomogSing
-    basis_monomials: list
     base_names: tuple
     base_weights: tuple
     family_poly: MultiPoly
-    action: GroupActionData | None
     invariant_base_indices: tuple
 
     def invariant_family_poly(self) -> MultiPoly:
@@ -180,7 +163,6 @@ def semiuniversal_family(s: QuasiHomogSing, order: int = 1) -> DeformationFamily
     for nm, g in zip(names, basis):
         fam = fam + MultiPoly.var(fam_vars, nm) * g.with_variables(fam_vars)
 
-    action = None
     invariant = tuple(range(len(names)))
     if order == 2:
         if not (s.dtype.series == "A" and s.dtype.rank % 2 == 1):
@@ -189,9 +171,8 @@ def semiuniversal_family(s: QuasiHomogSing, order: int = 1) -> DeformationFamily
         x, y, z = (MultiPoly.var(ring, v) for v in XYZ)
         coord_images = (-x, z, y)
         base_mult = tuple(Fraction(-1) ** d for d in degs)
-        action = GroupActionData(2, ring, None, coord_images, base_mult)
         invariant = tuple(j for j, m in enumerate(base_mult) if m == 1)
-        _verify_action_preserves(fam, action, names)
+        _verify_action_preserves(fam, names, ring, coord_images, base_mult)
     elif order == 3:
         if not (s.dtype.series == "D" and s.dtype.rank == 4):
             raise ValueError("order-3 action implemented for the D4 equation")
@@ -201,31 +182,33 @@ def semiuniversal_family(s: QuasiHomogSing, order: int = 1) -> DeformationFamily
         coord_images = (mu * x, mu * mu * y, z)
         # g = (xy, x, y, 1): multipliers 1, mu^2, mu, 1
         base_mult = (MultiPoly.const(ring, 1), mu * mu, mu, MultiPoly.const(ring, 1))
-        action = GroupActionData(3, ring, ("mu", MultiPoly.const(ring, -1) - mu),
-                                 coord_images, base_mult)
         invariant = tuple(j for j, m in enumerate(base_mult) if m == 1)
-        _verify_action_preserves(fam, action, names)
+        _verify_action_preserves(fam, names, ring, coord_images, base_mult,
+                                 ("mu", MultiPoly.const(ring, -1) - mu))
     elif order != 1:
         raise ValueError("actions of order 1, 2, 3 only")
     return DeformationFamily(
         singularity=s,
-        basis_monomials=basis,
         base_names=tuple(names),
         base_weights=tuple(weights),
         family_poly=fam,
-        action=action,
         invariant_base_indices=invariant,
     )
 
 
-def _verify_action_preserves(fam: MultiPoly, action: GroupActionData, names):
-    ring = action.ring_vars
-    mapping = dict(zip(XYZ, action.coordinate_images))
-    for nm, mult in zip(names, action.base_multipliers):
+def _verify_action_preserves(fam: MultiPoly, names, ring, coordinate_images,
+                             base_multipliers, reduction=None):
+    """Raise unless the family polynomial is invariant under the action
+    that sends (x, y, z) to ``coordinate_images`` and multiplies each
+    deformation parameter by its entry of ``base_multipliers``, all
+    polynomials over ``ring`` (signs for order 2; Q[mu]/(mu^2 + mu + 1) for
+    order 3, with ``reduction`` = (variable, its square) to reduce by)."""
+    mapping = dict(zip(XYZ, coordinate_images))
+    for nm, mult in zip(names, base_multipliers):
         mapping[nm] = MultiPoly.var(ring, nm) * mult
     image = fam.with_variables(ring).substitute(mapping, target_variables=ring)
-    if action.reduction is not None:
-        var, sq = action.reduction
+    if reduction is not None:
+        var, sq = reduction
         image = image.reduce_square(var, sq)
     if image != fam.with_variables(ring):
         raise AssertionError("group action does not preserve the family polynomial")

@@ -58,13 +58,10 @@ class WeylGroup:
     An element is its index outside this module.  :meth:`apply` walks its
     word on a vector, and :meth:`flat_matrices` is the one place a matrix is
     built from a word.
-
-    ``invariant_vectors`` is the coroot set in the acting coordinates; every
-    element must permute it (checked by :meth:`verify`).
     """
 
     def __init__(self, dim, generators, words, keys, edges, dtype=None,
-                 root_system=None, invariant_vectors=None):
+                 root_system=None):
         self.dim = dim
         self.generators = generators
         self._moved = [_moved_rows(_flat_key(g), dim) for g in generators]
@@ -76,7 +73,6 @@ class WeylGroup:
         self._words = words
         self.dtype = dtype
         self.root_system = root_system
-        self.invariant_vectors = invariant_vectors
         self._mult_cache: dict = {}
         self._rightmul_cache: dict = {}
         self._edge_getters = None
@@ -108,7 +104,7 @@ class WeylGroup:
             gens.append(tuple(x for row in m for x in row))
         gen_mats = [RatMatrix(n, n, g) for g in gens]
         return WeylGroup(n, gen_mats, *_bfs_closure(gens, n, expected), dtype=t,
-                         root_system=rs, invariant_vectors=_coroot_vectors(rs))
+                         root_system=rs)
 
     # -- group structure ----------------------------------------------------
     @property
@@ -384,11 +380,6 @@ def _coroot_map(rs: RootSystem):
     return coroot
 
 
-def _coroot_vectors(rs: RootSystem) -> list[tuple]:
-    """Coroots of rs in simple-coroot coordinates."""
-    return list(map(_coroot_map(rs), rs.all_roots))
-
-
 # -- folding -------------------------------------------------------------------
 
 
@@ -518,14 +509,12 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
     products = [wh._walk(wh.identity_index(), o) for o in orbits]
     gen_flats = [restricted[j] for j in products]
     folded_type = classify(fold_coinvariants(fd).cartan_matrix())
-    inv_vecs = _folded_coroot_vectors(fd, orbits)
     folded = WeylGroup(
         r,
         [RatMatrix(r, r, g) for g in gen_flats],
         *_bfs_closure(gen_flats, r, folded_type.weyl_order()),
         dtype=folded_type,
         root_system=None,
-        invariant_vectors=inv_vecs,
     )
 
     # restriction is injective, so it maps onto the folded group exactly
@@ -540,7 +529,8 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
         )
     embed = {v: k for k, v in restrict.items()}
 
-    # homomorphism spot-check on all generator pairs
+    # homomorphism spot-check: up to 50 commutant elements, each times every
+    # orbit product (the preimages of the folded generators)
     for i in comm[: min(len(comm), 50)]:
         for j in products:
             if restrict[wh.multiply(i, j)] != folded.multiply(restrict[i], restrict[j]):
@@ -557,22 +547,6 @@ def folding_weyl_data(fd: FoldingDatum) -> FoldedWeylData:
         restrict=restrict,
         reflection_products=reflection_products,
     )
-
-
-def _folded_coroot_vectors(fd: FoldingDatum, orbits) -> list[tuple]:
-    """Folded coroots (orbit sums of h-coroots) in orbit-basis coordinates."""
-    rs = fd.homogeneous
-    coords = rs.simple_coordinates()
-    seen = set()
-    out = []
-    for root in rs.all_roots:
-        # ADE: coroot coords = root coords
-        s = tuple(map(sum, zip(*(coords[r] for r in fd.aut.orbit(root)))))
-        if s in seen:
-            continue
-        seen.add(s)
-        out.append(tuple(s[o[0]] for o in orbits))
-    return out
 
 
 def _reflection_orbit_products(fd, wh, orbits, restrict) -> dict:
@@ -631,15 +605,13 @@ def _is_fixed(perm, v) -> bool:
 @dataclass
 class MembershipDecision:
     orbit_equal: bool
-    point_is_regular: bool
     w_in_folded_group: bool | None
-    restriction: RatMatrix | None
 
 
 def orbit_regular_membership(fwd: FoldedWeylData, t_point, w: int) -> MembershipDecision:
-    """Check W(w t) = W(t) for t, wt in the fixed Cartan, and certify w in W
-    (by exhibiting its restriction) when t is regular; w is an index into
-    W_h."""
+    """Check W(w t) = W(t) for t, wt in the fixed Cartan, and, when t is
+    regular, whether w lies in the commutant W_h^C = W; w is an index into
+    W_h.  ``w_in_folded_group`` is None exactly when t is not regular."""
     wh = fwd.wh
     t = tuple(Fraction(x) for x in t_point)
     if not is_fixed_point(fwd, t):
@@ -649,15 +621,8 @@ def orbit_regular_membership(fwd: FoldedWeylData, t_point, w: int) -> Membership
         raise ValueError("w t is not in the fixed Cartan subalgebra")
     orbit_t = {wh.apply(i, t) for i in fwd.commutant}
     orbit_wt = {wh.apply(i, wt) for i in fwd.commutant}
-    equal = orbit_t == orbit_wt
-    regular = is_regular(fwd.fd.homogeneous, t)
-    w_in = None
-    restriction = None
-    if regular:
-        w_in = w in fwd.restrict
-        if w_in:
-            restriction = fwd.folded.matrix(fwd.restrict[w])
-    return MembershipDecision(equal, regular, w_in, restriction)
+    w_in = w in fwd.restrict if is_regular(fwd.fd.homogeneous, t) else None
+    return MembershipDecision(orbit_t == orbit_wt, w_in)
 
 
 # -- sampling --------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every public function, class and method of ``foldlie`` is used by the
-package itself or by the benchmark harness: one the tests alone call
-belongs in the test that calls it.  The sources are read with ``ast``;
-nothing is imported."""
+package itself or by the benchmark harness, and every public field and
+module-level name is read there: one the tests alone call or read belongs
+in the test that needs it.  The sources are read with ``ast``; nothing is
+imported."""
 
 import ast
 from collections import Counter
@@ -33,16 +34,17 @@ ALLOWED = {
 
 
 def _references(node, cls=None, refs=None) -> tuple[Counter, Counter, Counter]:
-    """Bare names (and imported names) and attribute names used under
+    """Bare names (and imported names) and attribute names read under
     ``node``, and the attribute reads keyed by (owner, name): ``owner.name``,
     and ``self.name`` or ``cls.name`` with the enclosing class ``cls`` as
-    owner."""
+    owner.  An assignment target is no read."""
     names, attrs, owned = refs or (Counter(), Counter(), Counter())
     if isinstance(node, ast.ClassDef):
         cls = node.name
-    if isinstance(node, ast.Name):
+    store = isinstance(getattr(node, "ctx", None), ast.Store)
+    if isinstance(node, ast.Name) and not store:
         names[node.id] += 1
-    elif isinstance(node, ast.Attribute):
+    elif isinstance(node, ast.Attribute) and not store:
         attrs[node.attr] += 1
         if isinstance(node.value, ast.Name):
             owner = cls if node.value.id in ("self", "cls") else node.value.id
@@ -108,10 +110,74 @@ def unreferenced() -> list[str]:
     return out
 
 
+def _targets(node) -> list:
+    """The assignment targets of ``node``; none unless it is an assignment."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    return [node.target] if isinstance(node, ast.AnnAssign) else []
+
+
+def _stored_names(targets):
+    """The names bound by assignment targets, through tuple unpacking."""
+    for t in targets:
+        if isinstance(t, ast.Name):
+            yield t.id
+        elif isinstance(t, (ast.Tuple, ast.List)):
+            yield from _stored_names(t.elts)
+
+
+def _public_state():
+    """(qualified name, short name, whether it is a field) for every public
+    module-level name bound by an assignment (dunders aside) and every
+    public field of a public class: an annotation in the class body, as a
+    dataclass declares its fields, or a ``self.name = ...`` inside
+    ``__init__``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for name in _stored_names(_targets(node)):
+                if name[0] != "_":
+                    yield f"{path.stem}.{name}", name, False
+            if not isinstance(node, ast.ClassDef) or node.name[0] == "_":
+                continue
+            fields = [item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    fields += [t.attr for stmt in ast.walk(item) for t in _targets(stmt)
+                               if isinstance(t, ast.Attribute)
+                               and isinstance(t.value, ast.Name) and t.value.id == "self"]
+            for name in dict.fromkeys(fields):
+                if name[0] != "_":
+                    yield f"{path.stem}.{node.name}.{name}", name, True
+
+
+def unread_state() -> list[str]:
+    """Public fields and module-level names read nowhere in the package or
+    the harness.  A field is read as an attribute (``x.name``); a
+    module-level name as a bare name, an import or an attribute
+    (``module.name``); an assignment is no read.
+
+    Reads are matched by name alone, whatever object they are read from.
+    This is a blind spot: a field whose name another class also defines,
+    as a field or a method (such as ``order``, ``weights`` or ``degrees``),
+    counts as read when any attribute of that name is read, and a
+    module-level name when any bare name spells it, a local variable too.
+    An unread field of that kind goes unseen here and is found by hand."""
+    names, attrs = Counter(), Counter()
+    for path in [*PACKAGE.glob("*.py"), *HARNESS.glob("*.py")]:
+        _references(ast.parse(path.read_text()), refs=(names, attrs, Counter()))
+    return [qualified for qualified, name, field in _public_state()
+            if attrs[name] + (0 if field else names[name]) == 0]
+
+
 def test_every_public_name_has_a_caller():
     assert [q for q in unreferenced() if q not in ALLOWED] == []
 
 
+def test_every_public_field_and_module_name_is_read():
+    assert [q for q in unread_state() if q not in ALLOWED] == []
+
+
 def test_allowlist_is_current():
-    """Each allowed name still exists and still has no caller."""
-    assert set(ALLOWED) <= set(unreferenced())
+    """Each allowed name still exists and still has no caller or reader."""
+    assert set(ALLOWED) <= set(unreferenced()) | set(unread_state())

@@ -7,12 +7,13 @@ import pytest
 
 from foldlie import kernel
 from foldlie.exactalg import RatMatrix, _integer_vector
-from foldlie.rootsys import build_root_system, folding_datum
+from foldlie.rootsys import build_root_system, folding_datum, permutation_cycles
 from foldlie.weyl import (
     ENUMERATION_BUDGET,
     EnumerationBudgetExceeded,
     WeylGroup,
     _bfs_closure,
+    _coroot_map,
     folded_reflection,
     folding_weyl_data,
     is_fixed_point,
@@ -58,16 +59,31 @@ class TestGenerate:
             assert len(w.reflections()) == len(rs.all_roots) // 2
 
 
-def _verify_group(group):
+def _coroots(group, fd=None) -> list[tuple]:
+    """The coroots in the coordinates ``group`` acts on: those of its root
+    system in the simple-coroot basis, or, for the folded group of ``fd``,
+    the distinct orbit sums of the h-coroots in the orbit-sum basis."""
+    if fd is None:
+        rs = group.root_system
+        return list(map(_coroot_map(rs), rs.all_roots))
+    coroot = _coroot_map(fd.homogeneous)
+    sums = dict.fromkeys(tuple(map(sum, zip(*map(coroot, fd.aut.orbit(r)))))
+                         for r in fd.homogeneous.all_roots)
+    orbits = permutation_cycles(fd.aut.permutation)
+    return [tuple(s[o[0]] for o in orbits) for s in sums]
+
+
+def _verify_group(group, fd=None):
     """|W| is the product of the degrees, the generators are involutions
-    and every element permutes the invariant (coroot) vectors."""
+    and every element permutes the coroots (:func:`_coroots`)."""
     if group.dtype is not None:
         assert group.order == group.dtype.weyl_order()
     ident = RatMatrix.identity(group.dim)
     assert all(g * g == ident for g in group.generators)
-    n, vecs = group.dim, set(group.invariant_vectors)
+    n, coroots = group.dim, _coroots(group, fd)
+    vecs = set(coroots)
     for f in group.flat_matrices(range(group.order)):
-        for v in group.invariant_vectors:
+        for v in coroots:
             assert tuple(kernel.mat_vec(f, v, n, n)) in vecs
 
 
@@ -192,7 +208,7 @@ class TestColumnUpdateClosure:
     def test_matches_matmul_closure(self, weyl_group, name):
         w = weyl_group(name)
         flat, words, edges = _matmul_keyed_closure(_generator_flats(w), w.dim,
-                                                   _two_rho_vee(w.invariant_vectors))
+                                                   _two_rho_vee(_coroots(w)))
         assert _all_flats(w) == flat
         assert [w.word(i) for i in range(w.order)] == words
         assert w._edges == edges
@@ -205,7 +221,7 @@ class TestColumnUpdateClosure:
         moved_rows = [sum(any(g[i * 4 + j] != (i == j) for j in range(4)) for i in range(4))
                       for g in gens]
         assert max(moved_rows) > 1
-        key = _two_rho_vee(wh.invariant_vectors)
+        key = _two_rho_vee(_coroots(wh))
         words, keys, edges = _bfs_closure(gens, 4, 12)
         flat, ref_words, ref_edges = _matmul_keyed_closure(gens, 4, key)
         assert (words, edges) == (ref_words, ref_edges)
@@ -234,7 +250,7 @@ class TestKeyedClosure:
     def test_generate_matches_reference(self, name):
         w = WeylGroup.generate(build_root_system(name))
         flat, words, edges = _matmul_keyed_closure(_generator_flats(w), w.dim,
-                                                   _two_rho_vee(w.invariant_vectors))
+                                                   _two_rho_vee(_coroots(w)))
         assert _all_flats(w) == flat
         assert [w.word(i) for i in range(w.order)] == words
         assert w._edges == edges
@@ -244,7 +260,7 @@ class TestKeyedClosure:
         fwd = folding_weyl_data(folding_datum(th, order))
         flat, words, edges = _matmul_keyed_closure(
             _generator_flats(fwd.folded), fwd.folded.dim,
-            _two_rho_vee(fwd.folded.invariant_vectors))
+            _two_rho_vee(_coroots(fwd.folded, fwd.fd)))
         assert _all_flats(fwd.folded) == flat
         assert [fwd.folded.word(i) for i in range(fwd.folded.order)] == words
         assert fwd.folded._edges == edges
@@ -363,7 +379,7 @@ class TestFoldingIsomorphism:
             _commutant_indices(fwd_a3.wh, (1, 0, 2))
 
     def test_folded_permutes_coroots(self, fwd_a3):
-        _verify_group(fwd_a3.folded)
+        _verify_group(fwd_a3.folded, fwd_a3.fd)
 
     def test_trivial_automorphism(self):
         fwd = folding_weyl_data(folding_datum("A3", 1))
@@ -421,15 +437,20 @@ class TestRegularAction:
         for w in range(fwd_a3.wh.order):
             if is_fixed_point(fwd_a3, _apply(fwd_a3.wh.matrix(w), t)):
                 d = orbit_regular_membership(fwd_a3, t, w)
-                assert d.orbit_equal and d.point_is_regular and d.w_in_folded_group
-                assert d.restriction is not None
+                assert d.orbit_equal and d.w_in_folded_group is True
+                # the restriction of w to the fixed Cartan acts on the
+                # orbit coordinates of t as w does on t
+                wt = _apply(fwd_a3.wh.matrix(w), t)
+                restriction = fwd_a3.folded.matrix(fwd_a3.restrict[w])
+                reps = [o[0] for o in fwd_a3.orbits]
+                assert _apply(restriction, [t[i] for i in reps]) == tuple(wt[i] for i in reps)
                 hits += 1
         assert hits == len(fwd_a3.commutant)
 
     def test_zero_point(self, fwd_a3):
         z = (Q(0),) * 3
         d = orbit_regular_membership(fwd_a3, z, 7)
-        assert d.orbit_equal and not d.point_is_regular
+        assert d.orbit_equal and d.w_in_folded_group is None
 
     def test_nonregular_nonzero_point(self, fwd_a3):
         # diag(1, -1, 1, -1): fixed, non-regular (equal first/third entries)
@@ -509,7 +530,6 @@ class TestIntegerPath:
     def test_flat_entries_are_ints(self, fwd):
         for group in (fwd.wh, fwd.folded):
             assert all(type(x) is int for m in _all_flats(group) for x in m)
-        assert all(type(x) is int for v in fwd.folded.invariant_vectors for x in v)
 
     def test_inverse_is_matrix_inverse(self, fwd):
         folded = fwd.folded
